@@ -2,8 +2,9 @@
 
 use std::fmt::Write as _;
 
-/// The simulator invariants (R1–R7, host Rust sources) and guest-program
-/// structural lints (L1–L4, vpir assembly) the analyzers check.
+/// The simulator invariants (R1, R2, R4, R6–R10; host Rust sources) and
+/// guest-program structural lints (L1–L4, vpir assembly) the analyzers
+/// check.
 ///
 /// The host rules are emitted by `vpir-analyze` over the workspace; the
 /// guest lints are emitted by `vpir-isa-analyze` over assembled
@@ -14,12 +15,8 @@ pub enum Rule {
     Determinism,
     /// R2 — pipeline hot paths must not contain panicking constructs.
     Panic,
-    /// R3 — every stats field must be updated and surfaced in a report.
-    Stats,
     /// R4 — every config field must be read outside its definition.
     Config,
-    /// R5 — stat counters must be u64 (no silently wrapping widths).
-    Counter,
     /// R6 — cycle-level code must not read wall-clock time.
     WallClock,
     /// R7 — cycle-level hot state must be columnar, not `Vec<Option<…>>`.
@@ -42,14 +39,12 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The short identifier (`R1` … `R6`, `L1` … `L4`).
+    /// The short identifier (`R1` … `R10`, `L1` … `L4`).
     pub fn id(self) -> &'static str {
         match self {
             Rule::Determinism => "R1",
             Rule::Panic => "R2",
-            Rule::Stats => "R3",
             Rule::Config => "R4",
-            Rule::Counter => "R5",
             Rule::WallClock => "R6",
             Rule::Columnar => "R7",
             Rule::PanicReach => "R8",
@@ -67,9 +62,7 @@ impl Rule {
         match self {
             Rule::Determinism => "determinism",
             Rule::Panic => "panic",
-            Rule::Stats => "stats",
             Rule::Config => "config",
-            Rule::Counter => "counter",
             Rule::WallClock => "wallclock",
             Rule::Columnar => "columnar",
             Rule::PanicReach => "panic-reach",
@@ -309,7 +302,7 @@ mod tests {
     #[test]
     fn text_mentions_counts() {
         let report = Report {
-            findings: vec![finding(Rule::Counter, Some("legacy"))],
+            findings: vec![finding(Rule::Config, Some("legacy"))],
             files_scanned: 2,
             proofs: Vec::new(),
         };

@@ -1,18 +1,24 @@
 //! Simulator-invariant static analysis for the vpir workspace.
 //!
-//! `vpir-analyze` walks the workspace sources and checks five
-//! invariants that `rustc` and clippy cannot see because they are
-//! facts about *this simulator*, not about Rust:
+//! `vpir-analyze` walks the workspace sources and checks invariants
+//! that `rustc` and clippy cannot see because they are facts about
+//! *this simulator*, not about Rust. The per-line rules:
 //!
 //! - **R1 determinism** — cycle-level crates must not use hash-ordered
 //!   collections; two runs of the same experiment must be bit-equal.
 //! - **R2 panic-freedom** — pipeline hot paths must not contain
 //!   `unwrap`/`expect`/`panic!`-family macros or literal indexing.
-//! - **R3 stats discipline** — every `*Stats` field must be updated
-//!   somewhere and surfaced by a report.
 //! - **R4 config discipline** — every config field must be read
 //!   outside its definition.
-//! - **R5 counter safety** — stat counters must be `u64`.
+//! - **R6 wall clock** — cycle-level crates must not read host time.
+//! - **R7 columnar** — cycle-level hot state must not be
+//!   `Vec<Option<…>>` outside the ROB column module.
+//!
+//! The interprocedural passes R8–R10 ([`passes`]) prove panic-freedom
+//! of the simulator entry points and check concurrency determinism and
+//! lock order. Stats counters need no rule: their completeness and
+//! `u64` width are compile-time properties of the counter schema in
+//! `crates/bench/src/state.rs`.
 //!
 //! A finding is suppressed (recorded but not fatal) by appending
 //! `// vpir: allow(rule, reason)` to the offending line. The binary
@@ -70,8 +76,9 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<rules::File>> {
     Ok(files)
 }
 
-/// Runs the line rules (R1–R7) and the interprocedural passes (R8–R10)
-/// over already-scanned files and returns the combined sorted report.
+/// Runs the line rules (R1, R2, R4, R6, R7) and the interprocedural
+/// passes (R8–R10) over already-scanned files and returns the combined
+/// sorted report.
 pub fn analyze_files(files: &[rules::File]) -> Report {
     let mut findings = rules::run_all(files);
     let (inter, proofs) = passes::run_interprocedural(files);

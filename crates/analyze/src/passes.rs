@@ -2,11 +2,11 @@
 //! concurrency-determinism, R10 lock-order.
 //!
 //! These run on top of the [`crate::items`] index and the
-//! [`crate::callgraph`] graph, where the line rules (R1–R7) see one
-//! line at a time. Each pass is conservative in a *reported* way:
-//! whatever it cannot resolve shows up as a residual obligation in an
-//! R8 [`ProofNote`] or is excluded by a documented limit — nothing is
-//! silently assumed resolved.
+//! [`crate::callgraph`] graph, where the line rules (R1, R2, R4, R6,
+//! R7) see one line at a time. Each pass is conservative in a
+//! *reported* way: whatever it cannot resolve shows up as a residual
+//! obligation in an R8 [`ProofNote`] or is excluded by a documented
+//! limit — nothing is silently assumed resolved.
 
 use std::collections::{BTreeMap, BTreeSet};
 

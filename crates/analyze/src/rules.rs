@@ -1,12 +1,10 @@
-//! The seven simulator-invariant rules.
+//! The per-line simulator-invariant rules.
 //!
-//! | id | name        | scope                                   |
-//! |----|-------------|-----------------------------------------|
+//! | id | name        | scope                                           |
+//! |----|-------------|-------------------------------------------------|
 //! | R1 | determinism | cycle-level crates                              |
 //! | R2 | panic       | cycle-level crates + `isa/src/asm.rs` + `serve` |
-//! | R3 | stats       | `*Stats` structs in core + stats crates         |
 //! | R4 | config      | `crates/core/src/config.rs` fields              |
-//! | R5 | counter     | same structs as R3                              |
 //! | R6 | wallclock   | cycle-level crates                              |
 //! | R7 | columnar    | cycle-level crates minus the column module      |
 //!
@@ -16,10 +14,12 @@
 //! there is part of the simulated machine's behaviour, so hash-ordered
 //! collections (R1) would make runs depend on hash seeding, and a
 //! panic mid-cycle (R2) would tear down a simulation that a malformed
-//! workload should instead surface as an error. R3–R5 keep the
-//! measurement layer honest: a counter that is never updated, never
-//! reported, or silently truncated produces plausible-looking but
-//! wrong tables.
+//! workload should instead surface as an error. R4 keeps the
+//! experiments honest: a config knob that nothing reads changes nothing.
+//! Ids R3 and R5 are retired: counter completeness and `u64` width are
+//! compile-time properties of the counter schema in
+//! `crates/bench/src/state.rs`, and `crates/bench/tests/golden.rs` checks
+//! that every counter moves.
 
 use crate::findings::{Finding, Rule};
 use crate::lexer::SourceLine;
@@ -69,9 +69,7 @@ pub fn run_all(files: &[File]) -> Vec<Finding> {
             panic_freedom(f, &mut findings);
         }
     }
-    stats_discipline(files, &mut findings);
     config_discipline(files, &mut findings);
-    counter_safety(files, &mut findings);
     findings
 }
 
@@ -143,8 +141,7 @@ fn wallclock(file: &File, findings: &mut Vec<Finding>) {
 /// occupancy branch plus a strided load per slot, where parallel
 /// columns behind a validity bitmap pay one word-test per 64 slots.
 fn columnar(file: &File, findings: &mut Vec<Finding>) {
-    let (fields, _) = parse_structs(file);
-    for field in &fields {
+    for field in &parse_structs(file) {
         if field.ty.contains("Vec<Option<") {
             emit(
                 findings,
@@ -264,7 +261,7 @@ pub(crate) fn literal_indexes(code: &str) -> Vec<String> {
 }
 
 // ----------------------------------------------------------------
-// Struct parsing shared by R3/R4/R5.
+// Struct parsing shared by R4/R7.
 // ----------------------------------------------------------------
 
 /// One parsed struct field.
@@ -276,16 +273,9 @@ struct Field {
     line: usize,
 }
 
-/// A struct declaration's extent, for "outside the declaration" tests.
-struct StructRegion {
-    start: usize,
-    end: usize,
-}
-
 /// Parses `struct` declarations and their named fields from a file.
-fn parse_structs(file: &File) -> (Vec<Field>, Vec<StructRegion>) {
+fn parse_structs(file: &File) -> Vec<Field> {
     let mut fields = Vec::new();
-    let mut regions = Vec::new();
     let lines = &file.lines;
     let mut i = 0usize;
     while i < lines.len() {
@@ -332,10 +322,9 @@ fn parse_structs(file: &File) -> (Vec<Field>, Vec<StructRegion>) {
                 });
             }
         }
-        regions.push(StructRegion { start: i + 1, end: end + 1 });
         i = end + 1;
     }
-    (fields, regions)
+    fields
 }
 
 /// Extracts the struct name from a `struct Foo` declaration line.
@@ -398,90 +387,9 @@ fn find_token(code: &str, tok: &str) -> Option<usize> {
     None
 }
 
-/// True when `.field` (a member access or member update of `field`)
-/// occurs in `code`.
-fn has_member_access(code: &str, field: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(field) {
-        let at = from + pos;
-        let dotted = code[..at].chars().next_back() == Some('.');
-        let after_ok = !code[at + field.len()..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if dotted && after_ok {
-            return true;
-        }
-        from = at + field.len();
-    }
-    false
-}
-
 /// Non-test lines of a file.
 fn live_lines(file: &File) -> impl Iterator<Item = &SourceLine> {
     file.lines.iter().filter(|l| !l.in_test)
-}
-
-// ----------------------------------------------------------------
-// R3: stats discipline.
-// ----------------------------------------------------------------
-
-/// Files whose `*Stats` structs are held to R3/R5.
-fn stats_decl_files<'a>(files: &'a [File]) -> impl Iterator<Item = &'a File> {
-    files
-        .iter()
-        .filter(|f| f.path == "crates/core/src/stats.rs" || f.path.starts_with("crates/stats/src/"))
-}
-
-fn stats_discipline(files: &[File], findings: &mut Vec<Finding>) {
-    for decl_file in stats_decl_files(files) {
-        let (fields, regions) = parse_structs(decl_file);
-        for field in fields.iter().filter(|f| f.struct_name.ends_with("Stats")) {
-            let in_decl = |f: &File, line: usize| {
-                f.path == decl_file.path
-                    && regions.iter().any(|r| line >= r.start && line <= r.end)
-            };
-            // Updated: some `.field` access outside the declaration.
-            let updated = files.iter().any(|f| {
-                live_lines(f).any(|l| {
-                    !in_decl(f, l.number) && has_member_access(&l.code, &field.name)
-                })
-            });
-            // Surfaced: the field participates in the reporting layer —
-            // the declaring file's methods or the bench report.
-            let surfaced = files
-                .iter()
-                .filter(|f| f.path == decl_file.path || f.path == "crates/bench/src/report.rs")
-                .any(|f| {
-                    live_lines(f).any(|l| {
-                        !in_decl(f, l.number) && has_token(&l.code, &field.name)
-                    })
-                });
-            if !updated {
-                emit(
-                    findings,
-                    Rule::Stats,
-                    decl_file,
-                    field.line,
-                    format!(
-                        "stats field `{}.{}` is never updated: no `.{}` access outside its declaration",
-                        field.struct_name, field.name, field.name
-                    ),
-                );
-            } else if !surfaced {
-                emit(
-                    findings,
-                    Rule::Stats,
-                    decl_file,
-                    field.line,
-                    format!(
-                        "stats field `{}.{}` is never surfaced: unused by {} methods and by crates/bench/src/report.rs",
-                        field.struct_name, field.name, decl_file.path
-                    ),
-                );
-            }
-        }
-    }
 }
 
 // ----------------------------------------------------------------
@@ -492,8 +400,7 @@ fn config_discipline(files: &[File], findings: &mut Vec<Finding>) {
     let Some(decl_file) = files.iter().find(|f| f.path == "crates/core/src/config.rs") else {
         return;
     };
-    let (fields, _) = parse_structs(decl_file);
-    for field in &fields {
+    for field in &parse_structs(decl_file) {
         let read_elsewhere = files.iter().any(|f| {
             f.path != decl_file.path
                 && live_lines(f).any(|l| has_token(&l.code, &field.name))
@@ -509,36 +416,6 @@ fn config_discipline(files: &[File], findings: &mut Vec<Finding>) {
                     field.struct_name, field.name, decl_file.path
                 ),
             );
-        }
-    }
-}
-
-// ----------------------------------------------------------------
-// R5: counter safety.
-// ----------------------------------------------------------------
-
-const NARROW_INTS: [&str; 9] = [
-    "u8", "u16", "u32", "usize", "i8", "i16", "i32", "i64", "isize",
-];
-
-fn counter_safety(files: &[File], findings: &mut Vec<Finding>) {
-    for decl_file in stats_decl_files(files) {
-        let (fields, _) = parse_structs(decl_file);
-        for field in fields.iter().filter(|f| f.struct_name.ends_with("Stats")) {
-            for ty in NARROW_INTS {
-                if has_token(&field.ty, ty) {
-                    emit(
-                        findings,
-                        Rule::Counter,
-                        decl_file,
-                        field.line,
-                        format!(
-                            "stat counter `{}.{}` is `{}`: narrower than u64, long runs overflow silently in release builds",
-                            field.struct_name, field.name, field.ty
-                        ),
-                    );
-                }
-            }
         }
     }
 }
@@ -602,22 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_unused_and_unsurfaced_fields() {
-        let stats = file(
-            "crates/core/src/stats.rs",
-            "pub struct SimStats {\n    pub used: u64,\n    pub dead: u64,\n}\nimpl SimStats {\n    pub fn report(&self) -> u64 { self.used }\n}\n",
-        );
-        let pipeline = file(
-            "crates/core/src/pipeline.rs",
-            "fn tick(s: &mut vpir::SimStats) { s.used += 1; }\n",
-        );
-        let findings = run_all(&[stats, pipeline]);
-        let r3: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Stats).collect();
-        assert_eq!(r3.len(), 1);
-        assert!(r3[0].message.contains("SimStats.dead"));
-    }
-
-    #[test]
     fn r4_flags_unread_config_fields() {
         let config = file(
             "crates/core/src/config.rs",
@@ -643,18 +504,5 @@ mod tests {
         // Non-cycle crates may use whatever layout they like.
         let cold = run_all(&[file("crates/bench/src/x.rs", src)]);
         assert!(cold.iter().all(|f| f.rule != Rule::Columnar));
-    }
-
-    #[test]
-    fn r5_flags_narrow_counters() {
-        let stats = file(
-            "crates/core/src/stats.rs",
-            "pub struct FooStats {\n    pub wide: u64,\n    pub narrow: u32,\n}\nimpl FooStats { pub fn r(&self) -> u64 { self.wide + self.narrow as u64 } }\n",
-        );
-        let user = file("crates/core/src/lib.rs", "fn f(s: &S) { s.wide; s.narrow; }\n");
-        let findings = run_all(&[stats, user]);
-        let r5: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Counter).collect();
-        assert_eq!(r5.len(), 1);
-        assert!(r5[0].message.contains("narrow"));
     }
 }

@@ -17,12 +17,10 @@ use vpir_jsonlite::{json_escape, parse_json, validate_json, JsonValue};
 use crate::findings::{Report, Rule};
 
 /// Every host rule, in `ruleIndex` order.
-const HOST_RULES: [(Rule, &str); 10] = [
+const HOST_RULES: [(Rule, &str); 8] = [
     (Rule::Determinism, "Cycle-level code must not use hash-ordered collections."),
     (Rule::Panic, "Pipeline hot paths must not contain panicking constructs."),
-    (Rule::Stats, "Every stats field must be updated and surfaced in a report."),
     (Rule::Config, "Every config field must be read outside its definition."),
-    (Rule::Counter, "Stat counters must be u64."),
     (Rule::WallClock, "Cycle-level code must not read wall-clock time."),
     (Rule::Columnar, "Cycle-level hot state must be columnar, not Vec<Option<...>>."),
     (Rule::PanicReach, "Entry-point call trees must be transitively panic-free."),

@@ -19,7 +19,7 @@ use vpir_redundancy::{analyze, LimitConfig};
 use vpir_workloads::Bench;
 
 use crate::matrix::{config_for_label, MatrixConfig};
-use crate::state::{limit_to_json, stats_to_json};
+use crate::state::JobPayload;
 
 /// The configuration families pinned by the golden suite: the paper's
 /// baseline, one representative VP cell, both IR validation policies,
@@ -37,23 +37,21 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs one golden cell and returns the FNV-1a-64 digest of its
-/// exact-u64 JSON serialization.
+/// Runs one golden cell: the simulator's counters, or the limit study.
 ///
 /// # Panics
 ///
 /// Panics if `label` is not one of [`GOLDEN_LABELS`].
-pub fn golden_digest(bench: Bench, label: &str) -> u64 {
+pub fn golden_run(bench: Bench, label: &str) -> JobPayload {
     let cfg = MatrixConfig::quick();
     let prog = bench.program(cfg.scale);
-    let json = if label == "limit" {
-        limit_to_json(&analyze(&prog, cfg.limit_insts, LimitConfig::default()))
+    if label == "limit" {
+        JobPayload::Limit(analyze(&prog, cfg.limit_insts, LimitConfig::default()))
     } else {
         let core = config_for_label(label).expect("unknown golden label");
         let mut sim = Simulator::new(&prog, core);
-        stats_to_json(sim.run(RunLimits::cycles(cfg.max_cycles)))
-    };
-    fnv1a64(json.as_bytes())
+        JobPayload::Stats(sim.run(RunLimits::cycles(cfg.max_cycles)).clone())
+    }
 }
 
 /// Renders the full golden fixture table as JSON: one object per cell
@@ -71,7 +69,7 @@ pub fn golden_fixture_json() -> String {
                 "    {{\"bench\": \"{}\", \"config\": \"{}\", \"digest\": \"{:016x}\"}}",
                 bench.name(),
                 label,
-                golden_digest(bench, label)
+                fnv1a64(golden_run(bench, label).to_json().as_bytes())
             ));
         }
     }

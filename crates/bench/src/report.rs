@@ -461,14 +461,14 @@ pub fn rtb_table(m: &Matrix) -> String {
 /// with the headline metrics, for external plotting.
 pub fn csv(m: &Matrix) -> String {
     let mut out = String::from(
-        "bench,config,ipc,speedup,reuse_result_pct,reuse_addr_pct,vp_result_pct,         vp_result_mispred_pct,branch_pred_pct,squashes,spurious_squashes,         branch_resolution_latency,contention
-",
+        "bench,config,ipc,speedup,reuse_result_pct,reuse_addr_pct,vp_result_pct,\
+         vp_result_mispred_pct,branch_pred_pct,squashes,spurious_squashes,\
+         branch_resolution_latency,contention\n",
     );
     for r in &m.runs {
         let mut emit = |config: &str, s: &vpir_core::SimStats| {
             out.push_str(&format!(
-                "{},{},{:.4},{:.4},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{:.3},{:.5}
-",
+                "{},{},{:.4},{:.4},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{:.3},{:.5}\n",
                 r.bench.name(),
                 config,
                 s.ipc(),
@@ -568,6 +568,17 @@ mod tests {
         // header + 2 benchmarks x (base + 2 IR + 16 VP + 2 RTB)
         assert_eq!(lines.len(), 1 + 2 * 21, "{csv}");
         assert!(lines[0].starts_with("bench,config,ipc"));
+        let header: Vec<&str> = lines[0].split(',').collect();
+        assert_eq!(header.len(), 13, "{}", lines[0]);
+        for name in &header {
+            assert!(
+                !name.is_empty() && name.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'),
+                "header field {name:?}"
+            );
+        }
+        for row in &lines[1..] {
+            assert_eq!(row.split(',').count(), header.len(), "{row}");
+        }
         assert!(csv.contains("ijpeg,base,"));
         assert!(csv.contains("compress,ir-early,"));
         assert!(csv.contains("ijpeg,rtb-t8,"));

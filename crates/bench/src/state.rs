@@ -1,4 +1,5 @@
-//! Incremental per-job persistence for resumable matrix runs.
+//! Incremental per-job persistence for resumable matrix runs, and the
+//! counter schema every serialized number goes through.
 //!
 //! Each (benchmark × configuration) cell of the matrix is one job; as a
 //! worker finishes a job it writes `job-NNN.json` into the dump
@@ -8,11 +9,18 @@
 //! `u64`, the round trip through JSON is lossless and a resumed matrix
 //! is bit-identical to an uninterrupted run.
 //!
+//! The JSON forms of [`SimStats`] and [`LimitStudy`] come from one
+//! field list per struct (the `counters!` invocation below): the
+//! emitter, the parser, and the tests all walk the same [`Counters`]
+//! schema. Counter completeness and `u64` width are compile-time
+//! properties of that list.
+//!
 //! Everything here is std-only: the emitter and the exact-`u64`
 //! recursive-descent parser live in the shared `vpir-jsonlite` crate
 //! (they started life in this module) and are re-exported below so
 //! existing `vpir_bench::state::{parse_json, ...}` imports keep working.
 
+use std::mem::take;
 use std::path::{Path, PathBuf};
 
 use vpir_core::SimStats;
@@ -32,127 +40,104 @@ pub const JOB_SCHEMA: &str = "vpir-bench-job-v2";
 pub const FAILURE_SCHEMA: &str = "vpir-bench-failure-v2";
 
 // ---------------------------------------------------------------------
-// JSON emission
+// The counter schema
 // ---------------------------------------------------------------------
 
-fn cache_to_json(c: &CacheStats) -> String {
-    Obj::new()
-        .u("hits", c.hits)
-        .u("misses", c.misses)
-        .u("mshr_merges", c.mshr_merges)
-        .finish()
+/// A struct of simulator counters that can walk its fields, in
+/// serialization order, through a [`CounterVisitor`].
+pub trait Counters {
+    /// Visits every field once, in schema order.
+    fn walk(&mut self, v: &mut dyn CounterVisitor);
 }
 
-fn vpt_to_json(v: &VptStats) -> String {
-    Obj::new()
-        .u("lookups", v.lookups)
-        .u("predictions", v.predictions)
-        .u("trainings", v.trainings)
-        .u("allocations", v.allocations)
-        .finish()
+/// What a [`Counters`] walk visits.
+pub trait CounterVisitor {
+    /// A scalar counter.
+    fn count(&mut self, name: &str, value: &mut u64);
+    /// A fixed-length row of counters (a histogram or an attribution).
+    fn array(&mut self, name: &str, values: &mut [u64]);
+    /// A nested counter struct. An `optional` group is left out of the
+    /// JSON while all its counters are zero, and reads back as zeros
+    /// when absent.
+    fn group(&mut self, name: &str, group: &mut dyn Counters, optional: bool);
 }
 
-fn rb_to_json(r: &ReuseStats) -> String {
-    Obj::new()
-        .u("inserts", r.inserts)
-        .u("updates", r.updates)
-        .u("evictions", r.evictions)
-        .u("reg_invalidations", r.reg_invalidations)
-        .u("revalidations", r.revalidations)
-        .u("mem_invalidations", r.mem_invalidations)
-        .u("full_reuses", r.full_reuses)
-        .u("addr_reuses", r.addr_reuses)
-        .u("misses", r.misses)
-        .finish()
+/// The only field types a counter struct may hold: `u64`, `[u64; N]`
+/// and nested counter structs. Any other field type (a narrower
+/// integer, say) has no impl, so its struct's `counters!` entry fails
+/// to compile.
+trait Field {
+    fn visit(&mut self, name: &str, v: &mut dyn CounterVisitor);
 }
 
-fn u64_array_json(xs: &[u64]) -> String {
-    let items: Vec<String> = xs.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn rtb_to_json(r: &RtbStats) -> String {
-    Obj::new()
-        .u("captured", r.captured)
-        .u("pending_squashed", r.pending_squashed)
-        .u("installed", r.installed)
-        .u("dropped", r.dropped)
-        .u("replays", r.replays)
-        .u("replayed_insts", r.replayed_insts)
-        .u("aborted", r.aborted)
-        .u("committed_reused", r.committed_reused)
-        .raw("per_class", &u64_array_json(&r.per_class))
-        .raw("per_depth", &u64_array_json(&r.per_depth))
-        .finish()
-}
-
-/// Serializes a full [`SimStats`] as a JSON object.
-///
-/// The `rtb` block is emitted only when trace reuse actually ran (the
-/// stats differ from the all-zero default): every pre-RTB job file and
-/// golden digest stays byte-identical for the base/VP/IR configurations.
-pub fn stats_to_json(s: &SimStats) -> String {
-    let histogram = format!(
-        "[{}, {}, {}, {}]",
-        s.exec_histogram[0], s.exec_histogram[1], s.exec_histogram[2], s.exec_histogram[3]
-    );
-    let o = Obj::new()
-        .u("cycles", s.cycles)
-        .u("committed", s.committed)
-        .u("dispatched", s.dispatched)
-        .u("executions", s.executions)
-        .u("branches", s.branches)
-        .u("branch_mispredicts", s.branch_mispredicts)
-        .u("returns", s.returns)
-        .u("return_mispredicts", s.return_mispredicts)
-        .u("squashes", s.squashes)
-        .u("spurious_squashes", s.spurious_squashes)
-        .u("branch_resolution_latency_sum", s.branch_resolution_latency_sum)
-        .u("branch_resolution_count", s.branch_resolution_count)
-        .u("squashed_executed", s.squashed_executed)
-        .u("squash_recovered", s.squash_recovered)
-        .u("result_producers", s.result_producers)
-        .u("result_predicted", s.result_predicted)
-        .u("result_pred_correct", s.result_pred_correct)
-        .u("mem_ops", s.mem_ops)
-        .u("addr_predicted", s.addr_predicted)
-        .u("addr_pred_correct", s.addr_pred_correct)
-        .raw("exec_histogram", &histogram)
-        .u("reused_full", s.reused_full)
-        .u("reused_addr", s.reused_addr)
-        .u("fu_requests", s.fu_requests)
-        .u("fu_denials", s.fu_denials)
-        .u("port_requests", s.port_requests)
-        .u("port_denials", s.port_denials)
-        .raw("icache", &cache_to_json(&s.icache))
-        .raw("dcache", &cache_to_json(&s.dcache))
-        .raw("vpt_result", &vpt_to_json(&s.vpt_result))
-        .raw("vpt_addr", &vpt_to_json(&s.vpt_addr))
-        .raw("rb", &rb_to_json(&s.rb));
-    if s.rtb != RtbStats::default() {
-        return o.raw("rtb", &rtb_to_json(&s.rtb)).finish();
+impl Field for u64 {
+    fn visit(&mut self, name: &str, v: &mut dyn CounterVisitor) {
+        v.count(name, self);
     }
-    o.finish()
 }
 
-/// Serializes a [`LimitStudy`] as a JSON object.
-pub fn limit_to_json(l: &LimitStudy) -> String {
-    Obj::new()
-        .u("total", l.total)
-        .u("unique", l.unique)
-        .u("repeated", l.repeated)
-        .u("derivable", l.derivable)
-        .u("unaccounted", l.unaccounted)
-        .u("rep_producers_reused", l.rep_producers_reused)
-        .u("rep_ready_far", l.rep_ready_far)
-        .u("rep_not_ready", l.rep_not_ready)
-        .u("rep_different_inputs", l.rep_different_inputs)
-        .u("reusable", l.reusable)
-        .finish()
+impl<const N: usize> Field for [u64; N] {
+    fn visit(&mut self, name: &str, v: &mut dyn CounterVisitor) {
+        v.array(name, self);
+    }
+}
+
+impl<T: Counters> Field for T {
+    fn visit(&mut self, name: &str, v: &mut dyn CounterVisitor) {
+        v.group(name, self, false);
+    }
+}
+
+/// Implements [`Counters`] from one field list per struct, in
+/// serialization order. The struct is destructured without `..`, so a
+/// field missing from its list fails to compile (rustc words it as
+/// "pattern requires `..`": list the field, never add `..`). Fields
+/// after `; optional` are optional groups (see
+/// [`CounterVisitor::group`]).
+macro_rules! counters {
+    ($($ty:ident { $($field:ident),* $(; optional $opt:ident)? })*) => {$(
+        impl Counters for $ty {
+            fn walk(&mut self, v: &mut dyn CounterVisitor) {
+                let $ty { $($field,)* $($opt)? } = self;
+                $(Field::visit($field, stringify!($field), v);)*
+                $(v.group(stringify!($opt), $opt, true);)?
+            }
+        }
+    )*};
+}
+
+counters! {
+    CacheStats { hits, misses, mshr_merges }
+    VptStats { lookups, predictions, trainings, allocations }
+    ReuseStats {
+        inserts, updates, evictions, reg_invalidations, revalidations,
+        mem_invalidations, full_reuses, addr_reuses, misses
+    }
+    RtbStats {
+        captured, pending_squashed, installed, dropped, replays,
+        replayed_insts, aborted, committed_reused, per_class, per_depth
+    }
+    SimStats {
+        cycles, committed, dispatched, executions, branches,
+        branch_mispredicts, returns, return_mispredicts, squashes,
+        spurious_squashes, branch_resolution_latency_sum,
+        branch_resolution_count, squashed_executed, squash_recovered,
+        result_producers, result_predicted, result_pred_correct, mem_ops,
+        addr_predicted, addr_pred_correct, exec_histogram, reused_full,
+        reused_addr, fu_requests, fu_denials, port_requests, port_denials,
+        icache, dcache, vpt_result, vpt_addr, rb;
+        // Absent from every pre-RTB job file and golden digest.
+        optional rtb
+    }
+    LimitStudy {
+        total, unique, repeated, derivable, unaccounted,
+        rep_producers_reused, rep_ready_far, rep_not_ready,
+        rep_different_inputs, reusable
+    }
 }
 
 // ---------------------------------------------------------------------
-// Field extraction
+// JSON emission and parsing
 // ---------------------------------------------------------------------
 
 fn u(v: &JsonValue, key: &str) -> Result<u64, String> {
@@ -168,146 +153,119 @@ fn s(v: &JsonValue, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field `{key}`"))
 }
 
-fn cache_from_json(v: &JsonValue) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        hits: u(v, "hits")?,
-        misses: u(v, "misses")?,
-        mshr_merges: u(v, "mshr_merges")?,
-    })
-}
-
-fn vpt_from_json(v: &JsonValue) -> Result<VptStats, String> {
-    Ok(VptStats {
-        lookups: u(v, "lookups")?,
-        predictions: u(v, "predictions")?,
-        trainings: u(v, "trainings")?,
-        allocations: u(v, "allocations")?,
-    })
-}
-
-fn rb_from_json(v: &JsonValue) -> Result<ReuseStats, String> {
-    Ok(ReuseStats {
-        inserts: u(v, "inserts")?,
-        updates: u(v, "updates")?,
-        evictions: u(v, "evictions")?,
-        reg_invalidations: u(v, "reg_invalidations")?,
-        revalidations: u(v, "revalidations")?,
-        mem_invalidations: u(v, "mem_invalidations")?,
-        full_reuses: u(v, "full_reuses")?,
-        addr_reuses: u(v, "addr_reuses")?,
-        misses: u(v, "misses")?,
-    })
-}
-
-fn u_arr<const N: usize>(v: &JsonValue, key: &str) -> Result<[u64; N], String> {
-    let arr = v
-        .get(key)
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("missing array `{key}`"))?;
-    if arr.len() != N {
-        return Err(format!("{key} has {} entries, want {N}", arr.len()));
-    }
-    let mut out = [0u64; N];
-    for (slot, item) in out.iter_mut().zip(arr) {
-        *slot = item
-            .as_u64()
-            .ok_or_else(|| format!("non-integer entry in {key}"))?;
-    }
-    Ok(out)
-}
-
-fn rtb_from_json(v: &JsonValue) -> Result<RtbStats, String> {
-    Ok(RtbStats {
-        captured: u(v, "captured")?,
-        pending_squashed: u(v, "pending_squashed")?,
-        installed: u(v, "installed")?,
-        dropped: u(v, "dropped")?,
-        replays: u(v, "replays")?,
-        replayed_insts: u(v, "replayed_insts")?,
-        aborted: u(v, "aborted")?,
-        committed_reused: u(v, "committed_reused")?,
-        per_class: u_arr(v, "per_class")?,
-        per_depth: u_arr(v, "per_depth")?,
-    })
-}
-
 fn sub<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
     v.get(key).ok_or_else(|| format!("missing object `{key}`"))
 }
 
+/// Renders a walk as a one-line JSON object, noting whether any counter
+/// in it was nonzero.
+#[derive(Default)]
+struct Emit {
+    obj: Obj,
+    nonzero: bool,
+}
+
+impl CounterVisitor for Emit {
+    fn count(&mut self, name: &str, value: &mut u64) {
+        self.nonzero |= *value != 0;
+        self.obj = take(&mut self.obj).u(name, *value);
+    }
+
+    fn array(&mut self, name: &str, values: &mut [u64]) {
+        self.nonzero |= values.iter().any(|&x| x != 0);
+        let items: Vec<String> = values.iter().map(u64::to_string).collect();
+        self.obj = take(&mut self.obj).raw(name, &format!("[{}]", items.join(", ")));
+    }
+
+    fn group(&mut self, name: &str, group: &mut dyn Counters, optional: bool) {
+        let mut inner = Emit::default();
+        group.walk(&mut inner);
+        if inner.nonzero || !optional {
+            self.nonzero |= inner.nonzero;
+            self.obj = take(&mut self.obj).raw(name, &inner.obj.finish());
+        }
+    }
+}
+
+fn to_json(mut counters: impl Counters) -> String {
+    let mut emit = Emit::default();
+    counters.walk(&mut emit);
+    emit.obj.finish()
+}
+
+/// Serializes a full [`SimStats`] as a JSON object.
+pub fn stats_to_json(s: &SimStats) -> String {
+    to_json(s.clone())
+}
+
+/// Serializes a [`LimitStudy`] as a JSON object.
+pub fn limit_to_json(l: &LimitStudy) -> String {
+    to_json(*l)
+}
+
+/// Fills a walk from a parsed JSON object, keeping the first error.
+struct Read<'a> {
+    v: &'a JsonValue,
+    err: Option<String>,
+}
+
+impl Read<'_> {
+    fn fail(&mut self, msg: String) {
+        self.err.get_or_insert(msg);
+    }
+}
+
+impl CounterVisitor for Read<'_> {
+    fn count(&mut self, name: &str, value: &mut u64) {
+        match u(self.v, name) {
+            Ok(n) => *value = n,
+            Err(e) => self.fail(e),
+        }
+    }
+
+    fn array(&mut self, name: &str, values: &mut [u64]) {
+        let items: Option<Vec<u64>> = self
+            .v
+            .get(name)
+            .and_then(JsonValue::as_arr)
+            .and_then(|items| items.iter().map(JsonValue::as_u64).collect());
+        match items {
+            Some(items) if items.len() == values.len() => values.copy_from_slice(&items),
+            _ => self.fail(format!("`{name}` is not an array of {} integers", values.len())),
+        }
+    }
+
+    fn group(&mut self, name: &str, group: &mut dyn Counters, optional: bool) {
+        let outer = self.v;
+        match outer.get(name) {
+            Some(inner) => {
+                self.v = inner;
+                group.walk(self);
+                self.v = outer;
+            }
+            None if optional => {}
+            None => self.fail(format!("missing object `{name}`")),
+        }
+    }
+}
+
+/// Reads every counter of a `T` from its JSON object form. No counter
+/// defaults except an absent optional group.
+fn from_json<T: Counters + Default>(v: &JsonValue) -> Result<T, String> {
+    let mut out = T::default();
+    let mut read = Read { v, err: None };
+    out.walk(&mut read);
+    read.err.map_or(Ok(out), Err)
+}
+
 /// Reconstructs a [`SimStats`] from its JSON object form.
-///
-/// Every field is read explicitly (no defaults), so adding a counter to
-/// `SimStats` without extending the round trip fails to compile here.
 pub fn stats_from_json(v: &JsonValue) -> Result<SimStats, String> {
-    let hist = v
-        .get("exec_histogram")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing array `exec_histogram`")?;
-    if hist.len() != 4 {
-        return Err(format!("exec_histogram has {} entries, want 4", hist.len()));
-    }
-    let mut exec_histogram = [0u64; 4];
-    for (slot, item) in exec_histogram.iter_mut().zip(hist) {
-        *slot = item
-            .as_u64()
-            .ok_or("non-integer entry in exec_histogram")?;
-    }
-    Ok(SimStats {
-        cycles: u(v, "cycles")?,
-        committed: u(v, "committed")?,
-        dispatched: u(v, "dispatched")?,
-        executions: u(v, "executions")?,
-        branches: u(v, "branches")?,
-        branch_mispredicts: u(v, "branch_mispredicts")?,
-        returns: u(v, "returns")?,
-        return_mispredicts: u(v, "return_mispredicts")?,
-        squashes: u(v, "squashes")?,
-        spurious_squashes: u(v, "spurious_squashes")?,
-        branch_resolution_latency_sum: u(v, "branch_resolution_latency_sum")?,
-        branch_resolution_count: u(v, "branch_resolution_count")?,
-        squashed_executed: u(v, "squashed_executed")?,
-        squash_recovered: u(v, "squash_recovered")?,
-        result_producers: u(v, "result_producers")?,
-        result_predicted: u(v, "result_predicted")?,
-        result_pred_correct: u(v, "result_pred_correct")?,
-        mem_ops: u(v, "mem_ops")?,
-        addr_predicted: u(v, "addr_predicted")?,
-        addr_pred_correct: u(v, "addr_pred_correct")?,
-        exec_histogram,
-        reused_full: u(v, "reused_full")?,
-        reused_addr: u(v, "reused_addr")?,
-        fu_requests: u(v, "fu_requests")?,
-        fu_denials: u(v, "fu_denials")?,
-        port_requests: u(v, "port_requests")?,
-        port_denials: u(v, "port_denials")?,
-        icache: cache_from_json(sub(v, "icache")?)?,
-        dcache: cache_from_json(sub(v, "dcache")?)?,
-        vpt_result: vpt_from_json(sub(v, "vpt_result")?)?,
-        vpt_addr: vpt_from_json(sub(v, "vpt_addr")?)?,
-        rb: rb_from_json(sub(v, "rb")?)?,
-        // Absent in every pre-RTB job file and in non-RTB runs.
-        rtb: match v.get("rtb") {
-            Some(r) => rtb_from_json(r)?,
-            None => RtbStats::default(),
-        },
-    })
+    from_json(v)
 }
 
 /// Reconstructs a [`LimitStudy`] from its JSON object form.
 pub fn limit_from_json(v: &JsonValue) -> Result<LimitStudy, String> {
-    Ok(LimitStudy {
-        total: u(v, "total")?,
-        unique: u(v, "unique")?,
-        repeated: u(v, "repeated")?,
-        derivable: u(v, "derivable")?,
-        unaccounted: u(v, "unaccounted")?,
-        rep_producers_reused: u(v, "rep_producers_reused")?,
-        rep_ready_far: u(v, "rep_ready_far")?,
-        rep_not_ready: u(v, "rep_not_ready")?,
-        rep_different_inputs: u(v, "rep_different_inputs")?,
-        reusable: u(v, "reusable")?,
-    })
+    from_json(v)
 }
 
 // ---------------------------------------------------------------------
@@ -322,6 +280,16 @@ pub enum JobPayload {
     Stats(SimStats),
     /// The functional limit-study histogram.
     Limit(LimitStudy),
+}
+
+impl JobPayload {
+    /// The payload's counters as a one-line JSON object.
+    pub fn to_json(&self) -> String {
+        match self {
+            JobPayload::Stats(s) => stats_to_json(s),
+            JobPayload::Limit(l) => limit_to_json(l),
+        }
+    }
 }
 
 /// One completed matrix cell, as persisted to (and reloaded from) the
@@ -347,9 +315,9 @@ pub struct JobRecord {
 impl JobRecord {
     /// Serializes the record as a `vpir-bench-job-v2` document.
     pub fn to_json(&self) -> String {
-        let (kind, key, body) = match &self.payload {
-            JobPayload::Stats(s) => ("stats", "stats", stats_to_json(s)),
-            JobPayload::Limit(l) => ("limit", "limit", limit_to_json(l)),
+        let kind = match self.payload {
+            JobPayload::Stats(_) => "stats",
+            JobPayload::Limit(_) => "limit",
         };
         let mut out = String::new();
         out.push_str("{\n");
@@ -361,7 +329,7 @@ impl JobRecord {
         out.push_str(&format!("  \"max_cycles\": {},\n", self.max_cycles));
         out.push_str(&format!("  \"limit_insts\": {},\n", self.limit_insts));
         out.push_str(&format!("  \"kind\": \"{kind}\",\n"));
-        out.push_str(&format!("  \"{key}\": {body}\n"));
+        out.push_str(&format!("  \"{kind}\": {}\n", self.payload.to_json()));
         out.push_str("}\n");
         out
     }
@@ -425,84 +393,48 @@ pub fn load_job(dir: &Path, job_index: usize) -> Option<JobRecord> {
 mod tests {
     use super::*;
 
-    /// A stats block with every counter distinct, so a field swapped or
-    /// dropped in either direction of the round trip is caught. Built as
-    /// a full struct literal: adding a `SimStats` field breaks this test
-    /// at compile time until the serializer learns about it.
-    fn full_stats() -> SimStats {
-        SimStats {
-            cycles: 1,
-            committed: 2,
-            dispatched: 3,
-            executions: 4,
-            branches: 5,
-            branch_mispredicts: 6,
-            returns: 7,
-            return_mispredicts: 8,
-            squashes: 9,
-            spurious_squashes: 10,
-            branch_resolution_latency_sum: 11,
-            branch_resolution_count: 12,
-            squashed_executed: 13,
-            squash_recovered: 14,
-            result_producers: 15,
-            result_predicted: 16,
-            result_pred_correct: 17,
-            mem_ops: 18,
-            addr_predicted: 19,
-            addr_pred_correct: 20,
-            exec_histogram: [21, 22, 23, 24],
-            reused_full: 25,
-            reused_addr: 26,
-            fu_requests: 27,
-            fu_denials: 28,
-            port_requests: 29,
-            port_denials: 30,
-            icache: CacheStats { hits: 31, misses: 32, mshr_merges: 33 },
-            dcache: CacheStats { hits: 34, misses: 35, mshr_merges: 36 },
-            vpt_result: VptStats {
-                lookups: 37,
-                predictions: 38,
-                trainings: 39,
-                allocations: 40,
-            },
-            vpt_addr: VptStats {
-                lookups: 41,
-                predictions: 42,
-                trainings: 43,
-                allocations: 44,
-            },
-            rb: ReuseStats {
-                inserts: 45,
-                updates: 46,
-                evictions: 47,
-                reg_invalidations: 48,
-                revalidations: 49,
-                mem_invalidations: 50,
-                full_reuses: 51,
-                addr_reuses: 52,
-                misses: 53,
-            },
-            rtb: RtbStats {
-                captured: 54,
-                pending_squashed: 55,
-                installed: 56,
-                dropped: 57,
-                replays: 58,
-                replayed_insts: 59,
-                aborted: 60,
-                committed_reused: 61,
-                per_class: [62, 63, 64, 65, 66, 67, 68, 69, 70],
-                per_depth: [71, 72, 73, 74, 75],
-            },
+    /// Numbers every counter 1, 2, 3, … in walk order, so a field
+    /// swapped or dropped in either direction of a round trip is caught.
+    struct Number(u64);
+
+    impl CounterVisitor for Number {
+        fn count(&mut self, _: &str, value: &mut u64) {
+            self.0 += 1;
+            *value = self.0;
         }
+
+        fn array(&mut self, name: &str, values: &mut [u64]) {
+            for value in values {
+                self.count(name, value);
+            }
+        }
+
+        fn group(&mut self, _: &str, group: &mut dyn Counters, _: bool) {
+            group.walk(self);
+        }
+    }
+
+    fn numbered<T: Counters + Default>() -> T {
+        let mut out = T::default();
+        out.walk(&mut Number(0));
+        out
     }
 
     #[test]
     fn stats_round_trip_is_exact() {
-        let stats = full_stats();
-        let v = parse_json(&stats_to_json(&stats)).expect("parse");
+        let stats: SimStats = numbered();
+        let text = stats_to_json(&stats);
+        let v = parse_json(&text).expect("parse");
         assert_eq!(stats_from_json(&v).expect("decode"), stats);
+
+        // No counter defaults: a missing or short field is an error.
+        for broken in [
+            text.replace("\"cycles\": 1, ", ""),
+            text.replace("[21, 22, 23, 24]", "[21, 22, 23]"),
+        ] {
+            let v = parse_json(&broken).expect("parse");
+            assert!(stats_from_json(&v).is_err(), "{broken}");
+        }
     }
 
     /// The `rtb` block must stay out of non-RTB documents (existing
@@ -510,31 +442,20 @@ mod tests {
     /// when present.
     #[test]
     fn rtb_block_is_conditional_and_defaulted() {
-        let mut stats = full_stats();
+        let mut stats = numbered::<SimStats>();
         stats.rtb = RtbStats::default();
         let text = stats_to_json(&stats);
         assert!(!text.contains("\"rtb\""), "default RTB stats must not serialize");
         let v = parse_json(&text).expect("parse");
         assert_eq!(stats_from_json(&v).expect("decode"), stats);
 
-        let with_rtb = full_stats();
+        let with_rtb = numbered::<SimStats>();
         assert!(stats_to_json(&with_rtb).contains("\"rtb\""));
     }
 
     #[test]
     fn limit_round_trip_is_exact() {
-        let limit = LimitStudy {
-            total: 100,
-            unique: 40,
-            repeated: 50,
-            derivable: 5,
-            unaccounted: 5,
-            rep_producers_reused: 10,
-            rep_ready_far: 20,
-            rep_not_ready: 15,
-            rep_different_inputs: 5,
-            reusable: 30,
-        };
+        let limit: LimitStudy = numbered();
         let v = parse_json(&limit_to_json(&limit)).expect("parse");
         assert_eq!(limit_from_json(&v).expect("decode"), limit);
     }
@@ -548,7 +469,7 @@ mod tests {
             scale: 2,
             max_cycles: 30_000,
             limit_insts: 6_000,
-            payload: JobPayload::Stats(full_stats()),
+            payload: JobPayload::Stats(numbered::<SimStats>()),
         };
         let back = JobRecord::from_json(&rec.to_json()).expect("decode");
         assert_eq!(back, rec);
@@ -559,6 +480,19 @@ mod tests {
         };
         let back = JobRecord::from_json(&rec.to_json()).expect("decode");
         assert_eq!(back, rec);
+    }
+
+    /// Job files written before the counter schema existed (the `go`
+    /// base, ir_early, rtb:t8 and limit cells) load and re-serialize to
+    /// their exact bytes, so `--resume` keeps accepting them.
+    #[test]
+    fn committed_job_files_reserialize_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/jobs");
+        for i in [0, 17, 20, 21] {
+            let text = std::fs::read_to_string(job_path(&dir, i)).expect("fixture readable");
+            let rec = load_job(&dir, i).expect("fixture loads");
+            assert_eq!(rec.to_json(), text, "job {i}");
+        }
     }
 
     #[test]

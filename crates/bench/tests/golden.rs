@@ -8,8 +8,16 @@
 //! semantics somewhere — a counter, a stat, a limit-study number — and
 //! is a bug unless the change is intentional (then regenerate with
 //! `cargo run -p vpir-bench --example golden_gen`).
+//!
+//! The same runs feed a counter-liveness check: the set of counters
+//! that stay zero in every cell is pinned, so a counter the simulator
+//! stops updating fails here.
 
-use vpir_bench::golden::{golden_digest, GOLDEN_LABELS};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+use vpir_bench::golden::{fnv1a64, golden_run, GOLDEN_LABELS};
+use vpir_bench::state::{CounterVisitor, Counters, JobPayload};
 use vpir_jsonlite::parse_json;
 use vpir_workloads::Bench;
 
@@ -54,6 +62,15 @@ fn fixture_covers_every_cell_exactly_once() {
     }
 }
 
+/// Every golden cell of one workload, run once per test binary and
+/// shared by that workload's digest test and the liveness test.
+fn runs(bench: Bench) -> &'static [(&'static str, JobPayload)] {
+    static RUNS: [OnceLock<Vec<(&str, JobPayload)>>; Bench::ALL.len()] =
+        [const { OnceLock::new() }; Bench::ALL.len()];
+    let i = Bench::ALL.iter().position(|&b| b == bench).expect("known bench");
+    RUNS[i].get_or_init(|| GOLDEN_LABELS.map(|label| (label, golden_run(bench, label))).to_vec())
+}
+
 /// One test per workload so a mismatch names the benchmark and the
 /// suite parallelizes across the test harness's threads.
 macro_rules! golden_bench {
@@ -61,13 +78,13 @@ macro_rules! golden_bench {
         #[test]
         fn $test() {
             let cells = fixture_cells();
-            for label in GOLDEN_LABELS {
+            for (label, payload) in runs($bench) {
                 let expected = cells
                     .iter()
                     .find(|(b, c, _)| b == $bench.name() && c == label)
                     .map(|(_, _, d)| *d)
                     .expect("cell recorded");
-                let got = golden_digest($bench, label);
+                let got = fnv1a64(payload.to_json().as_bytes());
                 assert_eq!(
                     got,
                     expected,
@@ -89,3 +106,68 @@ golden_bench!(golden_perl, Bench::Perl);
 golden_bench!(golden_vortex, Bench::Vortex);
 golden_bench!(golden_gcc, Bench::Gcc);
 golden_bench!(golden_compress, Bench::Compress);
+
+/// Records every counter leaf by dotted path (`rtb.per_class[5]`), and
+/// which of them were nonzero.
+#[derive(Default)]
+struct Leaves {
+    path: String,
+    all: BTreeSet<String>,
+    live: BTreeSet<String>,
+}
+
+impl CounterVisitor for Leaves {
+    fn count(&mut self, name: &str, value: &mut u64) {
+        let leaf = format!("{}{name}", self.path);
+        if *value != 0 {
+            self.live.insert(leaf.clone());
+        }
+        self.all.insert(leaf);
+    }
+
+    fn array(&mut self, name: &str, values: &mut [u64]) {
+        for (i, value) in values.iter_mut().enumerate() {
+            self.count(&format!("{name}[{i}]"), value);
+        }
+    }
+
+    fn group(&mut self, name: &str, group: &mut dyn Counters, _: bool) {
+        let outer = self.path.len();
+        self.path.push_str(name);
+        self.path.push('.');
+        group.walk(self);
+        self.path.truncate(outer);
+    }
+}
+
+/// Every counter the schema serializes must move in some golden cell,
+/// except these, which no workload or configuration here exercises.
+#[test]
+fn counters_zero_in_every_cell_are_exactly_the_known_set() {
+    let mut leaves = Leaves::default();
+    for bench in Bench::ALL {
+        for (_, payload) in runs(bench) {
+            match payload.clone() {
+                JobPayload::Stats(mut s) => s.walk(&mut leaves),
+                JobPayload::Limit(mut l) => leaves.group("limit", &mut l, false),
+            }
+        }
+    }
+    assert_eq!(leaves.all.len(), 85, "{:?}", leaves.all);
+    let dead: Vec<&str> = leaves.all.difference(&leaves.live).map(String::as_str).collect();
+    assert_eq!(
+        dead,
+        [
+            "limit.unaccounted",
+            "return_mispredicts",
+            "rtb.aborted",
+            "rtb.dropped",
+            // jump, jump-reg, fp, misc
+            "rtb.per_class[5]",
+            "rtb.per_class[6]",
+            "rtb.per_class[7]",
+            "rtb.per_class[8]",
+            "rtb.per_depth[4]",
+        ]
+    );
+}

@@ -5,7 +5,8 @@
 //! `floor(log2(v)) + 1` (bucket 0 holds `v == 0`), so bucket `i >= 1`
 //! covers `[2^(i-1), 2^i)` and 64 buckets span the full u64 range.
 //! Percentiles are reported as the *upper bound* of the bucket holding
-//! the requested rank (`2^i - 1`): a deterministic, allocation-free
+//! the requested rank (`2^i - 1`), clamped to the exact recorded max so
+//! no percentile ever exceeds it: a deterministic, allocation-free
 //! answer whose error is bounded by the bucket's width — exactly the
 //! trade the paper's own log-scaled tables make.
 //!
@@ -99,8 +100,9 @@ impl Histogram {
     }
 
     /// The value at quantile `num/den` (e.g. `percentile(999, 1000)`
-    /// is p99.9), reported as the holding bucket's upper bound.
-    /// Integer math throughout; returns 0 for an empty histogram.
+    /// is p99.9), reported as the holding bucket's upper bound clamped
+    /// to the recorded max. Integer math throughout; returns 0 for an
+    /// empty histogram.
     pub fn percentile(&self, num: u64, den: u64) -> u64 {
         let count = self.count();
         if count == 0 || den == 0 {
@@ -122,12 +124,12 @@ impl Histogram {
             }
             cumulative = cumulative.saturating_add(n);
             if cumulative >= rank {
-                return Self::upper_bound(i);
+                return Self::upper_bound(i).min(self.max());
             }
         }
         // `count` raced ahead of the bucket writes: answer from the
         // highest bucket that has data rather than underreporting.
-        Self::upper_bound(last_nonempty)
+        Self::upper_bound(last_nonempty).min(self.max())
     }
 
     /// p50 of the recorded samples.
@@ -173,9 +175,18 @@ mod tests {
         assert_eq!(h.max(), 1000);
         // rank 500 falls in bucket [256, 512) whose upper bound is 511.
         assert_eq!(h.p50(), 511);
-        // rank 990 and rank 1000 both fall in bucket [512, 1024).
-        assert_eq!(h.p99(), 1023);
-        assert_eq!(h.p999(), 1023);
+        // rank 990 and rank 1000 both fall in bucket [512, 1024), whose
+        // upper bound 1023 is clamped to the recorded max.
+        assert_eq!(h.p99(), 1000);
+        assert_eq!(h.p999(), 1000);
+        assert_ordered(&h);
+    }
+
+    /// p50 ≤ p99 ≤ p999 ≤ max: no percentile exceeds the recorded max.
+    fn assert_ordered(h: &Histogram) {
+        assert!(h.p50() <= h.p99(), "p50 {} > p99 {}", h.p50(), h.p99());
+        assert!(h.p99() <= h.p999(), "p99 {} > p999 {}", h.p99(), h.p999());
+        assert!(h.p999() <= h.max(), "p999 {} > max {}", h.p999(), h.max());
     }
 
     #[test]
@@ -190,18 +201,21 @@ mod tests {
         }
         assert_eq!(h.p50(), 127, "bucket [64,128) holds the fast mass");
         assert_eq!(h.p99(), 127, "rank 990 is still a fast sample");
-        assert_eq!(h.p999(), (1u64 << 20) - 1, "the p99.9 rank lands in the slow tail");
+        assert_eq!(h.p999(), 1_000_000, "the p99.9 rank lands in the slow tail, clamped to max");
         assert_eq!(h.max(), 1_000_000);
+        assert_ordered(&h);
     }
 
     #[test]
     fn edge_values_and_empty_histograms_are_total() {
         let h = Histogram::new();
         assert_eq!(h.p50(), 0, "empty histogram answers 0");
+        assert_ordered(&h);
         h.record(0);
         assert_eq!(h.p50(), 0, "zero lands in bucket 0");
         h.record(u64::MAX);
         assert_eq!(h.percentile(100, 100), u64::MAX);
+        assert_ordered(&h);
         assert_eq!(h.percentile(7, 0), 0, "zero denominator is refused, not divided");
         let json = h.to_json();
         assert!(json.contains("\"count\": 2"), "{json}");

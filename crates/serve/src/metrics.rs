@@ -311,8 +311,9 @@ mod tests {
         assert!(text.contains("# TYPE vpir_shed_state gauge"), "{text}");
         assert!(text.contains("vpir_store_quarantined_total 0"), "{text}");
         assert!(text.contains("vpir_latency_run_count 1"), "{text}");
-        assert!(text.contains("vpir_latency_run_p50_micros 511"), "{text}");
-        assert!(text.contains("vpir_latency_other_p99_micros 7"), "{text}");
+        // Single samples: each percentile is clamped to the exact max.
+        assert!(text.contains("vpir_latency_run_p50_micros 300"), "{text}");
+        assert!(text.contains("vpir_latency_other_p99_micros 5"), "{text}");
         assert!(text.contains("# HELP vpir_sim_cycles_per_second "), "{text}");
         // One HELP and one TYPE line per series, every series present:
         // 27 scalars + 4 endpoints x 4 histogram series + 2 derived.

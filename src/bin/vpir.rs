@@ -55,7 +55,7 @@
 //! invariant instruction the dynamic study contradicts.
 //!
 //! `analyze` runs the *host*-code analyzer over the workspace's own
-//! Rust sources: rules R1–R7 plus the interprocedural passes R8–R10
+//! Rust sources: rules R1/R2/R4/R6/R7 plus the interprocedural passes R8–R10
 //! (panic-reachability, concurrency-determinism, lock-order). SARIF
 //! 2.1.0 output is available for CI upload, and `--call-graph FN`
 //! dumps the resolved call tree under any workspace function.
@@ -764,8 +764,8 @@ fn cmd_analyze_isa(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the host-code analyzer (rules R1–R7 + interprocedural passes
-/// R8–R10) over the workspace's own Rust sources, or dumps the call
+/// Runs the host-code analyzer (rules R1/R2/R4/R6/R7 + interprocedural
+/// passes R8–R10) over the workspace's own Rust sources, or dumps the call
 /// tree under one function with `--call-graph`.
 ///
 /// Returns `Err` (nonzero exit) on any unsuppressed finding: the

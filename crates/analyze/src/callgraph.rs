@@ -15,7 +15,8 @@
 //! 4. **`self.field.method(…)`** — the field's declared base type
 //!    (wrappers like `Option<Box<…>>` stripped) names the owner.
 //! 5. **`expr.method(…)`** on any other receiver — *may-call* edges to
-//!    every workspace fn with that bare name ([`Target::Ambiguous`]).
+//!    every workspace method (a fn declared in an `impl` or `trait`)
+//!    with that bare name ([`Target::Ambiguous`]).
 //!
 //! A call that matches no workspace function at all is
 //! [`Target::External`] (std or vendored code); the passes treat
@@ -24,10 +25,11 @@
 //! the lexer blanks literals and the extractor skips `name!(…)` —
 //! which is also a documented limit, not a silent one.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::items::{FnItem, ItemIndex};
-use crate::rules::File;
+use crate::rules::{index_exprs, is_int_literal, literal_indexes, File};
 
 /// Where a call site leads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,8 +134,8 @@ impl CallGraph {
         while let Some(at) = queue.pop_front() {
             for call in &self.nodes[at].calls {
                 if let Target::Known(t) = call.target {
-                    if !parents.contains_key(&t) {
-                        parents.insert(t, Some(at));
+                    if let Entry::Vacant(slot) = parents.entry(t) {
+                        slot.insert(Some(at));
                         queue.push_back(t);
                     }
                 }
@@ -250,13 +252,8 @@ fn scan_fn(files: &[File], idx: &ItemIndex, f: &FnItem) -> FnNode {
     let mut node = FnNode::default();
     let lines = &files[f.file].lines;
     for line in &lines[f.body_start..=f.body_end] {
-        // A line vouched for by `vpir: allow(panic, …)` keeps R2's
-        // suppression semantics under R8 too.
-        let vouched = line.allow.as_ref().is_some_and(|a| a.rule == "panic");
         extract_calls(&line.code, line.number, f, idx, &mut node.calls);
-        if !vouched {
-            extract_panics(&line.code, line.number, &mut node.panics);
-        }
+        extract_panics(&line.code, line.number, &mut node.panics);
         extract_assumes(&line.code, line.number, &mut node.assumes);
     }
     node
@@ -389,18 +386,22 @@ fn resolve_qualified(idx: &ItemIndex, ty: &str, method: &str) -> Target {
     }
 }
 
-/// Tier-5 may-call resolution over the bare method name.
+/// Tier-5 may-call resolution over the bare method name. Method-call
+/// syntax only reaches fns declared in an `impl` or `trait` block, so
+/// free fns that share the name are not candidates.
 fn resolve_bare(idx: &ItemIndex, method: &str) -> Target {
-    match idx.by_name.get(method) {
-        Some(v) => {
-            let cands = non_test(idx, v);
-            if cands.is_empty() {
-                Target::External
-            } else {
-                Target::Ambiguous(cands)
-            }
-        }
-        None => Target::External,
+    let cands: Vec<usize> = idx
+        .by_name
+        .get(method)
+        .into_iter()
+        .flatten()
+        .copied()
+        .filter(|&i| !idx.fns[i].in_test && idx.fns[i].owner.is_some())
+        .collect();
+    if cands.is_empty() {
+        Target::External
+    } else {
+        Target::Ambiguous(cands)
     }
 }
 
@@ -452,7 +453,26 @@ fn ident_before(chars: &[char], end: usize) -> Option<String> {
     }
 }
 
-/// R2's panic-construct class, recorded as per-fn facts.
+/// Finds `name!` macro invocations with a token boundary before `name`.
+fn has_macro(code: &str, name: &str) -> bool {
+    let pat = format!("{name}!");
+    let mut from = 0;
+    while let Some(pos) = code[from..].find(&pat) {
+        let at = from + pos;
+        let boundary = at == 0
+            || !code[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        if boundary {
+            return true;
+        }
+        from = at + pat.len();
+    }
+    false
+}
+
+/// The panicking constructs, recorded as per-fn facts.
 fn extract_panics(code: &str, line: usize, out: &mut Vec<PanicSite>) {
     for pat in [".unwrap()", ".expect("] {
         let mut from = 0;
@@ -466,7 +486,7 @@ fn extract_panics(code: &str, line: usize, out: &mut Vec<PanicSite>) {
         }
     }
     for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-        if crate::rules::has_macro(code, mac) {
+        if has_macro(code, mac) {
             out.push(PanicSite {
                 line,
                 col: code.find(mac).map_or(0, |p| p + 1),
@@ -474,7 +494,7 @@ fn extract_panics(code: &str, line: usize, out: &mut Vec<PanicSite>) {
             });
         }
     }
-    for idx in crate::rules::literal_indexes(code) {
+    for idx in literal_indexes(code) {
         out.push(PanicSite {
             line,
             col: 0,
@@ -531,7 +551,11 @@ fn extract_assumes(code: &str, line: usize, out: &mut Vec<AssumeSite>) {
             });
         }
     }
-    for inner in nonliteral_indexes(code) {
+    // A bare `..` slices the whole collection and cannot be out of bounds.
+    let dynamic = index_exprs(code)
+        .into_iter()
+        .filter(|s| !s.is_empty() && s != ".." && !is_int_literal(s));
+    for inner in dynamic {
         out.push(AssumeSite {
             line,
             what: format!("[{inner}] bounds-assumed"),
@@ -559,45 +583,6 @@ fn divisor_expr(rest: &str) -> String {
             _ => {}
         }
         out.push(c);
-    }
-    out
-}
-
-/// Index expressions that are not integer literals (and not bare `..`,
-/// which slices the whole collection and cannot be out of bounds).
-fn nonliteral_indexes(code: &str) -> Vec<String> {
-    let chars: Vec<char> = code.chars().collect();
-    let mut out = Vec::new();
-    for (i, &c) in chars.iter().enumerate() {
-        if c != '[' {
-            continue;
-        }
-        let prev = chars[..i].iter().rev().find(|c| !c.is_whitespace());
-        let is_index =
-            prev.is_some_and(|&p| p.is_alphanumeric() || p == '_' || p == ')' || p == ']');
-        if !is_index {
-            continue;
-        }
-        let mut depth = 1;
-        let mut j = i + 1;
-        while j < chars.len() && depth > 0 {
-            match chars[j] {
-                '[' => depth += 1,
-                ']' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        if depth != 0 {
-            continue;
-        }
-        let inner: String = chars[i + 1..j - 1].iter().collect();
-        let trimmed = inner.trim();
-        let literal = !trimmed.is_empty() && trimmed.chars().all(|c| c.is_ascii_digit() || c == '_');
-        if trimmed.is_empty() || literal || trimmed == ".." {
-            continue;
-        }
-        out.push(trimmed.to_string());
     }
     out
 }
@@ -667,6 +652,17 @@ mod tests {
         );
         // `v.len()` — no workspace fn named `len`: external.
         assert_eq!(calls[1].target, Target::External);
+    }
+
+    #[test]
+    fn method_calls_never_resolve_to_free_fns() {
+        let (_, idx, g) = graph(
+            "pub fn all(x: u64) -> bool { x.checked_sub(1).unwrap() > 0 }\n\
+             fn caller(v: &[u64]) -> bool { v.iter().all(|x| *x > 0) }\n",
+        );
+        // `.all(…)` is `Iterator::all`, not the free fn `all`.
+        let calls = edges_of(&idx, &g, "caller");
+        assert!(calls.iter().all(|c| c.target == Target::External), "{calls:?}");
     }
 
     #[test]

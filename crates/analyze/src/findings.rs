@@ -2,29 +2,26 @@
 
 use std::fmt::Write as _;
 
-/// The simulator invariants (R1, R2, R4, R6–R10; host Rust sources) and
+/// The simulator invariants (R2, R4, R7–R10; host Rust sources) and
 /// guest-program structural lints (L1–L4, vpir assembly) the analyzers
 /// check.
 ///
 /// The host rules are emitted by `vpir-analyze` over the workspace; the
 /// guest lints are emitted by `vpir-isa-analyze` over assembled
 /// programs. Both share this type so reports render identically.
+/// Retired ids are not reused: R1 and R6 are clippy's
+/// `disallowed-types`, R3 and R5 the counter schema's compile checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// R1 — cycle-level code must not use hash-ordered collections.
-    Determinism,
-    /// R2 — pipeline hot paths must not contain panicking constructs.
+    /// R2 — pipeline hot paths must not index with an integer literal.
     Panic,
     /// R4 — every config field must be read outside its definition.
     Config,
-    /// R6 — cycle-level code must not read wall-clock time.
-    WallClock,
     /// R7 — cycle-level hot state must be columnar, not `Vec<Option<…>>`.
     Columnar,
     /// R8 — entry-point call trees must be transitively panic-free.
     PanicReach,
-    /// R9 — spawned closures must not race on shared mutable captures,
-    /// and control-flow atomics must not use `Ordering::Relaxed`.
+    /// R9 — a `Relaxed` atomic load must not feed control flow.
     Concurrency,
     /// R10 — the lock-acquisition graph must be acyclic.
     LockOrder,
@@ -39,13 +36,11 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The short identifier (`R1` … `R10`, `L1` … `L4`).
+    /// The short identifier (`R2` … `R10`, `L1` … `L4`).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Determinism => "R1",
             Rule::Panic => "R2",
             Rule::Config => "R4",
-            Rule::WallClock => "R6",
             Rule::Columnar => "R7",
             Rule::PanicReach => "R8",
             Rule::Concurrency => "R9",
@@ -57,13 +52,11 @@ impl Rule {
         }
     }
 
-    /// The name used in `// vpir: allow(name, reason)` comments.
+    /// The short name printed next to the id.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Determinism => "determinism",
             Rule::Panic => "panic",
             Rule::Config => "config",
-            Rule::WallClock => "wallclock",
             Rule::Columnar => "columnar",
             Rule::PanicReach => "panic-reach",
             Rule::Concurrency => "concurrency",
@@ -89,9 +82,6 @@ pub struct Finding {
     /// line-granular and leave this 0.
     pub col: usize,
     pub message: String,
-    /// The justification from a matching `vpir: allow` comment; `None`
-    /// for live (unsuppressed) findings.
-    pub suppressed: Option<String>,
 }
 
 impl Finding {
@@ -131,16 +121,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Findings not silenced by an allow comment; these gate CI.
-    pub fn live(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.suppressed.is_none())
-    }
-
-    /// Findings silenced by an allow comment (recorded, not fatal).
-    pub fn suppressed(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.suppressed.is_some())
-    }
-
     /// Sorts findings by file, line, then rule for stable output.
     pub fn sort(&mut self) {
         self.findings
@@ -150,7 +130,7 @@ impl Report {
     /// Human-readable report.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for f in self.live() {
+        for f in &self.findings {
             let _ = writeln!(
                 out,
                 "{}: {}({}): {}",
@@ -160,25 +140,12 @@ impl Report {
                 f.message
             );
         }
-        let live = self.live().count();
-        let suppressed = self.suppressed().count();
         let _ = writeln!(
             out,
-            "vpir-analyze: {} file(s), {} finding(s), {} suppressed",
-            self.files_scanned, live, suppressed
+            "vpir-analyze: {} file(s), {} finding(s)",
+            self.files_scanned,
+            self.findings.len()
         );
-        if suppressed > 0 {
-            for f in self.suppressed() {
-                let _ = writeln!(
-                    out,
-                    "  allowed {}: {}({}): {}",
-                    f.location(),
-                    f.rule.id(),
-                    f.rule.name(),
-                    f.suppressed.as_deref().unwrap_or_default()
-                );
-            }
-        }
         for p in &self.proofs {
             let _ = writeln!(out, "  proof {} {}: {}", p.rule.id(), p.root, p.summary);
             for d in &p.details {
@@ -192,8 +159,7 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         let _ = write!(out, "\"files_scanned\":{},", self.files_scanned);
-        let _ = write!(out, "\"live\":{},", self.live().count());
-        let _ = write!(out, "\"suppressed\":{},", self.suppressed().count());
+        let _ = write!(out, "\"live\":{},", self.findings.len());
         out.push_str("\"findings\":[");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
@@ -201,7 +167,7 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "{{\"rule\":\"{}\",\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"",
+                "{{\"rule\":\"{}\",\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
                 f.rule.id(),
                 f.rule.name(),
                 escape(&f.file),
@@ -209,12 +175,6 @@ impl Report {
                 f.col,
                 escape(&f.message)
             );
-            match &f.suppressed {
-                Some(reason) => {
-                    let _ = write!(out, ",\"allowed\":\"{}\"}}", escape(reason));
-                }
-                None => out.push('}'),
-            }
         }
         out.push_str("],\"proofs\":[");
         for (i, p) in self.proofs.iter().enumerate() {
@@ -264,50 +224,38 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn finding(rule: Rule, suppressed: Option<&str>) -> Finding {
+    fn finding(rule: Rule) -> Finding {
         Finding {
             rule,
             file: "crates/core/src/x.rs".into(),
             line: 7,
             col: 0,
             message: "msg with \"quotes\"".into(),
-            suppressed: suppressed.map(String::from),
         }
-    }
-
-    #[test]
-    fn live_and_suppressed_split() {
-        let report = Report {
-            findings: vec![finding(Rule::Panic, None), finding(Rule::Panic, Some("ok"))],
-            files_scanned: 1,
-            proofs: Vec::new(),
-        };
-        assert_eq!(report.live().count(), 1);
-        assert_eq!(report.suppressed().count(), 1);
     }
 
     #[test]
     fn json_is_escaped() {
         let report = Report {
-            findings: vec![finding(Rule::Determinism, None)],
+            findings: vec![finding(Rule::Panic)],
             files_scanned: 3,
             proofs: Vec::new(),
         };
         let json = report.to_json();
         assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"rule\":\"R1\""));
+        assert!(json.contains("\"rule\":\"R2\""));
         assert!(json.contains("\"files_scanned\":3"));
     }
 
     #[test]
     fn text_mentions_counts() {
         let report = Report {
-            findings: vec![finding(Rule::Config, Some("legacy"))],
+            findings: vec![finding(Rule::Config)],
             files_scanned: 2,
             proofs: Vec::new(),
         };
         let text = report.to_text();
-        assert!(text.contains("0 finding(s), 1 suppressed"));
-        assert!(text.contains("allowed"));
+        assert!(text.contains("crates/core/src/x.rs:7: R4(config)"));
+        assert!(text.contains("2 file(s), 1 finding(s)"));
     }
 }

@@ -1,26 +1,16 @@
 //! A minimal Rust source scanner.
 //!
 //! The rules in [`crate::rules`] work on *code text*: source lines with
-//! comment and literal contents blanked out, so that a `HashMap` inside
+//! comment and literal contents blanked out, so that an `xs[0]` inside
 //! a doc comment or a `panic!` inside a string never produces a
-//! finding. This module performs that blanking in a single pass,
-//! records `// vpir: allow(rule, reason)` suppression comments as it
-//! strips them, and marks the lines that belong to `#[cfg(test)]`
-//! blocks (test-only code is exempt from the hot-path rules).
+//! finding. This module performs that blanking in a single pass and
+//! marks the lines that belong to `#[cfg(test)]` blocks (test-only
+//! code is exempt from the hot-path rules).
 //!
 //! This is not a full lexer — it only understands the token classes
 //! that matter for blanking: line and (nested) block comments, string
 //! and raw-string literals, byte strings, character literals, and the
 //! character-versus-lifetime ambiguity after a `'`.
-
-/// One suppression comment: `// vpir: allow(rule, reason)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// The rule name being suppressed (e.g. `panic`).
-    pub rule: String,
-    /// The justification text after the comma.
-    pub reason: String,
-}
 
 /// One scanned source line.
 #[derive(Debug, Clone)]
@@ -31,31 +21,28 @@ pub struct SourceLine {
     /// Quote delimiters are kept so call shapes like `.expect("…")`
     /// remain recognisable.
     pub code: String,
-    /// A `// vpir: allow(...)` comment found on this line, if any.
-    pub allow: Option<Allow>,
     /// True when the line sits inside a `#[cfg(test)]` block.
     pub in_test: bool,
 }
 
 /// Scans a whole file into blanked [`SourceLine`]s.
 pub fn scan(source: &str) -> Vec<SourceLine> {
-    let blanked = blank(source);
-    let mut lines: Vec<SourceLine> = Vec::new();
-    for (i, (code, allow)) in blanked.into_iter().enumerate() {
-        lines.push(SourceLine {
+    let mut lines: Vec<SourceLine> = blank(source)
+        .lines()
+        .enumerate()
+        .map(|(i, code)| SourceLine {
             number: i + 1,
-            code,
-            allow,
+            code: code.to_string(),
             in_test: false,
-        });
-    }
+        })
+        .collect();
     mark_test_regions(&mut lines);
     lines
 }
 
-/// Pass 1: blanks comments and literal contents, collecting allows.
-/// Returns one `(code, allow)` pair per input line.
-fn blank(source: &str) -> Vec<(String, Option<Allow>)> {
+/// Pass 1: blanks comments and literal contents, keeping every newline
+/// so the output has the input's line structure.
+fn blank(source: &str) -> String {
     #[derive(PartialEq)]
     enum Mode {
         Code,
@@ -68,8 +55,6 @@ fn blank(source: &str) -> Vec<(String, Option<Allow>)> {
     let chars: Vec<char> = source.chars().collect();
     let mut mode = Mode::Code;
     let mut out = String::with_capacity(source.len());
-    let mut allows: Vec<(usize, Allow)> = Vec::new();
-    let mut line_no = 1usize;
     let mut i = 0usize;
 
     let at = |i: usize| chars.get(i).copied();
@@ -80,7 +65,6 @@ fn blank(source: &str) -> Vec<(String, Option<Allow>)> {
             // Newlines always survive, whatever mode we are in, so the
             // output keeps the original line structure.
             out.push('\n');
-            line_no += 1;
             i += 1;
             // Character literals cannot span lines; resetting here
             // keeps a misread quote from swallowing the rest of the
@@ -93,18 +77,10 @@ fn blank(source: &str) -> Vec<(String, Option<Allow>)> {
         match mode {
             Mode::Code => {
                 if c == '/' && at(i + 1) == Some('/') {
-                    // Line comment: capture to end of line, look for a
-                    // suppression, and blank the whole thing.
-                    let start = i;
+                    // Line comment: blank to end of line.
                     while i < chars.len() && chars[i] != '\n' {
-                        i += 1;
-                    }
-                    let text: String = chars[start..i].iter().collect();
-                    if let Some(a) = parse_allow(&text) {
-                        allows.push((line_no, a));
-                    }
-                    for _ in start..i {
                         out.push(' ');
+                        i += 1;
                     }
                 } else if c == '/' && at(i + 1) == Some('*') {
                     mode = Mode::Block(1);
@@ -238,18 +214,7 @@ fn blank(source: &str) -> Vec<(String, Option<Allow>)> {
             }
         }
     }
-
-    let mut result: Vec<(String, Option<Allow>)> = Vec::new();
-    for (n, line) in out.lines().enumerate() {
-        let allow = allows
-            .iter()
-            .find(|(ln, _)| *ln == n + 1)
-            .map(|(_, a)| a.clone());
-        result.push((line.to_string(), allow));
-    }
-    // `str::lines` drops a trailing empty line; rules index by line
-    // number so the count only has to cover every numbered allow.
-    result
+    out
 }
 
 /// True when `chars[i]` starts a raw-string literal (`r"`, `r#"`,
@@ -279,26 +244,6 @@ fn is_raw_string_start(chars: &[char], i: usize) -> bool {
 /// meaning the `r`/`b` at `i` is the tail of a name, not a prefix.
 fn ident_before(chars: &[char], i: usize) -> bool {
     i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_')
-}
-
-/// Parses `// vpir: allow(rule, reason)` from a line-comment's text.
-fn parse_allow(comment: &str) -> Option<Allow> {
-    let body = comment.trim_start_matches('/').trim();
-    let rest = body.strip_prefix("vpir:")?.trim_start();
-    let rest = rest.strip_prefix("allow(")?;
-    let close = rest.rfind(')')?;
-    let inner = &rest[..close];
-    let (rule, reason) = match inner.split_once(',') {
-        Some((r, why)) => (r.trim(), why.trim()),
-        None => (inner.trim(), ""),
-    };
-    if rule.is_empty() {
-        return None;
-    }
-    Some(Allow {
-        rule: rule.to_string(),
-        reason: reason.to_string(),
-    })
 }
 
 /// Pass 2: marks every line inside a `#[cfg(test)]` item as test code.
@@ -351,16 +296,6 @@ mod tests {
         let lines = scan("let x = \"HashMap\"; // HashMap here\nuse std::collections::HashMap;\n");
         assert!(!lines[0].code.contains("HashMap"));
         assert!(lines[1].code.contains("HashMap"));
-    }
-
-    #[test]
-    fn allow_comment_is_recorded_and_blanked() {
-        let lines = scan("x.expect(\"boom\"); // vpir: allow(panic, startup only)\n");
-        let allow = lines[0].allow.as_ref().expect("allow parsed");
-        assert_eq!(allow.rule, "panic");
-        assert_eq!(allow.reason, "startup only");
-        assert!(!lines[0].code.contains("vpir"));
-        assert!(lines[0].code.contains(".expect("));
     }
 
     #[test]

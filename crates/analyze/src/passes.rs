@@ -1,9 +1,9 @@
-//! The interprocedural passes: R8 panic-reachability, R9
-//! concurrency-determinism, R10 lock-order.
+//! The workspace-wide passes: R8 panic-reachability, R9 relaxed-atomic
+//! control flow, R10 lock-order.
 //!
-//! These run on top of the [`crate::items`] index and the
-//! [`crate::callgraph`] graph, where the line rules (R1, R2, R4, R6,
-//! R7) see one line at a time. Each pass is conservative in a
+//! R8 and R10 run on top of the [`crate::items`] index and the
+//! [`crate::callgraph`] graph, where the line rules (R2, R4, R7) see
+//! one line at a time. Each pass is conservative in a
 //! *reported* way: whatever it cannot resolve shows up as a residual
 //! obligation in an R8 [`ProofNote`] or is excluded by a documented
 //! limit — nothing is silently assumed resolved.
@@ -21,7 +21,9 @@ pub fn run_interprocedural(files: &[File]) -> (Vec<Finding>, Vec<ProofNote>) {
     let graph = CallGraph::build(files, &idx);
     let mut findings = Vec::new();
     let proofs = panic_reach(files, &idx, &graph, &mut findings);
-    concurrency(files, &idx, &mut findings);
+    for file in files {
+        relaxed_control_flow(file, &mut findings);
+    }
     lock_order(files, &idx, &graph, &mut findings);
     (findings, proofs)
 }
@@ -67,7 +69,7 @@ fn panic_reach(
             let mut residuals: Vec<String> = Vec::new();
             let mut residual_keys: BTreeSet<(String, usize)> = BTreeSet::new();
             let mut unresolved_total = 0usize;
-            for (&at, _) in &parents {
+            for &at in parents.keys() {
                 let f = &idx.fns[at];
                 let node = &graph.nodes[at];
                 for p in &node.panics {
@@ -150,214 +152,11 @@ fn panic_reach(
 }
 
 // ----------------------------------------------------------------
-// R9: concurrency determinism.
+// R9: relaxed atomics in control flow. Racy writes to a shared capture
+// need no check: the borrow checker already rejects two spawned
+// threads holding one `&mut`, so shared writes go through atomics or
+// locks.
 // ----------------------------------------------------------------
-
-/// Methods that mutate their receiver: a call on a shared capture
-/// inside a spawned closure is a cross-thread write.
-const MUTATING_METHODS: [&str; 7] = [
-    ".push(", ".push_str(", ".insert(", ".extend(", ".clear(", ".remove(", ".pop(",
-];
-
-fn concurrency(files: &[File], idx: &ItemIndex, findings: &mut Vec<Finding>) {
-    for (file_idx, file) in files.iter().enumerate() {
-        relaxed_control_flow(file, findings);
-        let mut i = 0usize;
-        while i < file.lines.len() {
-            let line = &file.lines[i];
-            if line.in_test {
-                i += 1;
-                continue;
-            }
-            let spawn_at = ["thread::spawn(", ".spawn("]
-                .iter()
-                .filter_map(|p| line.code.find(p).map(|at| at + p.len()))
-                .min();
-            let Some(after_spawn) = spawn_at else {
-                i += 1;
-                continue;
-            };
-            let Some((open_line, open_col, close_line)) =
-                closure_region(file, i, after_spawn)
-            else {
-                i += 1;
-                continue;
-            };
-            let header: String = file.lines[i..=open_line]
-                .iter()
-                .map(|l| l.code.as_str())
-                .collect::<Vec<_>>()
-                .join(" ");
-            // `move` closures take ownership: sharing then requires an
-            // Arc/&'scope whose interior writes still go through the
-            // lock/atomic shapes checked below on their own lines.
-            let is_move = header.contains("move |") || header.contains("move|");
-            if !is_move {
-                let captures = outer_mut_bindings(file, idx, file_idx, i);
-                shared_capture_writes(file, i, open_line, open_col, close_line, &captures, findings);
-            }
-            i += 1;
-        }
-    }
-}
-
-/// Finds the spawned closure's brace region: `(open_line, open_col,
-/// close_line)`, scanning from `col` on `start` for the first `{`.
-fn closure_region(file: &File, start: usize, col: usize) -> Option<(usize, usize, usize)> {
-    let mut j = start;
-    let mut from = col;
-    let (open_line, open_col) = loop {
-        let code = &file.lines.get(j)?.code;
-        if let Some(p) = code[from.min(code.len())..].find('{') {
-            break (j, from + p);
-        }
-        j += 1;
-        from = 0;
-        if j > start + 3 {
-            return None; // no closure body in sight; not a spawn call
-        }
-    };
-    let mut depth = 0i32;
-    let mut k = open_line;
-    let mut scan_from = open_col;
-    while k < file.lines.len() {
-        for c in file.lines[k].code[scan_from..].chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((open_line, open_col, k));
-                    }
-                }
-                _ => {}
-            }
-        }
-        k += 1;
-        scan_from = 0;
-    }
-    None
-}
-
-/// `let mut NAME` bindings declared in the enclosing fn before the
-/// spawn line: the set of captures a non-`move` closure can write.
-fn outer_mut_bindings(
-    file: &File,
-    idx: &ItemIndex,
-    file_idx: usize,
-    spawn_line: usize,
-) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let encl = idx
-        .fns
-        .iter()
-        .filter(|f| f.file == file_idx && f.body_start <= spawn_line && spawn_line <= f.body_end)
-        .max_by_key(|f| f.body_start);
-    let start = encl.map_or(0, |f| f.body_start);
-    for line in &file.lines[start..spawn_line] {
-        let code = &line.code;
-        let mut from = 0;
-        while let Some(p) = code[from..].find("let mut ") {
-            let at = from + p + "let mut ".len();
-            let name: String = code[at..]
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() {
-                out.insert(name);
-            }
-            from = at;
-        }
-    }
-    out
-}
-
-/// Flags writes to shared captures inside a spawned closure that are
-/// neither atomic ops, lock-guarded accesses, nor per-slot indexing.
-fn shared_capture_writes(
-    file: &File,
-    spawn_line: usize,
-    open_line: usize,
-    open_col: usize,
-    close_line: usize,
-    captures: &BTreeSet<String>,
-    findings: &mut Vec<Finding>,
-) {
-    let mut flagged: BTreeSet<(usize, String)> = BTreeSet::new();
-    for (k, line) in file.lines.iter().enumerate().take(close_line + 1).skip(open_line) {
-        let code = if k == open_line { &line.code[open_col..] } else { &line.code[..] };
-        for name in captures {
-            let mut from = 0;
-            while let Some(p) = find_word(code, name, from) {
-                from = p + name.len();
-                if p > 0 && code[..p].ends_with('.') {
-                    continue; // `x.name` is a field, not the binding
-                }
-                let after = &code[p + name.len()..];
-                // Disciplined shapes: per-slot indexing, lock-guarded
-                // access, atomic ops.
-                if after.starts_with('[')
-                    || after.starts_with(".lock(")
-                    || after.starts_with(".store(")
-                    || after.starts_with(".fetch_")
-                    || after.starts_with(".load(")
-                {
-                    continue;
-                }
-                let before = code[..p].trim_end();
-                let borrow_mut = before.ends_with("&mut");
-                let assigned = is_assignment(after);
-                let mutated = MUTATING_METHODS.iter().any(|m| after.starts_with(m));
-                if borrow_mut || assigned || mutated {
-                    if flagged.insert((line.number, name.clone())) {
-                        emit(
-                            findings,
-                            Rule::Concurrency,
-                            file,
-                            line.number,
-                            format!(
-                                "spawned closure (line {}) writes shared capture `{name}` without atomic, lock, or per-slot indexing discipline: cross-thread interleaving makes results depend on scheduling",
-                                file.lines[spawn_line].number
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Whether the text immediately after a binding is a (compound)
-/// assignment — and not `==`/`=>` comparison or match-arm syntax.
-fn is_assignment(after: &str) -> bool {
-    let t = after.trim_start();
-    if let Some(rest) = t.strip_prefix('=') {
-        return !rest.starts_with('=') && !rest.starts_with('>');
-    }
-    for op in ["+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="] {
-        if t.starts_with(op) {
-            return true;
-        }
-    }
-    false
-}
-
-/// `word` at `from` or later with identifier boundaries on both sides.
-fn find_word(code: &str, word: &str, from: usize) -> Option<usize> {
-    let mut at = from;
-    while let Some(p) = code[at..].find(word) {
-        let pos = at + p;
-        let pre = code[..pos].chars().next_back();
-        let post = code[pos + word.len()..].chars().next();
-        let pre_ok = !pre.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let post_ok = !post.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if pre_ok && post_ok {
-            return Some(pos);
-        }
-        at = pos + word.len();
-    }
-    None
-}
 
 /// Flags `.load(Ordering::Relaxed)` whose result feeds control flow on
 /// the same line. Relaxed loads may observe arbitrarily stale values;
@@ -645,22 +444,6 @@ mod tests {
         let p = proofs.iter().find(|p| p.root == "Machine::run").unwrap();
         assert!(p.summary.starts_with("panic-free"), "{}", p.summary);
         assert!(p.summary.contains("2 reachable fn(s)"));
-    }
-
-    #[test]
-    fn r9_flags_undisciplined_shared_writes() {
-        let src = "fn run() {\n    let mut total = 0u64;\n    std::thread::scope(|s| {\n        s.spawn(|| {\n            total += 1;\n        });\n    });\n}\n";
-        let (findings, _) = run("crates/bench/src/x.rs", src);
-        let r9: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Concurrency).collect();
-        assert_eq!(r9.len(), 1);
-        assert!(r9[0].message.contains("total"));
-    }
-
-    #[test]
-    fn r9_allows_per_slot_lock_and_atomic_discipline() {
-        let src = "fn run(results: &[std::sync::Mutex<u64>]) {\n    let mut scratch = 0u64;\n    std::thread::scope(|s| {\n        s.spawn(|| {\n            let i = 0;\n            *results[i].lock().unwrap_or_else(|e| e.into_inner()) = 1;\n        });\n    });\n    scratch += 1;\n    let _ = scratch;\n}\n";
-        let (findings, _) = run("crates/bench/src/x.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::Concurrency));
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! Static Analysis Results Interchange Format output lets CI viewers
 //! and editors consume `vpir-analyze` findings directly. The shape
 //! kept here is the minimal valid core: one run, the tool's rule
-//! metadata, one `result` per finding (suppressed findings carry an
-//! `inSource` suppression object, which is SARIF's native rendering of
-//! the `// vpir: allow(…)` comment), and the R8 proof notes under the
-//! run's `properties` bag. [`validate_sarif`] re-parses the emitted
-//! document through `vpir-jsonlite` and checks the structural
+//! metadata, one `error` result per finding, and the R8 proof notes
+//! under the run's `properties` bag. [`validate_sarif`] re-parses the
+//! emitted document through `vpir-jsonlite` and checks the structural
 //! invariants, so the emitter cannot silently drift.
 
 use std::fmt::Write as _;
@@ -17,14 +15,12 @@ use vpir_jsonlite::{json_escape, parse_json, validate_json, JsonValue};
 use crate::findings::{Report, Rule};
 
 /// Every host rule, in `ruleIndex` order.
-const HOST_RULES: [(Rule, &str); 8] = [
-    (Rule::Determinism, "Cycle-level code must not use hash-ordered collections."),
-    (Rule::Panic, "Pipeline hot paths must not contain panicking constructs."),
+const HOST_RULES: [(Rule, &str); 6] = [
+    (Rule::Panic, "Pipeline hot paths must not index with an integer literal."),
     (Rule::Config, "Every config field must be read outside its definition."),
-    (Rule::WallClock, "Cycle-level code must not read wall-clock time."),
     (Rule::Columnar, "Cycle-level hot state must be columnar, not Vec<Option<...>>."),
     (Rule::PanicReach, "Entry-point call trees must be transitively panic-free."),
-    (Rule::Concurrency, "Spawned closures must not race on shared mutable captures; control-flow atomics must not be Relaxed."),
+    (Rule::Concurrency, "A Relaxed atomic load must not feed control flow."),
     (Rule::LockOrder, "The lock-acquisition graph must be acyclic."),
 ];
 
@@ -51,13 +47,11 @@ pub fn to_sarif(report: &Report) -> String {
             results.push(',');
         }
         let rule_index = HOST_RULES.iter().position(|(r, _)| *r == f.rule);
-        let level = if f.suppressed.is_some() { "note" } else { "error" };
         let _ = write!(
             results,
-            "{{\"ruleId\":\"{}\",{}\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}}",
+            "{{\"ruleId\":\"{}\",{}\"level\":\"error\",\"message\":{{\"text\":\"{}\"}}",
             f.rule.id(),
             rule_index.map_or(String::new(), |x| format!("\"ruleIndex\":{x},")),
-            level,
             json_escape(&f.message)
         );
         let _ = write!(
@@ -71,13 +65,6 @@ pub fn to_sarif(report: &Report) -> String {
                 String::new()
             }
         );
-        if let Some(reason) = &f.suppressed {
-            let _ = write!(
-                results,
-                ",\"suppressions\":[{{\"kind\":\"inSource\",\"justification\":\"{}\"}}]",
-                json_escape(reason)
-            );
-        }
         results.push('}');
     }
     results.push(']');
@@ -193,8 +180,7 @@ mod tests {
                     file: "crates/core/src/x.rs".into(),
                     line: 7,
                     col: 3,
-                    message: "`.unwrap()` with \"quotes\"".into(),
-                    suppressed: None,
+                    message: "`[0]` with \"quotes\"".into(),
                 },
                 Finding {
                     rule: Rule::PanicReach,
@@ -202,7 +188,6 @@ mod tests {
                     line: 12,
                     col: 0,
                     message: "reachable panic".into(),
-                    suppressed: Some("vetted".into()),
                 },
             ],
             files_scanned: 42,
@@ -222,17 +207,15 @@ mod tests {
     }
 
     #[test]
-    fn sarif_carries_suppressions_and_proofs() {
+    fn sarif_carries_results_and_proofs() {
         let sarif = to_sarif(&report());
         let doc = parse_json(&sarif).unwrap();
         let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
         let results = run.get("results").unwrap().as_arr().unwrap();
         assert_eq!(results.len(), 2);
-        assert!(results[0].get("suppressions").is_none());
-        let sup = results[1].get("suppressions").unwrap().as_arr().unwrap();
         assert_eq!(
-            sup[0].get("justification").and_then(JsonValue::as_str),
-            Some("vetted")
+            results[1].get("ruleId").and_then(JsonValue::as_str),
+            Some("R8")
         );
         let proofs = run
             .get("properties")

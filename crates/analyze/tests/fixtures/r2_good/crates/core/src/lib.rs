@@ -1,84 +1,17 @@
-//! R2 good twin: fallible paths return options / carry a recorded
-//! justification; test-only panics are exempt.
+//! R2 good twin: literal positions go through `.get`, loop-derived
+//! indexes are not R2's concern, and test-only code is exempt.
 
-pub fn head(xs: &[u64], cache: Option<u64>) -> Option<u64> {
-    let first = xs.first().copied()?;
-    let cached = cache.expect("filled by constructor"); // vpir: allow(panic, constructor always seeds the cache)
-    Some(first.max(cached))
-}
-
-/// The scratch-buffer idiom from the zero-allocation cycle loop: a pooled
-/// buffer is taken, refilled, and put back every call, so the steady state
-/// never allocates. The `expect` on put-back is justified the same way the
-/// pipeline's pool invariants are — with a recorded allow.
-pub struct Scratch {
-    pool: Vec<Vec<u64>>,
-}
-
-impl Scratch {
-    pub fn sum(&mut self, xs: &[u64]) -> u64 {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(xs);
-        let total = buf.iter().sum();
-        self.pool.push(buf);
-        let back = self.pool.last().expect("buffer just pushed"); // vpir: allow(panic, pool take/put-back is balanced: the push above makes the pool non-empty)
-        debug_assert_eq!(back.len(), xs.len());
-        total
-    }
-}
-
-/// The fault-isolation boundary idiom from the bench matrix runner: a
-/// job runs behind `catch_unwind`, and a panic degrades to a structured
-/// error value instead of tearing down the caller. Note the shape is
-/// R2-clean without any allow — the payload is examined with
-/// `downcast_ref` + fallbacks, never unwrapped.
-pub fn isolated<T>(job: impl FnOnce() -> T) -> Result<T, String> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-    match result {
-        Ok(out) => Ok(out),
-        Err(payload) => Err(payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panic with non-string payload".to_string())),
-    }
-}
-
-/// The connection-handler error-boundary idiom from the serve crate: a
-/// hostile byte stream maps to a structured status instead of a panic,
-/// and shared state uses the poison-safe lock recovery. Every fallible
-/// step flows through `?`/`map_err`, so the whole path is R2-clean with
-/// no allow at all.
-pub struct Handler {
-    seen: std::sync::Mutex<u64>,
-}
-
-impl Handler {
-    pub fn handle(&self, head: &str) -> Result<u64, (u16, String)> {
-        let mut parts = head.split(' ');
-        let method = parts.next().filter(|m| !m.is_empty()).ok_or_else(|| {
-            (400, "empty request line".to_string())
-        })?;
-        if method != "GET" {
-            return Err((405, format!("method {method} not allowed")));
-        }
-        let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
-        *seen += 1;
-        Ok(*seen)
-    }
+pub fn head(xs: &[u64], pair: [u64; 2]) -> u64 {
+    let first = xs.first().copied().unwrap_or(0);
+    let last = (0..pair.len()).map(|i| pair[i]).sum::<u64>();
+    first + pair.get(1).copied().unwrap_or(0) + last
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn panics_here_are_fine() {
+    fn literal_indexes_in_tests_are_fine() {
         let xs = [1u64, 2];
-        assert_eq!(xs[0], 1);
-        assert_eq!(super::head(&xs, Some(3)).unwrap(), 3);
-        assert!(super::isolated(|| panic!("boom")).is_err());
-        let h = super::Handler { seen: std::sync::Mutex::new(0) };
-        assert_eq!(h.handle("GET / HTTP/1.1").unwrap(), 1);
-        assert_eq!(h.handle("EAT / HTTP/1.1").unwrap_err().0, 405);
+        assert_eq!(super::head(&xs, [xs[0], xs[1]]), 1 + 2 + 3);
     }
 }

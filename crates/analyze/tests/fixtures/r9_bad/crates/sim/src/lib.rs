@@ -1,22 +1,15 @@
-//! R9 bad twin: a spawn closure writes a shared mutable capture
-//! without any per-slot, lock, or atomic discipline, and a `Relaxed`
-//! load feeds control flow.
+//! R9 bad twin: a `Relaxed` load gates the drain loop, so a worker may
+//! keep draining long after another thread raised the flag.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-pub fn tally(n: u64) -> u64 {
-    let mut total = 0u64;
-    let stop = AtomicU64::new(0);
-    thread::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|| {
-                if stop.load(Ordering::Relaxed) > 0 {
-                    return;
-                }
-                total += n;
-            });
+pub fn drain(stop: &AtomicBool, queue: &mut Vec<u64>) -> u64 {
+    let mut total = 0;
+    while let Some(v) = queue.pop() {
+        if stop.load(Ordering::Relaxed) {
+            break;
         }
-    });
+        total += v;
+    }
     total
 }

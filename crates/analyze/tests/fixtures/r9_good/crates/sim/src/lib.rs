@@ -1,20 +1,16 @@
-//! R9 good twin: the same fan-out with deterministic discipline —
-//! per-slot writes, RMW counters, and no control flow on `Relaxed`.
+//! R9 good twin: the flag gates control flow through an `Acquire` load,
+//! and the `Relaxed` counter is only read as a reported snapshot.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-pub fn tally(n: u64) -> u64 {
-    let mut results = vec![0u64; 4];
-    let count = AtomicU64::new(0);
-    thread::scope(|s| {
-        for i in 0..4 {
-            s.spawn(|| {
-                results[i] = n + i as u64;
-                count.fetch_add(1, Ordering::Relaxed);
-            });
+pub fn drain(stop: &AtomicBool, drained: &AtomicU64, queue: &mut Vec<u64>) -> u64 {
+    let mut total = 0;
+    while let Some(v) = queue.pop() {
+        if stop.load(Ordering::Acquire) {
+            break;
         }
-    });
-    let snapshot = count.load(Ordering::Relaxed);
-    results.iter().sum::<u64>() + snapshot
+        drained.fetch_add(1, Ordering::Relaxed);
+        total += v;
+    }
+    total + drained.load(Ordering::Relaxed)
 }

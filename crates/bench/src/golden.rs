@@ -50,7 +50,7 @@ pub fn golden_run(bench: Bench, label: &str) -> JobPayload {
     } else {
         let core = config_for_label(label).expect("unknown golden label");
         let mut sim = Simulator::new(&prog, core);
-        JobPayload::Stats(sim.run(RunLimits::cycles(cfg.max_cycles)).clone())
+        JobPayload::Stats(Box::new(sim.run(RunLimits::cycles(cfg.max_cycles)).clone()))
     }
 }
 

@@ -77,7 +77,7 @@ pub struct BenchRuns {
     /// The base Table 1 machine.
     pub base: SimStats,
     /// All sixteen VP configurations, in [`vp_keys`] order (BTreeMap so
-    /// report iteration is deterministic — R1 discipline).
+    /// report iteration is deterministic).
     pub vp: BTreeMap<VpKey, SimStats>,
     /// IR with early validation (the real mechanism).
     pub ir_early: SimStats,
@@ -161,25 +161,18 @@ enum JobKind {
     Limit,
 }
 
-/// The result of one job.
-#[derive(Debug, Clone)]
-enum JobOut {
-    Stats(SimStats),
-    Limit(LimitStudy),
-}
-
-impl JobOut {
+impl JobPayload {
     fn into_stats(self) -> SimStats {
         match self {
-            JobOut::Stats(s) => s,
-            JobOut::Limit(_) => unreachable!("job kind mismatch: expected stats"),
+            JobPayload::Stats(s) => *s,
+            JobPayload::Limit(_) => unreachable!("job kind mismatch: expected stats"),
         }
     }
 
     fn into_limit(self) -> LimitStudy {
         match self {
-            JobOut::Limit(l) => l,
-            JobOut::Stats(_) => unreachable!("job kind mismatch: expected limit study"),
+            JobPayload::Limit(l) => l,
+            JobPayload::Stats(_) => unreachable!("job kind mismatch: expected limit study"),
         }
     }
 }
@@ -227,11 +220,11 @@ pub fn config_for_label(label: &str) -> Option<CoreConfig> {
 
 /// Runs one job. Each job constructs its own simulator over a shared,
 /// immutable program, so results are independent of scheduling.
-fn run_job(prog: &Program, cfg: MatrixConfig, kind: JobKind) -> JobOut {
+fn run_job(prog: &Program, cfg: MatrixConfig, kind: JobKind) -> JobPayload {
     let limits = RunLimits::cycles(cfg.max_cycles);
-    let run = |core: CoreConfig| -> JobOut {
+    let run = |core: CoreConfig| -> JobPayload {
         let mut sim = Simulator::new(prog, core);
-        JobOut::Stats(sim.run(limits).clone())
+        JobPayload::Stats(Box::new(sim.run(limits).clone()))
     };
     match kind {
         JobKind::Base => run(CoreConfig::table1()),
@@ -242,7 +235,7 @@ fn run_job(prog: &Program, cfg: MatrixConfig, kind: JobKind) -> JobOut {
             ..IrConfig::table1()
         })),
         JobKind::Rtb(rtb) => run(CoreConfig::with_rtb(rtb)),
-        JobKind::Limit => JobOut::Limit(analyze(prog, cfg.limit_insts, LimitConfig::default())),
+        JobKind::Limit => JobPayload::Limit(analyze(prog, cfg.limit_insts, LimitConfig::default())),
     }
 }
 
@@ -252,7 +245,7 @@ fn assemble_bench(
     bench: Bench,
     _prog: &Program,
     _cfg: MatrixConfig,
-    mut take: impl FnMut(JobKind) -> JobOut,
+    mut take: impl FnMut(JobKind) -> JobPayload,
 ) -> BenchRuns {
     let base = take(JobKind::Base).into_stats();
     let mut vp = BTreeMap::new();
@@ -394,7 +387,7 @@ impl MatrixOutcome {
 
 /// A job's slot once a worker (or the resume preload) has filled it.
 enum SlotOut {
-    Done(JobOut),
+    Done(JobPayload),
     Failed {
         kind: String,
         error: String,
@@ -410,9 +403,9 @@ fn run_job_checked(
     cfg: MatrixConfig,
     kind: JobKind,
     wedge: bool,
-) -> Result<JobOut, SimError> {
+) -> Result<JobPayload, SimError> {
     let limits = RunLimits::cycles(cfg.max_cycles);
-    let run = |mut core: CoreConfig| -> Result<JobOut, SimError> {
+    let run = |mut core: CoreConfig| -> Result<JobPayload, SimError> {
         if wedge {
             // A commit stage that stalls after 100 instructions, with a
             // watchdog window short enough to trip within any budget.
@@ -420,7 +413,9 @@ fn run_job_checked(
             core.watchdog_cycles = 5_000;
         }
         let mut sim = Simulator::new(prog, core);
-        Ok(JobOut::Stats(sim.run_checked(limits)?.clone()))
+        Ok(JobPayload::Stats(Box::new(
+            sim.run_checked(limits)?.clone(),
+        )))
     };
     match kind {
         JobKind::Base => run(CoreConfig::table1()),
@@ -441,7 +436,11 @@ fn run_job_checked(
                         .to_string(),
                 });
             }
-            Ok(JobOut::Limit(analyze(prog, cfg.limit_insts, LimitConfig::default())))
+            Ok(JobPayload::Limit(analyze(
+                prog,
+                cfg.limit_insts,
+                LimitConfig::default(),
+            )))
         }
     }
 }
@@ -515,11 +514,7 @@ fn persist_slot(
     slot: &SlotOut,
 ) {
     match slot {
-        SlotOut::Done(out) => {
-            let payload = match out {
-                JobOut::Stats(s) => JobPayload::Stats(s.clone()),
-                JobOut::Limit(l) => JobPayload::Limit(l.clone()),
-            };
+        SlotOut::Done(payload) => {
             let rec = JobRecord {
                 job_index,
                 bench: bench.name().to_string(),
@@ -527,7 +522,7 @@ fn persist_slot(
                 scale: cfg.scale.outer,
                 max_cycles: cfg.max_cycles,
                 limit_insts: cfg.limit_insts,
-                payload,
+                payload: payload.clone(),
             };
             let _ = state::write_job(dir, &rec);
             let _ = std::fs::remove_file(state::failure_path(dir, job_index));
@@ -605,11 +600,7 @@ pub fn run_matrix_outcome(
                 if !record_matches(&rec, benches[bi], cfg, kind) {
                     continue;
                 }
-                let out = match rec.payload {
-                    JobPayload::Stats(s) => JobOut::Stats(s),
-                    JobPayload::Limit(l) => JobOut::Limit(l),
-                };
-                *results[i].lock().expect("no poisoned preload") = Some(SlotOut::Done(out));
+                *results[i].lock().expect("no poisoned preload") = Some(SlotOut::Done(rec.payload));
                 resumed_jobs += 1;
             }
         }
@@ -646,7 +637,7 @@ pub fn run_matrix_outcome(
 
     // Collect: failures become report rows, successes feed reassembly.
     let mut failures = Vec::new();
-    let mut outs: Vec<Option<JobOut>> = Vec::with_capacity(job_list.len());
+    let mut outs: Vec<Option<JobPayload>> = Vec::with_capacity(job_list.len());
     for (i, m) in results.into_iter().enumerate() {
         let (bi, kind) = job_list[i];
         match m.into_inner().expect("workers done").expect("job ran") {

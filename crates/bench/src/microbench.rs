@@ -94,10 +94,8 @@ impl Group {
             fmt_ns(median),
             fmt_ns(min)
         );
-        if let Some(elems) = self.elements {
-            if elems > 0 {
-                line.push_str(&format!(" ({}/elem)", fmt_ns(median / elems)));
-            }
+        if let Some(per_elem) = self.elements.and_then(|n| median.checked_div(n)) {
+            line.push_str(&format!(" ({}/elem)", fmt_ns(per_elem)));
         }
         println!("{line}");
         self

@@ -276,8 +276,9 @@ pub fn limit_from_json(v: &JsonValue) -> Result<LimitStudy, String> {
 /// configurations, or the redundancy limit study.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobPayload {
-    /// A simulator run's counters.
-    Stats(SimStats),
+    /// A simulator run's counters, boxed: `SimStats` is several
+    /// hundred bytes, `LimitStudy` a few words.
+    Stats(Box<SimStats>),
     /// The functional limit-study histogram.
     Limit(LimitStudy),
 }
@@ -343,7 +344,7 @@ impl JobRecord {
         }
         let kind = s(&v, "kind")?;
         let payload = match kind.as_str() {
-            "stats" => JobPayload::Stats(stats_from_json(sub(&v, "stats")?)?),
+            "stats" => JobPayload::Stats(Box::new(stats_from_json(sub(&v, "stats")?)?)),
             "limit" => JobPayload::Limit(limit_from_json(sub(&v, "limit")?)?),
             other => return Err(format!("unknown job kind `{other}`")),
         };
@@ -469,7 +470,7 @@ mod tests {
             scale: 2,
             max_cycles: 30_000,
             limit_insts: 6_000,
-            payload: JobPayload::Stats(numbered::<SimStats>()),
+            payload: JobPayload::Stats(Box::new(numbered::<SimStats>())),
         };
         let back = JobRecord::from_json(&rec.to_json()).expect("decode");
         assert_eq!(back, rec);
@@ -504,7 +505,7 @@ mod tests {
             scale: 1,
             max_cycles: 1000,
             limit_insts: 100,
-            payload: JobPayload::Stats(SimStats::default()),
+            payload: JobPayload::Stats(Box::default()),
         };
         let bad = rec.to_json().replace(JOB_SCHEMA, "vpir-bench-job-v1");
         assert!(JobRecord::from_json(&bad).is_err());

@@ -120,7 +120,7 @@ fn biased_stream_converges() {
 fn target_table_returns_only_taught_targets() {
     check("target_table_returns_only_taught_targets", 256, |rng| {
         let mut tt = TargetTable::new(64);
-        let mut taught = std::collections::HashMap::new();
+        let mut taught = std::collections::BTreeMap::new();
         for _ in 0..rng.gen_range(1usize..60) {
             let pc = 0x1000 + rng.gen_range(0u64..256) * 4;
             let target = rng.gen_range(0u64..1_000_000);

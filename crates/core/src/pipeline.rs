@@ -13,7 +13,7 @@
 
 // BTreeMap (not HashMap) for keyed pipeline state: iteration order is
 // part of the simulated machine's behaviour, so it must not depend on
-// hash seeding. `vpir-analyze` rule R1 enforces this.
+// hash seeding. The crate's `clippy.toml` bans the hash collections.
 use std::collections::{BTreeMap, VecDeque};
 
 use vpir_branch::{Bimodal, DirectionPredictor, Gshare, ReturnStack, StaticTaken, TargetTable};
@@ -158,7 +158,7 @@ impl RenameMap {
     #[inline]
     fn get(&self, reg: usize) -> Option<(usize, u64)> {
         let v = self.packed[reg];
-        (v != RENAME_NONE).then(|| ((v & 0xffff) as usize, v >> 16))
+        (v != RENAME_NONE).then_some(((v & 0xffff) as usize, v >> 16))
     }
 
     #[inline]
@@ -181,7 +181,7 @@ impl RenameMap {
     /// `(register, (slot, seq))` for every mapped register, ascending.
     fn entries(&self) -> impl Iterator<Item = (usize, (usize, u64))> + '_ {
         self.packed.iter().enumerate().filter_map(|(reg, &v)| {
-            (v != RENAME_NONE).then(|| (reg, ((v & 0xffff) as usize, v >> 16)))
+            (v != RENAME_NONE).then_some((reg, ((v & 0xffff) as usize, v >> 16)))
         })
     }
 }

@@ -194,7 +194,7 @@ fn lcg_random_programs_agree_across_base_vp_ir_or_fail_structured() {
         let seed = lcg.next();
         let prog = random_program(seed, SynthConfig::default());
 
-        let mut outcomes: Vec<(&str, Result<(u64, Vec<u64>), SimError>)> = Vec::new();
+        let mut outcomes = Vec::new();
         for (label, mut cfg) in [
             ("base", CoreConfig::table1()),
             ("vp", CoreConfig::with_vp(VpConfig::magic())),
@@ -206,7 +206,7 @@ fn lcg_random_programs_agree_across_base_vp_ir_or_fail_structured() {
             let outcome = match sim.run_to_halt(RunLimits::cycles(400_000_000)) {
                 Ok(stats) => {
                     let committed = stats.committed;
-                    let regs = (0..vpir_isa::NUM_REGS)
+                    let regs: Vec<u64> = (0..vpir_isa::NUM_REGS)
                         .map(|i| sim.arch_regs().read(Reg::from_index(i)))
                         .collect();
                     Ok((committed, regs))

@@ -133,7 +133,6 @@ fn finding(prog: &Program, file: &str, rule: Rule, i: usize, message: String) ->
         line: loc.line as usize,
         col: loc.col as usize,
         message,
-        suppressed: None,
     }
 }
 
@@ -152,7 +151,6 @@ pub fn lints(prog: &Program, cfg: &Cfg, sccp: &Sccp, file: &str) -> Vec<Finding>
                 "entry point {:#x} is not a decodable instruction address",
                 prog.entry
             ),
-            suppressed: None,
         });
     }
     for bt in &cfg.bad_targets {

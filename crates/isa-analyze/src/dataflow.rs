@@ -121,10 +121,10 @@ pub fn reaching_defs(prog: &Program, cfg: &Cfg) -> ReachingDefs {
             }
             for &(s, _) in &cfg.blocks[b].out_edges {
                 let mut grew = false;
-                for w in 0..words {
-                    let nv = rd.in_by_block[s][w] | out[w];
-                    if nv != rd.in_by_block[s][w] {
-                        rd.in_by_block[s][w] = nv;
+                for (word, &o) in rd.in_by_block[s].iter_mut().zip(&out) {
+                    let nv = *word | o;
+                    if nv != *word {
+                        *word = nv;
                         grew = true;
                     }
                 }
@@ -204,11 +204,11 @@ pub fn uninit_reads(prog: &Program, cfg: &Cfg) -> Vec<UninitRead> {
     }
 
     let mut reads = Vec::new();
-    for b in 0..n {
+    for (b, &block_in) in in_set.iter().enumerate() {
         if !cfg.reachable[b] {
             continue;
         }
-        let mut live = in_set[b];
+        let mut live = block_in;
         for i in cfg.blocks[b].insts() {
             let inst = &prog.insts[i];
             for src in inst.sources() {

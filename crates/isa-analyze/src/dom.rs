@@ -144,9 +144,8 @@ pub fn analyze(cfg: &Cfg) -> LoopInfo {
             }
         }
     }
-    for b in 0..n {
-        info.idom[b] = if b == cfg.entry { None } else { idom[b] };
-    }
+    idom[cfg.entry] = None;
+    info.idom = idom;
     // A self-idom outside the entry never happens; unreachable stays None.
 
     // Natural loops from back edges, in deterministic (tail, head) order.

@@ -27,6 +27,8 @@
 //! Immediates are decimal or `0x` hexadecimal, optionally negative, or a
 //! label name (which resolves to the label's byte address).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use std::collections::HashMap;
 use std::fmt;
 
@@ -720,73 +722,74 @@ fn encode(
         })?;
     let _ = pc;
 
-    use Op::*;
     Ok(vec![match op {
-        Add | Sub | Mul | Mulh | Div | Rem | And | Or | Xor | Nor | Sllv | Srlv | Srav | Slt
-        | Sltu | AddF | SubF | MulF | DivF => {
+        Op::Add | Op::Sub | Op::Mul | Op::Mulh | Op::Div | Op::Rem | Op::And | Op::Or | Op::Xor
+        | Op::Nor | Op::Sllv | Op::Srlv | Op::Srav | Op::Slt | Op::Sltu | Op::AddF | Op::SubF
+        | Op::MulF | Op::DivF => {
             need(3)?;
             Inst::rrr(op, reg(0)?, reg(1)?, reg(2)?)
         }
-        Addi | Andi | Ori | Xori | Slti | Sltiu | Sll | Srl | Sra => {
+        Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Sltiu | Op::Sll | Op::Srl
+        | Op::Sra => {
             need(3)?;
             Inst::rri(op, reg(0)?, reg(1)?, imm(2)?)
         }
-        Lui => {
+        Op::Lui => {
             need(2)?;
             Inst::rri(op, reg(0)?, Reg::ZERO, imm(1)?)
         }
-        SqrtF | AbsF | NegF | MovF | CvtFI | CvtIF => {
+        Op::SqrtF | Op::AbsF | Op::NegF | Op::MovF | Op::CvtFI | Op::CvtIF => {
             need(2)?;
             Inst::rr(op, reg(0)?, reg(1)?)
         }
-        CeqF | CltF | CleF => {
+        Op::CeqF | Op::CltF | Op::CleF => {
             need(2)?;
             Inst::rrr(op, Reg::FCC, reg(0)?, reg(1)?)
         }
-        Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | LdF => {
+        Op::Lb | Op::Lbu | Op::Lh | Op::Lhu | Op::Lw | Op::Lwu | Op::Ld | Op::LdF => {
             need(2)?;
             let a = arg(1)?;
             let (disp, base) = parse_mem_operand(a.as_str(), labels, line, a.col)?;
             Inst::mem(op, reg(0)?, base, disp)
         }
-        Sb | Sh | Sw | Sd | SdF => {
+        Op::Sb | Op::Sh | Op::Sw | Op::Sd | Op::SdF => {
             need(2)?;
             let a = arg(1)?;
             let (disp, base) = parse_mem_operand(a.as_str(), labels, line, a.col)?;
             Inst::store(op, reg(0)?, base, disp)
         }
-        Beq | Bne => {
+        Op::Beq | Op::Bne => {
             need(3)?;
             Inst::branch2(op, reg(0)?, reg(1)?, imm(2)? as u64)
         }
-        Blez | Bgtz | Bltz | Bgez => {
+        Op::Blez | Op::Bgtz | Op::Bltz | Op::Bgez => {
             need(2)?;
             Inst::branch1(op, reg(0)?, imm(1)? as u64)
         }
-        Bc1t | Bc1f => {
+        Op::Bc1t | Op::Bc1f => {
             need(1)?;
             Inst::branch1(op, Reg::FCC, imm(0)? as u64)
         }
-        J | Jal => {
+        Op::J | Op::Jal => {
             need(1)?;
             Inst::jump(op, imm(0)? as u64)
         }
-        Jr => {
+        Op::Jr => {
             need(1)?;
             Inst::jump_reg(op, None, reg(0)?)
         }
-        Jalr => match args.len() {
+        Op::Jalr => match args.len() {
             1 => Inst::jump_reg(op, Some(Reg::RA), reg(0)?),
             2 => Inst::jump_reg(op, Some(reg(0)?), reg(1)?),
             n => {
                 return err(line, mcol, format!("`jalr` expects 1 or 2 operands, got {n}"))
             }
         },
-        Nop => {
+        Op::Nop => {
             need(0)?;
             Inst::NOP
         }
-        Halt => {
+        Op::Halt => {
             need(0)?;
             Inst::HALT
         }

@@ -111,8 +111,7 @@ fn zero16(raw: u32) -> i64 {
 
 /// Whether the op's 16-bit immediate decodes zero-extended.
 fn imm_is_unsigned(op: Op) -> bool {
-    use Op::*;
-    matches!(op, Andi | Ori | Xori | Lui | Sll | Srl | Sra | Sltiu)
+    matches!(op, Op::Andi | Op::Ori | Op::Xori | Op::Lui | Op::Sll | Op::Srl | Op::Sra | Op::Sltiu)
 }
 
 /// Encodes `inst` (located at `pc`) into a 32-bit word.
@@ -133,11 +132,10 @@ fn imm_is_unsigned(op: Op) -> bool {
 /// # Ok::<(), vpir_isa::encoding::EncodeError>(())
 /// ```
 pub fn encode(inst: &Inst, pc: u64) -> Result<u32, EncodeError> {
-    use Op::*;
     // `nop` has no opcode of its own: it is the canonical
     // `sll r0, r0, 0`, exactly as in MIPS (an all-zero shift word).
-    if inst.op == Nop {
-        return encode(&Inst::rri(Sll, Reg::ZERO, Reg::ZERO, 0), pc);
+    if inst.op == Op::Nop {
+        return encode(&Inst::rri(Op::Sll, Reg::ZERO, Reg::ZERO, 0), pc);
     }
     debug_assert!(inst.op.opcode() < 64, "aliased op reached encode");
     let op = (inst.op.opcode() as u32) << 26;
@@ -147,7 +145,7 @@ pub fn encode(inst: &Inst, pc: u64) -> Result<u32, EncodeError> {
 
     Ok(match inst.op.class() {
         OpClass::IntAlu | OpClass::IntMul | OpClass::Fp => {
-            if matches!(inst.op, CeqF | CltF | CleF) {
+            if matches!(inst.op, Op::CeqF | Op::CltF | Op::CleF) {
                 // FCC destination is implicit; sources sit in rd/rs.
                 op | rd(inst.src1) | rs(inst.src2)
             } else if inst.src2.is_some() {
@@ -169,7 +167,7 @@ pub fn encode(inst: &Inst, pc: u64) -> Result<u32, EncodeError> {
                     target: inst.imm as u64,
                 });
             }
-            let (a, b) = if matches!(inst.op, Bc1t | Bc1f) {
+            let (a, b) = if matches!(inst.op, Op::Bc1t | Op::Bc1f) {
                 (0, 0) // FCC source is implicit
             } else {
                 (rd(inst.src1), rs(inst.src2))
@@ -189,10 +187,10 @@ pub fn encode(inst: &Inst, pc: u64) -> Result<u32, EncodeError> {
 }
 
 fn uses_imm(op: Op) -> bool {
-    use Op::*;
     matches!(
         op,
-        Addi | Andi | Ori | Xori | Slti | Sltiu | Sll | Srl | Sra | Lui
+        Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Sltiu | Op::Sll | Op::Srl
+        | Op::Sra | Op::Lui
     )
 }
 
@@ -201,7 +199,6 @@ fn uses_imm(op: Op) -> bool {
 /// Returns `None` for an invalid opcode. `decode(encode(i, pc), pc)`
 /// reproduces `i` exactly for every encodable instruction.
 pub fn decode(word: u32, pc: u64) -> Option<Inst> {
-    use Op::*;
     let op = Op::from_opcode((word >> 26) as u8)?;
     let fd = (word >> 21) & 31;
     let fs = (word >> 16) & 31;
@@ -209,14 +206,19 @@ pub fn decode(word: u32, pc: u64) -> Option<Inst> {
     let raw16 = word & 0xffff;
 
     Some(match op {
-        Add | Sub | Mul | Mulh | Div | Rem | And | Or | Xor | Nor | Sllv | Srlv | Srav
-        | Slt | Sltu => Inst::rrr(op, int_reg(fd), int_reg(fs), int_reg(ft)),
-        AddF | SubF | MulF | DivF => Inst::rrr(op, fp_reg(fd), fp_reg(fs), fp_reg(ft)),
-        SqrtF | AbsF | NegF | MovF => Inst::rr(op, fp_reg(fd), fp_reg(fs)),
-        CvtFI => Inst::rr(op, fp_reg(fd), int_reg(fs)),
-        CvtIF => Inst::rr(op, int_reg(fd), fp_reg(fs)),
-        CeqF | CltF | CleF => Inst::rrr(op, Reg::FCC, fp_reg(fd), fp_reg(fs)),
-        Addi | Andi | Ori | Xori | Slti | Sltiu | Sll | Srl | Sra | Lui => {
+        Op::Add | Op::Sub | Op::Mul | Op::Mulh | Op::Div | Op::Rem | Op::And | Op::Or | Op::Xor
+        | Op::Nor | Op::Sllv | Op::Srlv | Op::Srav | Op::Slt | Op::Sltu => {
+            Inst::rrr(op, int_reg(fd), int_reg(fs), int_reg(ft))
+        }
+        Op::AddF | Op::SubF | Op::MulF | Op::DivF => {
+            Inst::rrr(op, fp_reg(fd), fp_reg(fs), fp_reg(ft))
+        }
+        Op::SqrtF | Op::AbsF | Op::NegF | Op::MovF => Inst::rr(op, fp_reg(fd), fp_reg(fs)),
+        Op::CvtFI => Inst::rr(op, fp_reg(fd), int_reg(fs)),
+        Op::CvtIF => Inst::rr(op, int_reg(fd), fp_reg(fs)),
+        Op::CeqF | Op::CltF | Op::CleF => Inst::rrr(op, Reg::FCC, fp_reg(fd), fp_reg(fs)),
+        Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Sltiu | Op::Sll | Op::Srl
+        | Op::Sra | Op::Lui => {
             let imm = if imm_is_unsigned(op) {
                 zero16(raw16)
             } else {
@@ -224,32 +226,34 @@ pub fn decode(word: u32, pc: u64) -> Option<Inst> {
             };
             Inst::rri(op, int_reg(fd), int_reg(fs), imm)
         }
-        Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld => {
+        Op::Lb | Op::Lbu | Op::Lh | Op::Lhu | Op::Lw | Op::Lwu | Op::Ld => {
             Inst::mem(op, int_reg(fd), int_reg(fs), sign16(raw16))
         }
-        LdF => Inst::mem(op, fp_reg(fd), int_reg(fs), sign16(raw16)),
-        Sb | Sh | Sw | Sd => Inst::store(op, int_reg(fd), int_reg(fs), sign16(raw16)),
-        SdF => Inst::store(op, fp_reg(fd), int_reg(fs), sign16(raw16)),
-        Beq | Bne => {
+        Op::LdF => Inst::mem(op, fp_reg(fd), int_reg(fs), sign16(raw16)),
+        Op::Sb | Op::Sh | Op::Sw | Op::Sd => {
+            Inst::store(op, int_reg(fd), int_reg(fs), sign16(raw16))
+        }
+        Op::SdF => Inst::store(op, fp_reg(fd), int_reg(fs), sign16(raw16)),
+        Op::Beq | Op::Bne => {
             let target = branch_target(pc, raw16);
             Inst::branch2(op, int_reg(fd), int_reg(fs), target)
         }
-        Blez | Bgtz | Bltz | Bgez => {
+        Op::Blez | Op::Bgtz | Op::Bltz | Op::Bgez => {
             let target = branch_target(pc, raw16);
             Inst::branch1(op, int_reg(fd), target)
         }
-        Bc1t | Bc1f => {
+        Op::Bc1t | Op::Bc1f => {
             let target = branch_target(pc, raw16);
             Inst::branch1(op, Reg::FCC, target)
         }
-        J | Jal => {
+        Op::J | Op::Jal => {
             let target = (pc & 0xF000_0000) | (((word & 0x03FF_FFFF) as u64) << 2);
             Inst::jump(op, target)
         }
-        Jr => Inst::jump_reg(op, None, int_reg(fs)),
-        Jalr => Inst::jump_reg(op, Some(int_reg(fd)), int_reg(fs)),
-        Nop => Inst::NOP,
-        Halt => Inst::HALT,
+        Op::Jr => Inst::jump_reg(op, None, int_reg(fs)),
+        Op::Jalr => Inst::jump_reg(op, Some(int_reg(fd)), int_reg(fs)),
+        Op::Nop => Inst::NOP,
+        Op::Halt => Inst::HALT,
     })
 }
 

@@ -239,10 +239,10 @@ impl fmt::Display for Inst {
 
 impl Inst {
     fn uses_imm(&self) -> bool {
-        use Op::*;
         matches!(
             self.op,
-            Addi | Andi | Ori | Xori | Slti | Sltiu | Sll | Srl | Sra | Lui
+            Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Sltiu | Op::Sll | Op::Srl
+            | Op::Sra | Op::Lui
         )
     }
 }

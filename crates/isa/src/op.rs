@@ -242,32 +242,35 @@ ops! {
 impl Op {
     /// The broad instruction class.
     pub fn class(self) -> OpClass {
-        use Op::*;
         match self {
-            Add | Sub | And | Or | Xor | Nor | Sllv | Srlv | Srav | Slt | Sltu | Addi | Andi
-            | Ori | Xori | Slti | Sltiu | Sll | Srl | Sra | Lui => OpClass::IntAlu,
-            Mul | Mulh | Div | Rem => OpClass::IntMul,
-            Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | LdF => OpClass::Load,
-            Sb | Sh | Sw | Sd | SdF => OpClass::Store,
-            Beq | Bne | Blez | Bgtz | Bltz | Bgez | Bc1t | Bc1f => OpClass::Branch,
-            J | Jal => OpClass::Jump,
-            Jr | Jalr => OpClass::JumpReg,
-            AddF | SubF | MulF | DivF | SqrtF | AbsF | NegF | MovF | CvtFI | CvtIF | CeqF
-            | CltF | CleF => OpClass::Fp,
-            Nop | Halt => OpClass::Misc,
+            Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor | Op::Nor | Op::Sllv | Op::Srlv
+            | Op::Srav | Op::Slt | Op::Sltu | Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti
+            | Op::Sltiu | Op::Sll | Op::Srl | Op::Sra | Op::Lui => OpClass::IntAlu,
+            Op::Mul | Op::Mulh | Op::Div | Op::Rem => OpClass::IntMul,
+            Op::Lb | Op::Lbu | Op::Lh | Op::Lhu | Op::Lw | Op::Lwu | Op::Ld | Op::LdF => {
+                OpClass::Load
+            }
+            Op::Sb | Op::Sh | Op::Sw | Op::Sd | Op::SdF => OpClass::Store,
+            Op::Beq | Op::Bne | Op::Blez | Op::Bgtz | Op::Bltz | Op::Bgez | Op::Bc1t | Op::Bc1f => {
+                OpClass::Branch
+            }
+            Op::J | Op::Jal => OpClass::Jump,
+            Op::Jr | Op::Jalr => OpClass::JumpReg,
+            Op::AddF | Op::SubF | Op::MulF | Op::DivF | Op::SqrtF | Op::AbsF | Op::NegF | Op::MovF
+            | Op::CvtFI | Op::CvtIF | Op::CeqF | Op::CltF | Op::CleF => OpClass::Fp,
+            Op::Nop | Op::Halt => OpClass::Misc,
         }
     }
 
     /// The functional-unit pool this operation executes on.
     pub fn fu_class(self) -> FuClass {
-        use Op::*;
         match self.class() {
             OpClass::IntAlu | OpClass::Branch | OpClass::Jump | OpClass::JumpReg
             | OpClass::Misc => FuClass::IntAlu,
             OpClass::IntMul => FuClass::IntMulDiv,
             OpClass::Load | OpClass::Store => FuClass::LoadStore,
             OpClass::Fp => match self {
-                MulF | DivF | SqrtF => FuClass::FpMulDiv,
+                Op::MulF | Op::DivF | Op::SqrtF => FuClass::FpMulDiv,
                 _ => FuClass::FpAdd,
             },
         }
@@ -279,26 +282,25 @@ impl Op {
     /// availability; the issue interval is how long the functional unit
     /// stays busy (non-pipelined units have interval ≈ latency).
     pub fn latency(self) -> (u32, u32) {
-        use Op::*;
         match self {
-            Mul | Mulh => (3, 1),
-            Div | Rem => (20, 19),
-            AddF | SubF | AbsF | NegF | MovF | CvtFI | CvtIF | CeqF | CltF | CleF => (2, 1),
-            MulF => (4, 1),
-            DivF => (12, 12),
-            SqrtF => (24, 24),
+            Op::Mul | Op::Mulh => (3, 1),
+            Op::Div | Op::Rem => (20, 19),
+            Op::AddF | Op::SubF | Op::AbsF | Op::NegF | Op::MovF | Op::CvtFI | Op::CvtIF | Op::CeqF
+            | Op::CltF | Op::CleF => (2, 1),
+            Op::MulF => (4, 1),
+            Op::DivF => (12, 12),
+            Op::SqrtF => (24, 24),
             _ => (1, 1),
         }
     }
 
     /// Memory access width for loads and stores; `None` otherwise.
     pub fn mem_width(self) -> Option<MemWidth> {
-        use Op::*;
         match self {
-            Lb | Lbu | Sb => Some(MemWidth::B1),
-            Lh | Lhu | Sh => Some(MemWidth::B2),
-            Lw | Lwu | Sw => Some(MemWidth::B4),
-            Ld | LdF | Sd | SdF => Some(MemWidth::B8),
+            Op::Lb | Op::Lbu | Op::Sb => Some(MemWidth::B1),
+            Op::Lh | Op::Lhu | Op::Sh => Some(MemWidth::B2),
+            Op::Lw | Op::Lwu | Op::Sw => Some(MemWidth::B4),
+            Op::Ld | Op::LdF | Op::Sd | Op::SdF => Some(MemWidth::B8),
             _ => None,
         }
     }

@@ -100,7 +100,6 @@ where
     F: Fn(Reg) -> u64,
     M: LoadSource + ?Sized,
 {
-    use Op::*;
     let s1 = || inst.src1.map(&read).unwrap_or(0);
     let s2 = || inst.src2.map(&read).unwrap_or(0);
     let f1 = || f64::from_bits(s1());
@@ -109,14 +108,14 @@ where
     let mut out = ExecOut::default();
 
     match inst.op {
-        Add => out.result = Some(s1().wrapping_add(s2())),
-        Sub => out.result = Some(s1().wrapping_sub(s2())),
-        Mul => out.result = Some(s1().wrapping_mul(s2())),
-        Mulh => {
+        Op::Add => out.result = Some(s1().wrapping_add(s2())),
+        Op::Sub => out.result = Some(s1().wrapping_sub(s2())),
+        Op::Mul => out.result = Some(s1().wrapping_mul(s2())),
+        Op::Mulh => {
             let prod = (s1() as i64 as i128).wrapping_mul(s2() as i64 as i128);
             out.result = Some((prod >> 64) as u64);
         }
-        Div => {
+        Op::Div => {
             let (a, b) = (s1() as i64, s2() as i64);
             out.result = Some(if b == 0 {
                 u64::MAX
@@ -124,31 +123,31 @@ where
                 a.wrapping_div(b) as u64
             });
         }
-        Rem => {
+        Op::Rem => {
             let (a, b) = (s1() as i64, s2() as i64);
             out.result = Some(if b == 0 { a as u64 } else { a.wrapping_rem(b) as u64 });
         }
-        And => out.result = Some(s1() & s2()),
-        Or => out.result = Some(s1() | s2()),
-        Xor => out.result = Some(s1() ^ s2()),
-        Nor => out.result = Some(!(s1() | s2())),
-        Sllv => out.result = Some(s1() << (s2() & 63)),
-        Srlv => out.result = Some(s1() >> (s2() & 63)),
-        Srav => out.result = Some(((s1() as i64) >> (s2() & 63)) as u64),
-        Slt => out.result = Some(((s1() as i64) < (s2() as i64)) as u64),
-        Sltu => out.result = Some((s1() < s2()) as u64),
-        Addi => out.result = Some(s1().wrapping_add(imm as u64)),
-        Andi => out.result = Some(s1() & (imm as u64)),
-        Ori => out.result = Some(s1() | (imm as u64)),
-        Xori => out.result = Some(s1() ^ (imm as u64)),
-        Slti => out.result = Some(((s1() as i64) < imm) as u64),
-        Sltiu => out.result = Some((s1() < imm as u64) as u64),
-        Sll => out.result = Some(s1() << (imm as u64 & 63)),
-        Srl => out.result = Some(s1() >> (imm as u64 & 63)),
-        Sra => out.result = Some(((s1() as i64) >> (imm as u64 & 63)) as u64),
-        Lui => out.result = Some(((imm as u64) & 0xffff) << 16),
+        Op::And => out.result = Some(s1() & s2()),
+        Op::Or => out.result = Some(s1() | s2()),
+        Op::Xor => out.result = Some(s1() ^ s2()),
+        Op::Nor => out.result = Some(!(s1() | s2())),
+        Op::Sllv => out.result = Some(s1() << (s2() & 63)),
+        Op::Srlv => out.result = Some(s1() >> (s2() & 63)),
+        Op::Srav => out.result = Some(((s1() as i64) >> (s2() & 63)) as u64),
+        Op::Slt => out.result = Some(((s1() as i64) < (s2() as i64)) as u64),
+        Op::Sltu => out.result = Some((s1() < s2()) as u64),
+        Op::Addi => out.result = Some(s1().wrapping_add(imm as u64)),
+        Op::Andi => out.result = Some(s1() & (imm as u64)),
+        Op::Ori => out.result = Some(s1() | (imm as u64)),
+        Op::Xori => out.result = Some(s1() ^ (imm as u64)),
+        Op::Slti => out.result = Some(((s1() as i64) < imm) as u64),
+        Op::Sltiu => out.result = Some((s1() < imm as u64) as u64),
+        Op::Sll => out.result = Some(s1() << (imm as u64 & 63)),
+        Op::Srl => out.result = Some(s1() >> (imm as u64 & 63)),
+        Op::Sra => out.result = Some(((s1() as i64) >> (imm as u64 & 63)) as u64),
+        Op::Lui => out.result = Some(((imm as u64) & 0xffff) << 16),
 
-        Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | LdF => {
+        Op::Lb | Op::Lbu | Op::Lh | Op::Lhu | Op::Lw | Op::Lwu | Op::Ld | Op::LdF => {
             // Every load opcode defines a width; the fallback keeps
             // this arm total without a panic path in the decode tree.
             let width = inst.op.mem_width().unwrap_or(MemWidth::B8);
@@ -161,47 +160,47 @@ where
                 raw
             });
         }
-        Sb | Sh | Sw | Sd | SdF => {
+        Op::Sb | Op::Sh | Op::Sw | Op::Sd | Op::SdF => {
             out.addr = Some(s1().wrapping_add(imm as u64));
             out.store_val = Some(s2());
         }
 
-        Beq => out.control = Some(ControlOut { taken: s1() == s2(), target: imm as u64 }),
-        Bne => out.control = Some(ControlOut { taken: s1() != s2(), target: imm as u64 }),
-        Blez => out.control = Some(ControlOut { taken: (s1() as i64) <= 0, target: imm as u64 }),
-        Bgtz => out.control = Some(ControlOut { taken: (s1() as i64) > 0, target: imm as u64 }),
-        Bltz => out.control = Some(ControlOut { taken: (s1() as i64) < 0, target: imm as u64 }),
-        Bgez => out.control = Some(ControlOut { taken: (s1() as i64) >= 0, target: imm as u64 }),
-        Bc1t => out.control = Some(ControlOut { taken: s1() != 0, target: imm as u64 }),
-        Bc1f => out.control = Some(ControlOut { taken: s1() == 0, target: imm as u64 }),
+        Op::Beq => out.control = Some(ControlOut { taken: s1() == s2(), target: imm as u64 }),
+        Op::Bne => out.control = Some(ControlOut { taken: s1() != s2(), target: imm as u64 }),
+        Op::Blez => out.control = Some(ControlOut { taken: (s1() as i64) <= 0, target: imm as u64 }),
+        Op::Bgtz => out.control = Some(ControlOut { taken: (s1() as i64) > 0, target: imm as u64 }),
+        Op::Bltz => out.control = Some(ControlOut { taken: (s1() as i64) < 0, target: imm as u64 }),
+        Op::Bgez => out.control = Some(ControlOut { taken: (s1() as i64) >= 0, target: imm as u64 }),
+        Op::Bc1t => out.control = Some(ControlOut { taken: s1() != 0, target: imm as u64 }),
+        Op::Bc1f => out.control = Some(ControlOut { taken: s1() == 0, target: imm as u64 }),
 
-        J => out.control = Some(ControlOut { taken: true, target: imm as u64 }),
-        Jal => {
+        Op::J => out.control = Some(ControlOut { taken: true, target: imm as u64 }),
+        Op::Jal => {
             out.control = Some(ControlOut { taken: true, target: imm as u64 });
             out.result = Some(pc.wrapping_add(INST_BYTES));
         }
-        Jr => out.control = Some(ControlOut { taken: true, target: s1() }),
-        Jalr => {
+        Op::Jr => out.control = Some(ControlOut { taken: true, target: s1() }),
+        Op::Jalr => {
             out.control = Some(ControlOut { taken: true, target: s1() });
             out.result = Some(pc.wrapping_add(INST_BYTES));
         }
 
-        AddF => out.result = Some((f1() + f2()).to_bits()),
-        SubF => out.result = Some((f1() - f2()).to_bits()),
-        MulF => out.result = Some((f1() * f2()).to_bits()),
-        DivF => out.result = Some((f1() / f2()).to_bits()),
-        SqrtF => out.result = Some(f1().sqrt().to_bits()),
-        AbsF => out.result = Some(f1().abs().to_bits()),
-        NegF => out.result = Some((-f1()).to_bits()),
-        MovF => out.result = Some(s1()),
-        CvtFI => out.result = Some(((s1() as i64) as f64).to_bits()),
-        CvtIF => out.result = Some(f1() as i64 as u64),
-        CeqF => out.result = Some((f1() == f2()) as u64),
-        CltF => out.result = Some((f1() < f2()) as u64),
-        CleF => out.result = Some((f1() <= f2()) as u64),
+        Op::AddF => out.result = Some((f1() + f2()).to_bits()),
+        Op::SubF => out.result = Some((f1() - f2()).to_bits()),
+        Op::MulF => out.result = Some((f1() * f2()).to_bits()),
+        Op::DivF => out.result = Some((f1() / f2()).to_bits()),
+        Op::SqrtF => out.result = Some(f1().sqrt().to_bits()),
+        Op::AbsF => out.result = Some(f1().abs().to_bits()),
+        Op::NegF => out.result = Some((-f1()).to_bits()),
+        Op::MovF => out.result = Some(s1()),
+        Op::CvtFI => out.result = Some(((s1() as i64) as f64).to_bits()),
+        Op::CvtIF => out.result = Some(f1() as i64 as u64),
+        Op::CeqF => out.result = Some((f1() == f2()) as u64),
+        Op::CltF => out.result = Some((f1() < f2()) as u64),
+        Op::CleF => out.result = Some((f1() <= f2()) as u64),
 
-        Nop => {}
-        Halt => out.halt = true,
+        Op::Nop => {}
+        Op::Halt => out.halt = true,
     }
 
     // The zero register never changes.

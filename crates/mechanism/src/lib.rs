@@ -24,6 +24,8 @@
 //! receives *action* structs back, so the timing model stays in one
 //! place and a new mechanism cannot corrupt pipeline invariants.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod config;
 mod ir;
 pub mod registry;

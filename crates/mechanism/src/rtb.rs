@@ -118,7 +118,7 @@ struct ReplayState {
 pub struct RtbMech {
     config: RtbConfig,
     /// Natural-loop nesting depth per static instruction, indexed by
-    /// `(pc - TEXT_BASE) / INST_BYTES` (dense — no hashing, R1).
+    /// `(pc - TEXT_BASE) / INST_BYTES` (dense — no hashing).
     depths: Vec<u32>,
     /// `sets * ways` entries, set-major.
     table: Vec<TraceEntry>,

@@ -1,14 +1,14 @@
 //! Property-based tests for the cache model against a reference
 //! implementation of set-associative LRU.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use vpir_mem::{Cache, CacheConfig, PortArbiter};
 use vpir_testkit::check;
 
 /// A straightforward reference model of a set-associative LRU cache.
 struct RefCache {
-    sets: HashMap<u64, Vec<u64>>, // set -> lines, most recent last
+    sets: BTreeMap<u64, Vec<u64>>, // set -> lines, most recent last
     assoc: usize,
     line_bytes: u64,
     nsets: u64,
@@ -17,7 +17,7 @@ struct RefCache {
 impl RefCache {
     fn new(cfg: &CacheConfig) -> RefCache {
         RefCache {
-            sets: HashMap::new(),
+            sets: BTreeMap::new(),
             assoc: cfg.assoc,
             line_bytes: cfg.line_bytes as u64,
             nsets: cfg.sets() as u64,

@@ -170,7 +170,7 @@ impl VptTable {
             }
             // `lru` ticks are unique, so (confidence, lru) totally orders
             // the ways of a set — the max is the sort's first element.
-            if !best.is_some_and(|b| (b.confidence, b.lru) >= (w.confidence, w.lru)) {
+            if best.is_none_or(|b| (b.confidence, b.lru) < (w.confidence, w.lru)) {
                 best = Some(w);
             }
         }

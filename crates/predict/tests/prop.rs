@@ -18,8 +18,8 @@ fn cfg() -> VptConfig {
 fn magic_only_predicts_stored_values() {
     check("magic_only_predicts_stored_values", 256, |rng| {
         let mut vp = MagicPredictor::new(cfg());
-        let mut seen: std::collections::HashMap<u64, std::collections::HashSet<u64>> =
-            std::collections::HashMap::new();
+        let mut seen: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
+            std::collections::BTreeMap::new();
         for _ in 0..rng.gen_range(1usize..100) {
             let pc = 0x1000 + rng.gen_range(0u64..16) * 4;
             let v = rng.gen_range(0u64..8);

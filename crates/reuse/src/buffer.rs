@@ -226,7 +226,7 @@ fn mem_bucket(block: u64) -> usize {
 /// Both inverted indexes are fixed-size [`SlotSet`] bitmaps, sized at
 /// construction: maintaining and walking them allocates nothing, and
 /// iteration is in ascending slot order, preserving the deterministic
-/// behaviour of the `BTreeSet` indexes they replaced (R1).
+/// behaviour of the `BTreeSet` indexes they replaced.
 #[derive(Debug, Clone)]
 pub struct ReuseBuffer {
     config: RbConfig,

@@ -6,7 +6,7 @@
 //! simulator's per-commit invalidation path. A `SlotSet` is a flat
 //! `Vec<u64>` sized once at construction: membership updates are single
 //! word operations and iteration walks set bits in ascending slot order,
-//! so it preserves the deterministic (R1) iteration order of the
+//! so it preserves the deterministic iteration order of the
 //! `BTreeSet` it replaces while doing zero steady-state allocation.
 
 /// A set of slot indexes in `0..capacity`, stored as a flat bitmap with

@@ -362,7 +362,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<String, String> {
         .u("cache_hits_memory", totals.hits_memory.load(Ordering::Relaxed))
         .u("cache_hits_disk", totals.hits_disk.load(Ordering::Relaxed))
         .u("cache_misses", totals.misses.load(Ordering::Relaxed))
-        .u("cache_hit_percent", if looked_up > 0 { hits * 100 / looked_up } else { 0 })
+        .u("cache_hit_percent", (hits * 100).checked_div(looked_up).unwrap_or(0))
         .u("throughput_rps", requests.saturating_mul(1000) / elapsed_ms)
         .raw("latency", &latency.to_json())
         .finish();

@@ -78,7 +78,7 @@ fn table6_reexecution() {
 fn tables_full_rendering() {
     group("tables_render").bench("one_bench_matrix_and_reports", || {
         let m = Matrix {
-            runs: vec![run_bench(Bench::Ijpeg, tiny())],
+            runs: vec![run_bench(Bench::Ijpeg, tiny()).expect("every cell runs")],
         };
         black_box((
             report::table2(&m),

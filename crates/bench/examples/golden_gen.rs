@@ -4,6 +4,7 @@
 //! `crates/bench/tests/fixtures/golden_digests.json` only when a
 //! semantic change to the simulator is intended.
 
-fn main() {
-    print!("{}", vpir_bench::golden::golden_fixture_json());
+fn main() -> Result<(), vpir_core::SimError> {
+    print!("{}", vpir_bench::golden::golden_fixture_json()?);
+    Ok(())
 }

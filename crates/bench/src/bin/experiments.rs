@@ -11,7 +11,7 @@
 use std::env;
 use std::process::ExitCode;
 
-use vpir_bench::matrix::{run_matrix_jobs, run_one, Matrix, MatrixConfig};
+use vpir_bench::matrix::{run_benches_jobs, run_one, Matrix, MatrixConfig};
 use vpir_bench::report;
 use vpir_core::{CoreConfig, FrontEnd, IrConfig, VpConfig, VpKind};
 use vpir_predict::VptConfig;
@@ -115,8 +115,8 @@ fn main() -> ExitCode {
 
 fn build_matrix(cfg: MatrixConfig, only: Option<Bench>, jobs: usize) -> Matrix {
     match only {
-        None => run_matrix_jobs(cfg, jobs),
-        Some(b) => vpir_bench::matrix::run_benches_jobs(&[b], cfg, jobs),
+        None => run_benches_jobs(&Bench::ALL, cfg, jobs),
+        Some(b) => run_benches_jobs(&[b], cfg, jobs),
     }
 }
 

@@ -14,11 +14,10 @@
 //! cargo run -p vpir-bench --example golden_gen > crates/bench/tests/fixtures/golden_digests.json
 //! ```
 
-use vpir_core::{RunLimits, Simulator};
-use vpir_redundancy::{analyze, LimitConfig};
+use vpir_core::SimError;
 use vpir_workloads::Bench;
 
-use crate::matrix::{config_for_label, MatrixConfig};
+use crate::matrix::{run_cell, MatrixConfig};
 use crate::state::JobPayload;
 
 /// The configuration families pinned by the golden suite: the paper's
@@ -37,26 +36,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs one golden cell: the simulator's counters, or the limit study.
-///
-/// # Panics
-///
-/// Panics if `label` is not one of [`GOLDEN_LABELS`].
-pub fn golden_run(bench: Bench, label: &str) -> JobPayload {
+/// Runs one golden cell — the simulator's counters, or the limit
+/// study — as a matrix cell at [`MatrixConfig::quick`] scale.
+pub fn golden_run(bench: Bench, label: &str) -> Result<JobPayload, SimError> {
     let cfg = MatrixConfig::quick();
-    let prog = bench.program(cfg.scale);
-    if label == "limit" {
-        JobPayload::Limit(analyze(&prog, cfg.limit_insts, LimitConfig::default()))
-    } else {
-        let core = config_for_label(label).expect("unknown golden label");
-        let mut sim = Simulator::new(&prog, core);
-        JobPayload::Stats(Box::new(sim.run(RunLimits::cycles(cfg.max_cycles)).clone()))
-    }
+    run_cell(&bench.program(cfg.scale), cfg, label, false)
 }
 
 /// Renders the full golden fixture table as JSON: one object per cell
 /// with `bench`, `config`, and the hex digest.
-pub fn golden_fixture_json() -> String {
+pub fn golden_fixture_json() -> Result<String, SimError> {
     let mut out = String::from("{\n  \"schema\": \"vpir-golden-v1\",\n  \"cells\": [\n");
     let mut first = true;
     for bench in Bench::ALL {
@@ -69,10 +58,10 @@ pub fn golden_fixture_json() -> String {
                 "    {{\"bench\": \"{}\", \"config\": \"{}\", \"digest\": \"{:016x}\"}}",
                 bench.name(),
                 label,
-                fnv1a64(golden_run(bench, label).to_json().as_bytes())
+                fnv1a64(golden_run(bench, label)?.to_json().as_bytes())
             ));
         }
     }
     out.push_str("\n  ]\n}\n");
-    out
+    Ok(out)
 }

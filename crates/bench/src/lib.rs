@@ -29,4 +29,4 @@ pub use matrix::{
     config_for_label, config_labels, parse_vp_label, BenchRuns, FaultMode, InjectFault,
     JobFailure, Matrix, MatrixConfig, MatrixOutcome, RunOptions, VpKey,
 };
-pub use perf::{run_matrix_timed, run_matrix_timed_opts, MatrixPerf};
+pub use perf::{run_matrix_timed_opts, MatrixPerf};

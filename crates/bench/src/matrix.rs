@@ -1,13 +1,14 @@
 //! Runs the full configuration × benchmark matrix.
 //!
-//! Every (benchmark × configuration) run — base, the sixteen VP
-//! configurations, IR with early and late validation, and the
-//! functional limit study — is an independent, deterministic simulator
-//! run, so the matrix is executed by a work-queue scheduler that fans
-//! the flat job list out over worker threads and reassembles the
-//! results in a fixed order. The assembled [`Matrix`] is bit-identical
-//! for every worker count (including one); `tests/parallel.rs` locks
-//! that equivalence in.
+//! Every (benchmark × configuration) cell — base, the sixteen VP
+//! configurations, IR with early and late validation, the trace-reuse
+//! configurations, and the functional limit study — is named by its
+//! registry label and run by [`run_cell`]. Cells are independent and
+//! deterministic, so the matrix is executed by a work-queue scheduler
+//! that fans the flat (benchmark × label) job list out over worker
+//! threads and reassembles the results by label. The assembled
+//! [`Matrix`] is bit-identical for every worker count (including one);
+//! `tests/parallel.rs` locks that equivalence in.
 //!
 //! Jobs are fault-isolated: a panic or a structured [`SimError`] in one
 //! cell degrades that cell to a [`JobFailure`] while every other cell
@@ -22,12 +23,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use vpir_core::{
-    CoreConfig, FaultInjection, IrConfig, RtbConfig, RunLimits, SimError, SimStats, Simulator,
-    Validation,
-};
+use vpir_core::{CoreConfig, FaultInjection, RunLimits, SimError, SimStats, Simulator};
 use vpir_isa::Program;
-use vpir_mechanism::registry::{self, vp_config};
+use vpir_mechanism::registry;
 use vpir_redundancy::{analyze, LimitConfig, LimitStudy};
 use vpir_workloads::{Bench, Scale};
 
@@ -141,24 +139,69 @@ pub fn run_one(bench: Bench, scale: Scale, config: CoreConfig, max_cycles: u64) 
 /// Runs everything needed for one benchmark, sequentially on the
 /// calling thread. This is the reference implementation the work-queue
 /// scheduler must bit-match.
-pub fn run_bench(bench: Bench, cfg: MatrixConfig) -> BenchRuns {
+pub fn run_bench(bench: Bench, cfg: MatrixConfig) -> Result<BenchRuns, SimError> {
     let prog = bench.program(cfg.scale);
-    assemble_bench(bench, &prog, cfg, |kind| run_job(&prog, cfg, kind))
+    let mut cells = BTreeMap::new();
+    for label in config_labels() {
+        let out = run_cell(&prog, cfg, &label, false)?;
+        cells.insert(label, out);
+    }
+    Ok(assemble_bench(bench, cells))
 }
 
-// ----------------------------------------------------------------
-// The work-queue scheduler.
-// ----------------------------------------------------------------
+/// Every configuration label a matrix job can carry, in job order: the
+/// registry's machine labels (`base`, the sixteen VP labels,
+/// `ir_early`, `ir_late`, the RTB labels), then the functional `limit`
+/// study. This is the vocabulary of `--inject-fault <bench>/<config>`
+/// targets and of job files.
+pub fn config_labels() -> Vec<String> {
+    let mut labels = registry::machine_labels();
+    labels.push("limit".to_string());
+    labels
+}
 
-/// One unit of work: a single configuration run over one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    Base,
-    Vp(VpKey),
-    IrEarly,
-    IrLate,
-    Rtb(RtbConfig),
-    Limit,
+/// The simulator configuration behind a matrix label. `limit` has no
+/// machine configuration (it is the functional limit study), and an
+/// unknown label returns `None`. Resolution is delegated to the
+/// mechanism registry so every consumer shares one vocabulary.
+pub fn config_for_label(label: &str) -> Option<CoreConfig> {
+    registry::enhancement_for_label(label).map(CoreConfig::with_enhancement)
+}
+
+/// Runs one matrix cell over a shared, immutable program: the limit
+/// study for `limit`, otherwise the machine `label` names under
+/// [`Simulator::run_checked`]. With `wedge`, the commit stage stalls
+/// after 100 instructions so the forward-progress watchdog trips
+/// (fault injection). An unknown label is a structured error.
+pub fn run_cell(
+    prog: &Program,
+    cfg: MatrixConfig,
+    label: &str,
+    wedge: bool,
+) -> Result<JobPayload, SimError> {
+    if label == "limit" {
+        if wedge {
+            // The limit study is functional (no pipeline to wedge); an
+            // injected fault still degrades it structurally.
+            return Err(SimError::Internal {
+                cycle: 0,
+                what: "injected fault: the limit study has no commit stage to wedge".to_string(),
+            });
+        }
+        return Ok(JobPayload::Limit(analyze(prog, cfg.limit_insts, LimitConfig::default())));
+    }
+    let mut core = config_for_label(label).ok_or_else(|| SimError::Internal {
+        cycle: 0,
+        what: format!("unknown configuration label `{label}`"),
+    })?;
+    if wedge {
+        // A watchdog window short enough to trip within any budget.
+        core.fault = FaultInjection::CommitStall { after_commits: 100 };
+        core.watchdog_cycles = 5_000;
+    }
+    let mut sim = Simulator::new(prog, core);
+    let stats = sim.run_checked(RunLimits::cycles(cfg.max_cycles))?;
+    Ok(JobPayload::Stats(Box::new(stats.clone())))
 }
 
 impl JobPayload {
@@ -177,98 +220,26 @@ impl JobPayload {
     }
 }
 
-/// The per-benchmark job list, in assembly order.
-fn job_kinds() -> Vec<JobKind> {
-    let mut kinds = vec![JobKind::Base];
-    kinds.extend(vp_keys().into_iter().map(JobKind::Vp));
-    kinds.extend([JobKind::IrEarly, JobKind::IrLate]);
-    kinds.extend(registry::rtb_configs().into_iter().map(JobKind::Rtb));
-    kinds.push(JobKind::Limit);
-    kinds
-}
-
-/// The configuration label of a job, as used in job files, failure
-/// reports, and `--inject-fault` targets.
-fn job_label(kind: JobKind) -> String {
-    match kind {
-        JobKind::Base => "base".to_string(),
-        JobKind::Vp(key) => vp_label(key),
-        JobKind::IrEarly => "ir_early".to_string(),
-        JobKind::IrLate => "ir_late".to_string(),
-        JobKind::Rtb(rtb) => rtb.label(),
-        JobKind::Limit => "limit".to_string(),
-    }
-}
-
-/// Every configuration label a matrix job can carry, in job order
-/// (`base`, the sixteen VP labels, `ir_early`, `ir_late`, the RTB
-/// labels, `limit`). This is the vocabulary of
-/// `--inject-fault <bench>/<config>` targets and of the `config` field
-/// in `vpir serve` run requests.
-pub fn config_labels() -> Vec<String> {
-    job_kinds().into_iter().map(job_label).collect()
-}
-
-/// The simulator configuration behind a matrix label: the inverse of
-/// [`job_label`](config_labels) for every cycle-level cell. `limit` has
-/// no machine configuration (it is the functional limit study), and an
-/// unknown label returns `None`. Resolution is delegated to the
-/// mechanism registry so every consumer shares one vocabulary.
-pub fn config_for_label(label: &str) -> Option<CoreConfig> {
-    registry::enhancement_for_label(label).map(CoreConfig::with_enhancement)
-}
-
-/// Runs one job. Each job constructs its own simulator over a shared,
-/// immutable program, so results are independent of scheduling.
-fn run_job(prog: &Program, cfg: MatrixConfig, kind: JobKind) -> JobPayload {
-    let limits = RunLimits::cycles(cfg.max_cycles);
-    let run = |core: CoreConfig| -> JobPayload {
-        let mut sim = Simulator::new(prog, core);
-        JobPayload::Stats(Box::new(sim.run(limits).clone()))
-    };
-    match kind {
-        JobKind::Base => run(CoreConfig::table1()),
-        JobKind::Vp(key) => run(CoreConfig::with_vp(vp_config(key))),
-        JobKind::IrEarly => run(CoreConfig::with_ir(IrConfig::table1())),
-        JobKind::IrLate => run(CoreConfig::with_ir(IrConfig {
-            validation: Validation::Late,
-            ..IrConfig::table1()
-        })),
-        JobKind::Rtb(rtb) => run(CoreConfig::with_rtb(rtb)),
-        JobKind::Limit => JobPayload::Limit(analyze(prog, cfg.limit_insts, LimitConfig::default())),
-    }
-}
-
-/// Reassembles one benchmark's results from its jobs, pulled from
-/// `take` in [`job_kinds`] order.
-fn assemble_bench(
-    bench: Bench,
-    _prog: &Program,
-    _cfg: MatrixConfig,
-    mut take: impl FnMut(JobKind) -> JobPayload,
-) -> BenchRuns {
-    let base = take(JobKind::Base).into_stats();
-    let mut vp = BTreeMap::new();
-    for key in vp_keys() {
-        vp.insert(key, take(JobKind::Vp(key)).into_stats());
-    }
-    let ir_early = take(JobKind::IrEarly).into_stats();
-    let ir_late = take(JobKind::IrLate).into_stats();
-    let mut rtb = BTreeMap::new();
-    for c in registry::rtb_configs() {
-        rtb.insert(c.max_len, take(JobKind::Rtb(c)).into_stats());
-    }
-    let limit = take(JobKind::Limit).into_limit();
+/// Reassembles one benchmark's results from its cells, keyed by
+/// configuration label.
+fn assemble_bench(bench: Bench, mut cells: BTreeMap<String, JobPayload>) -> BenchRuns {
+    let mut take = |label: &str| cells.remove(label).expect("one cell per configuration label");
+    let limit = take("limit").into_limit();
+    let mut stats = |label: &str| take(label).into_stats();
     BenchRuns {
         bench,
-        base,
-        vp,
-        ir_early,
-        ir_late,
-        rtb,
+        base: stats("base"),
+        vp: vp_keys().into_iter().map(|key| (key, stats(&vp_label(key)))).collect(),
+        ir_early: stats("ir_early"),
+        ir_late: stats("ir_late"),
+        rtb: registry::rtb_configs().into_iter().map(|c| (c.max_len, stats(&c.label()))).collect(),
         limit,
     }
 }
+
+// ----------------------------------------------------------------
+// The work-queue scheduler.
+// ----------------------------------------------------------------
 
 /// The default worker count: the host's available parallelism.
 pub fn default_jobs() -> usize {
@@ -307,7 +278,9 @@ pub struct InjectFault {
 }
 
 impl InjectFault {
-    /// Parses a `<bench>/<config>[:panic|:wedge]` target spec.
+    /// Parses a `<bench>/<config>[:panic|:wedge]` target spec, where
+    /// `<bench>` names a workload and `<config>` is one of
+    /// [`config_labels`].
     ///
     /// Config labels themselves contain `:` (e.g. `magic:ME-SB:vl1`),
     /// so the mode suffix is recognised only at the very end.
@@ -324,6 +297,21 @@ impl InjectFault {
             .ok_or_else(|| format!("bad fault target `{spec}`: want <bench>/<config>[:panic|:wedge]"))?;
         if bench.is_empty() || config.is_empty() {
             return Err(format!("bad fault target `{spec}`: empty bench or config"));
+        }
+        // A target naming an unknown benchmark or configuration would
+        // silently match no cell (the matrix would run clean and the
+        // injection would be a no-op), so reject it, listing the valid
+        // vocabulary.
+        if Bench::parse(bench).is_none() {
+            let names: Vec<&str> = Bench::ALL.iter().map(|b| b.name()).collect();
+            return Err(format!("unknown bench `{bench}` (valid: {})", names.join(", ")));
+        }
+        let labels = config_labels();
+        if !labels.iter().any(|l| l == config) {
+            return Err(format!(
+                "unknown inject_fault config `{config}` (valid: {})",
+                labels.join(", ")
+            ));
         }
         Ok(InjectFault {
             bench: bench.to_string(),
@@ -383,6 +371,22 @@ impl MatrixOutcome {
     pub fn fully_completed(&self) -> bool {
         self.failures.is_empty()
     }
+
+    /// The assembled matrix, or a one-line summary of the failed cells:
+    /// `N of M cells failed (first: bench/config: error)`.
+    pub fn into_matrix(self) -> Result<Matrix, String> {
+        match self.failures.first() {
+            Some(first) => Err(format!(
+                "{} of {} cells failed (first: {}/{}: {})",
+                self.failures.len(),
+                self.total_jobs,
+                first.bench,
+                first.config,
+                first.error
+            )),
+            None => self.matrix.ok_or_else(|| "the matrix was not assembled".to_string()),
+        }
+    }
 }
 
 /// A job's slot once a worker (or the resume preload) has filled it.
@@ -395,56 +399,6 @@ enum SlotOut {
     },
 }
 
-/// Like [`run_job`], but surfaces structured simulator failures instead
-/// of swallowing them, and optionally wedges the commit stage for fault
-/// injection.
-fn run_job_checked(
-    prog: &Program,
-    cfg: MatrixConfig,
-    kind: JobKind,
-    wedge: bool,
-) -> Result<JobPayload, SimError> {
-    let limits = RunLimits::cycles(cfg.max_cycles);
-    let run = |mut core: CoreConfig| -> Result<JobPayload, SimError> {
-        if wedge {
-            // A commit stage that stalls after 100 instructions, with a
-            // watchdog window short enough to trip within any budget.
-            core.fault = FaultInjection::CommitStall { after_commits: 100 };
-            core.watchdog_cycles = 5_000;
-        }
-        let mut sim = Simulator::new(prog, core);
-        Ok(JobPayload::Stats(Box::new(
-            sim.run_checked(limits)?.clone(),
-        )))
-    };
-    match kind {
-        JobKind::Base => run(CoreConfig::table1()),
-        JobKind::Vp(key) => run(CoreConfig::with_vp(vp_config(key))),
-        JobKind::IrEarly => run(CoreConfig::with_ir(IrConfig::table1())),
-        JobKind::IrLate => run(CoreConfig::with_ir(IrConfig {
-            validation: Validation::Late,
-            ..IrConfig::table1()
-        })),
-        JobKind::Rtb(rtb) => run(CoreConfig::with_rtb(rtb)),
-        JobKind::Limit => {
-            if wedge {
-                // The limit study is functional (no pipeline to wedge);
-                // an injected fault still degrades it structurally.
-                return Err(SimError::Internal {
-                    cycle: 0,
-                    what: "injected fault: the limit study has no commit stage to wedge"
-                        .to_string(),
-                });
-            }
-            Ok(JobPayload::Limit(analyze(
-                prog,
-                cfg.limit_insts,
-                LimitConfig::default(),
-            )))
-        }
-    }
-}
-
 /// Runs one job behind a `catch_unwind` boundary: a panic (including an
 /// injected one) or a structured [`SimError`] becomes a failed slot,
 /// never a dead worker. Panic messages still reach stderr through the
@@ -453,7 +407,7 @@ fn run_job_checked(
 fn execute_job(
     prog: &Program,
     cfg: MatrixConfig,
-    kind: JobKind,
+    label: &str,
     inject: Option<&InjectFault>,
 ) -> SlotOut {
     let wedge = matches!(inject.map(|f| f.mode), Some(FaultMode::Wedge));
@@ -461,7 +415,7 @@ fn execute_job(
         if matches!(inject.map(|f| f.mode), Some(FaultMode::Panic)) {
             panic!("injected fault: forced worker panic for isolation testing");
         }
-        run_job_checked(prog, cfg, kind, wedge)
+        run_cell(prog, cfg, label, wedge)
     }));
     match result {
         Ok(Ok(out)) => SlotOut::Done(out),
@@ -487,16 +441,10 @@ fn execute_job(
 
 /// True when a reloaded job record was produced by this exact cell
 /// under this exact matrix configuration.
-fn record_matches(rec: &JobRecord, bench: Bench, cfg: MatrixConfig, kind: JobKind) -> bool {
-    let payload_fits = match (&rec.payload, kind) {
-        (JobPayload::Limit(_), JobKind::Limit) => true,
-        (JobPayload::Stats(_), JobKind::Limit) => false,
-        (JobPayload::Stats(_), _) => true,
-        (JobPayload::Limit(_), _) => false,
-    };
-    payload_fits
+fn record_matches(rec: &JobRecord, bench: Bench, cfg: MatrixConfig, label: &str) -> bool {
+    matches!(rec.payload, JobPayload::Limit(_)) == (label == "limit")
         && rec.bench == bench.name()
-        && rec.config == job_label(kind)
+        && rec.config == label
         && rec.scale == cfg.scale.outer
         && rec.max_cycles == cfg.max_cycles
         && rec.limit_insts == cfg.limit_insts
@@ -562,14 +510,14 @@ fn persist_slot(
 /// Runs the matrix over prebuilt programs with `jobs` workers
 /// (`jobs == 0` means [`default_jobs`]), fault-isolated per job.
 ///
-/// Scheduling: the flat (benchmark × configuration) job list is
+/// Scheduling: the flat (benchmark × configuration label) job list is
 /// consumed through a single atomic cursor; each worker claims the
 /// next unclaimed job and writes its result into that job's dedicated
-/// slot. Reassembly reads the slots in list order, so the output is
-/// independent of which worker ran which job and bit-matches
-/// [`run_bench`] applied sequentially — including across a
-/// resume, because each slot's counters round-trip exactly through its
-/// job file.
+/// slot. Reassembly looks each benchmark's cells up by label, so the
+/// output is independent of which worker ran which job and bit-matches
+/// [`run_bench`] applied sequentially — including across a resume,
+/// because each slot's counters round-trip exactly through its job
+/// file.
 pub fn run_matrix_outcome(
     benches: &[Bench],
     progs: &[Program],
@@ -578,9 +526,9 @@ pub fn run_matrix_outcome(
     opts: &RunOptions,
 ) -> MatrixOutcome {
     assert_eq!(benches.len(), progs.len(), "one program per benchmark");
-    let kinds = job_kinds();
-    let job_list: Vec<(usize, JobKind)> = (0..benches.len())
-        .flat_map(|bi| kinds.iter().map(move |&k| (bi, k)))
+    let labels = config_labels();
+    let job_list: Vec<(usize, &str)> = (0..benches.len())
+        .flat_map(|bi| labels.iter().map(move |l| (bi, l.as_str())))
         .collect();
 
     if let Some(dir) = &opts.dump_dir {
@@ -595,9 +543,9 @@ pub fn run_matrix_outcome(
     let mut resumed_jobs = 0usize;
     if opts.resume {
         if let Some(dir) = &opts.dump_dir {
-            for (i, &(bi, kind)) in job_list.iter().enumerate() {
+            for (i, &(bi, label)) in job_list.iter().enumerate() {
                 let Some(rec) = state::load_job(dir, i) else { continue };
-                if !record_matches(&rec, benches[bi], cfg, kind) {
+                if !record_matches(&rec, benches[bi], cfg, label) {
                     continue;
                 }
                 *results[i].lock().expect("no poisoned preload") = Some(SlotOut::Done(rec.payload));
@@ -615,20 +563,19 @@ pub fn run_matrix_outcome(
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(bi, kind)) = job_list.get(i) else { break };
+                let Some(&(bi, label)) = job_list.get(i) else { break };
                 let resumed = results[i].lock().expect("no poisoned worker").is_some();
                 if resumed {
                     continue;
                 }
                 let bench = benches[bi];
-                let label = job_label(kind);
                 let inject = opts
                     .inject_fault
                     .as_ref()
                     .filter(|f| f.bench == bench.name() && f.config == label);
-                let slot = execute_job(&progs[bi], cfg, kind, inject);
+                let slot = execute_job(&progs[bi], cfg, label, inject);
                 if let Some(dir) = &opts.dump_dir {
-                    persist_slot(dir, i, bench, &label, cfg, &slot);
+                    persist_slot(dir, i, bench, label, cfg, &slot);
                 }
                 *results[i].lock().expect("no poisoned worker") = Some(slot);
             });
@@ -637,42 +584,28 @@ pub fn run_matrix_outcome(
 
     // Collect: failures become report rows, successes feed reassembly.
     let mut failures = Vec::new();
-    let mut outs: Vec<Option<JobPayload>> = Vec::with_capacity(job_list.len());
-    for (i, m) in results.into_iter().enumerate() {
-        let (bi, kind) = job_list[i];
+    let mut cells: Vec<BTreeMap<String, JobPayload>> =
+        benches.iter().map(|_| BTreeMap::new()).collect();
+    for (i, (m, &(bi, label))) in results.into_iter().zip(&job_list).enumerate() {
         match m.into_inner().expect("workers done").expect("job ran") {
-            SlotOut::Done(out) => outs.push(Some(out)),
-            SlotOut::Failed { kind: fkind, error, .. } => {
-                failures.push(JobFailure {
-                    job_index: i,
-                    bench: benches[bi].name().to_string(),
-                    config: job_label(kind),
-                    kind: fkind,
-                    error,
-                    dump_path: opts.dump_dir.as_ref().map(|d| state::failure_path(d, i)),
-                });
-                outs.push(None);
+            SlotOut::Done(out) => {
+                cells[bi].insert(label.to_string(), out);
             }
+            SlotOut::Failed { kind, error, .. } => failures.push(JobFailure {
+                job_index: i,
+                bench: benches[bi].name().to_string(),
+                config: label.to_string(),
+                kind,
+                error,
+                dump_path: opts.dump_dir.as_ref().map(|d| state::failure_path(d, i)),
+            }),
         }
     }
 
     let total_jobs = job_list.len();
     let completed_jobs = total_jobs - failures.len();
-    let matrix = failures.is_empty().then(|| {
-        // Reassemble in job-list order: the closure below is called by
-        // `assemble_bench` in exactly `job_kinds()` order per
-        // benchmark, which is the order the job list was built in.
-        let mut it = outs.into_iter().map(|o| o.expect("no failures"));
-        let runs = benches
-            .iter()
-            .enumerate()
-            .map(|(bi, &bench)| {
-                assemble_bench(bench, &progs[bi], cfg, |_kind| {
-                    it.next().expect("one result per job")
-                })
-            })
-            .collect();
-        Matrix { runs }
+    let matrix = failures.is_empty().then(|| Matrix {
+        runs: benches.iter().zip(cells).map(|(&bench, c)| assemble_bench(bench, c)).collect(),
     });
 
     MatrixOutcome {
@@ -684,84 +617,53 @@ pub fn run_matrix_outcome(
     }
 }
 
-/// Runs the matrix over prebuilt programs with `jobs` workers
-/// (`jobs == 0` means [`default_jobs`]), with no persistence and no
-/// injection. Panics if any cell fails — callers that want graceful
-/// degradation use [`run_matrix_outcome`].
-pub fn run_matrix_prebuilt(
-    benches: &[Bench],
-    progs: &[Program],
-    cfg: MatrixConfig,
-    jobs: usize,
-) -> Matrix {
-    let outcome = run_matrix_outcome(benches, progs, cfg, jobs, &RunOptions::default());
-    if let Some(first) = outcome.failures.first() {
-        panic!(
-            "matrix run failed: {} of {} jobs failed (first: {}/{}: {})",
-            outcome.failures.len(),
-            outcome.total_jobs,
-            first.bench,
-            first.config,
-            first.error
-        );
-    }
-    outcome.matrix.expect("no failures")
-}
-
-/// Runs the matrix over `benches` with `jobs` workers (`0` = default).
+/// Runs the matrix over `benches` with `jobs` workers (`0` = default),
+/// with no persistence and no injection.
+///
+/// # Panics
+///
+/// Panics if any cell fails; callers that want graceful degradation
+/// use [`run_matrix_outcome`].
 pub fn run_benches_jobs(benches: &[Bench], cfg: MatrixConfig, jobs: usize) -> Matrix {
     let progs = build_programs(benches, cfg.scale);
-    run_matrix_prebuilt(benches, &progs, cfg, jobs)
-}
-
-/// Runs the full matrix with `jobs` workers (`0` = default).
-pub fn run_matrix_jobs(cfg: MatrixConfig, jobs: usize) -> Matrix {
-    run_benches_jobs(&Bench::ALL, cfg, jobs)
-}
-
-/// Runs the full matrix with the default worker count.
-pub fn run_matrix(cfg: MatrixConfig) -> Matrix {
-    run_matrix_jobs(cfg, 0)
+    run_matrix_outcome(benches, &progs, cfg, jobs, &RunOptions::default())
+        .into_matrix()
+        .unwrap_or_else(|e| panic!("matrix run failed: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpir_core::{BranchResolution, Reexecution, VpKind};
-
-    #[test]
-    fn vp_key_space_is_complete() {
-        let keys = vp_keys();
-        assert_eq!(keys.len(), 16);
-        let labels: std::collections::BTreeSet<String> =
-            keys.iter().map(|&k| vp_label(k)).collect();
-        assert_eq!(labels.len(), 16, "labels alone must be distinct");
-    }
+    use vpir_core::{BranchResolution, IrConfig, Reexecution, RtbConfig, Validation, VpKind};
+    use vpir_mechanism::registry::vp_config;
 
     #[test]
     fn every_config_label_round_trips_to_its_configuration() {
-        for kind in job_kinds() {
-            let label = job_label(kind);
+        for label in config_labels() {
             let cfg = config_for_label(&label);
-            match kind {
-                JobKind::Limit => assert!(
+            match label.as_str() {
+                "limit" => assert!(
                     cfg.is_none(),
                     "`limit` is the functional study, not a machine config"
                 ),
-                JobKind::Base => assert_eq!(cfg, Some(CoreConfig::table1())),
-                JobKind::Vp(key) => {
-                    assert_eq!(parse_vp_label(&label), Some(key));
+                "base" => assert_eq!(cfg, Some(CoreConfig::table1())),
+                "ir_early" => assert_eq!(cfg, Some(CoreConfig::with_ir(IrConfig::table1()))),
+                "ir_late" => assert_eq!(
+                    cfg,
+                    Some(CoreConfig::with_ir(IrConfig {
+                        validation: Validation::Late,
+                        ..IrConfig::table1()
+                    }))
+                ),
+                "rtb:t4" => assert_eq!(cfg, Some(CoreConfig::with_rtb(RtbConfig::t4()))),
+                "rtb:t8" => assert_eq!(cfg, Some(CoreConfig::with_rtb(RtbConfig::t8()))),
+                vp => {
+                    let key = parse_vp_label(vp).expect("every other label is a VP label");
+                    assert_eq!(vp_label(key), vp);
                     assert_eq!(cfg, Some(CoreConfig::with_vp(vp_config(key))));
-                }
-                JobKind::IrEarly | JobKind::IrLate => {
-                    assert!(cfg.is_some(), "IR labels must resolve: {label}");
-                }
-                JobKind::Rtb(rtb) => {
-                    assert_eq!(cfg, Some(CoreConfig::with_rtb(rtb)));
                 }
             }
         }
-        assert_eq!(config_labels().len(), job_kinds().len());
         for bad in ["", "basex", "magic:ME-SB", "magic:XX-SB:vl1", "vl1", "rtb:t5", "rtb:"] {
             assert!(config_for_label(bad).is_none(), "accepted `{bad}`");
         }
@@ -771,9 +673,10 @@ mod tests {
     fn config_labels_match_the_registry_vocabulary() {
         // Every machine label the registry exposes is a matrix cell, in
         // the same order, plus the functional `limit` study at the end.
-        let mut expected = registry::machine_labels();
-        expected.push("limit".to_string());
-        assert_eq!(config_labels(), expected);
+        let labels = config_labels();
+        let (limit, machines) = labels.split_last().expect("nonempty");
+        assert_eq!(machines, registry::machine_labels().as_slice());
+        assert_eq!(limit, "limit");
     }
 
     #[test]
@@ -787,11 +690,13 @@ mod tests {
 
     #[test]
     fn job_list_covers_every_config_once() {
-        let kinds = job_kinds();
-        assert_eq!(kinds.len(), 22, "base + 16 VP + 2 IR + 2 RTB + limit");
-        let uniq: std::collections::BTreeSet<String> =
-            kinds.iter().map(|k| format!("{k:?}")).collect();
-        assert_eq!(uniq.len(), kinds.len());
+        let labels = config_labels();
+        assert_eq!(labels.len(), 22, "base + 16 VP + 2 IR + 2 RTB + limit");
+        let uniq: std::collections::BTreeSet<&String> = labels.iter().collect();
+        assert_eq!(uniq.len(), labels.len());
+        for label in ["base", "ir_early", "ir_late", "rtb:t4", "rtb:t8", "limit"] {
+            assert!(uniq.contains(&label.to_string()), "missing `{label}`");
+        }
     }
 
     #[test]
@@ -819,16 +724,20 @@ mod tests {
     }
 
     #[test]
-    fn every_job_kind_has_a_distinct_label() {
-        let labels: std::collections::BTreeSet<String> =
-            job_kinds().into_iter().map(job_label).collect();
-        assert_eq!(labels.len(), 22);
-        assert!(labels.contains("base"));
-        assert!(labels.contains("ir_early"));
-        assert!(labels.contains("ir_late"));
-        assert!(labels.contains("rtb:t4"));
-        assert!(labels.contains("rtb:t8"));
-        assert!(labels.contains("limit"));
+    fn fault_targets_outside_the_vocabulary_are_rejected() {
+        let e = InjectFault::parse("nope/base").expect_err("unknown bench");
+        assert!(e.starts_with("unknown bench `nope` (valid: go, "), "{e}");
+        let e = InjectFault::parse("go/warp").expect_err("unknown config");
+        assert!(e.starts_with("unknown inject_fault config `warp` (valid: base, "), "{e}");
+        assert!(e.ends_with(", limit)"), "{e}");
+    }
+
+    #[test]
+    fn run_cell_reports_an_unknown_label_as_an_error() {
+        let prog = vpir_isa::asm::assemble("halt").expect("assembles");
+        let e = run_cell(&prog, MatrixConfig::quick(), "warp", false).expect_err("unknown");
+        assert_eq!(e.kind(), "internal");
+        assert!(e.to_string().contains("`warp`"), "{e}");
     }
 
     #[test]
@@ -838,7 +747,7 @@ mod tests {
             max_cycles: 200_000,
             limit_insts: 50_000,
         };
-        let runs = run_bench(Bench::Ijpeg, cfg);
+        let runs = run_bench(Bench::Ijpeg, cfg).expect("every cell runs");
         assert!(runs.base.committed > 0);
         assert_eq!(runs.vp.len(), 16);
         assert!(runs.ir_early.committed > 0);

@@ -57,40 +57,11 @@ pub struct MatrixPerf {
     pub sequential: Option<(f64, f64, bool)>,
 }
 
-/// Runs the matrix with `jobs` workers (`0` = default), timing each
-/// phase. With `compare_sequential`, also runs the reference sequential
-/// runner and records its time, the speedup, and whether the parallel
-/// result is bit-identical to it.
-///
-/// Panics if any cell fails; callers that want graceful degradation use
-/// [`run_matrix_timed_opts`].
-pub fn run_matrix_timed(
-    cfg: MatrixConfig,
-    jobs: usize,
-    compare_sequential: bool,
-) -> (Matrix, MatrixPerf) {
-    let (outcome, perf) = run_matrix_timed_opts(
-        &Bench::ALL,
-        cfg,
-        jobs,
-        compare_sequential,
-        &RunOptions::default(),
-    );
-    if let Some(first) = outcome.failures.first() {
-        panic!(
-            "matrix run failed: {} of {} jobs failed (first: {}/{}: {})",
-            outcome.failures.len(),
-            outcome.total_jobs,
-            first.bench,
-            first.config,
-            first.error
-        );
-    }
-    (outcome.matrix.expect("no failures"), perf)
-}
-
 /// Runs `benches` through the fault-isolated matrix runner with `jobs`
-/// workers (`0` = default), timing each phase.
+/// workers (`0` = default), timing each phase. With
+/// `compare_sequential`, also runs the reference sequential runner and
+/// records its time, the speedup, and whether the parallel result is
+/// bit-identical to it.
 ///
 /// Failed cells degrade to [`JobFailure`] rows in the perf record (and
 /// `outcome.matrix` is `None`); every other cell still produces
@@ -117,16 +88,14 @@ pub fn run_matrix_timed_opts(
     let sequential = match &outcome.matrix {
         Some(matrix) if compare_sequential => {
             let t2 = Instant::now();
-            let seq = Matrix {
-                runs: benches.iter().map(|&b| run_bench(b, cfg)).collect(),
-            };
+            let seq: Result<Vec<_>, _> = benches.iter().map(|&b| run_bench(b, cfg)).collect();
             let seq_seconds = t2.elapsed().as_secs_f64();
             let speedup = if simulate_seconds > 0.0 {
                 seq_seconds / simulate_seconds
             } else {
                 0.0
             };
-            Some((seq_seconds, speedup, seq == *matrix))
+            Some((seq_seconds, speedup, seq.is_ok_and(|runs| runs == matrix.runs)))
         }
         _ => None,
     };
@@ -312,16 +281,7 @@ pub fn measure_cycle_rate(
     jobs: usize,
 ) -> Result<CycleRate, String> {
     let (outcome, perf) = run_matrix_timed_opts(benches, cfg, jobs, false, &RunOptions::default());
-    if let Some(first) = outcome.failures.first() {
-        return Err(format!(
-            "cycle-rate run failed: {} of {} cells failed (first: {}/{}: {})",
-            outcome.failures.len(),
-            outcome.total_jobs,
-            first.bench,
-            first.config,
-            first.error
-        ));
-    }
+    outcome.into_matrix().map_err(|e| format!("cycle-rate run failed: {e}"))?;
     Ok(CycleRate {
         scale: perf.scale,
         max_cycles: perf.max_cycles,

@@ -531,7 +531,9 @@ mod tests {
             limit_insts: 40_000,
         };
         Matrix {
-            runs: vec![run_bench(Bench::Ijpeg, cfg), run_bench(Bench::Compress, cfg)],
+            runs: [Bench::Ijpeg, Bench::Compress]
+                .map(|b| run_bench(b, cfg).expect("every cell runs"))
+                .into(),
         }
     }
 

@@ -68,7 +68,11 @@ fn runs(bench: Bench) -> &'static [(&'static str, JobPayload)] {
     static RUNS: [OnceLock<Vec<(&str, JobPayload)>>; Bench::ALL.len()] =
         [const { OnceLock::new() }; Bench::ALL.len()];
     let i = Bench::ALL.iter().position(|&b| b == bench).expect("known bench");
-    RUNS[i].get_or_init(|| GOLDEN_LABELS.map(|label| (label, golden_run(bench, label))).to_vec())
+    RUNS[i].get_or_init(|| {
+        GOLDEN_LABELS
+            .map(|label| (label, golden_run(bench, label).expect("golden cells run clean")))
+            .to_vec()
+    })
 }
 
 /// One test per workload so a mismatch names the benchmark and the

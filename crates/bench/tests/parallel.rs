@@ -28,7 +28,7 @@ fn parallel_matrix_is_bit_identical_to_sequential() {
 #[test]
 fn scheduler_matches_the_plain_sequential_runner() {
     let cfg = tiny();
-    let direct = run_bench(Bench::Go, cfg);
+    let direct = run_bench(Bench::Go, cfg).expect("every cell runs");
     // More workers than the 22 jobs one benchmark yields: idle threads
     // must exit cleanly without disturbing the result order.
     let scheduled = run_benches_jobs(&[Bench::Go], cfg, 64);

@@ -20,8 +20,9 @@
 //!              [--mix hit-heavy|miss-heavy|matrix|malformed|slowloris]
 //!              [--out PATH]
 //!
-//! machines: base (default), vp, lvp, stride, ir, ir-late, hybrid,
-//!           and every paper configuration like vp:nme-nsb:vl1
+//! machines: any registry label (base (default), magic:NME-NSB:vl1,
+//!           lvp:ME-SB:vl0, ir_early, ir_late, rtb:t4, rtb:t8, ...),
+//!           the aliases vp, lvp, stride, ir, ir-late, rtb, or hybrid
 //! ```
 //!
 //! `bench` exits nonzero when any matrix cell fails, summarizing each
@@ -65,12 +66,9 @@ use std::fs;
 use std::process::ExitCode;
 
 use vpir::analyze;
-use vpir::core::{
-    BranchResolution, CoreConfig, IrConfig, Reexecution, RtbConfig, RunLimits, Simulator,
-    Validation, VpConfig, VpKind,
-};
+use vpir::core::{CoreConfig, IrConfig, RunLimits, Simulator, VpConfig};
 use vpir::mechanism::registry;
-use vpir::bench::matrix::{config_labels, InjectFault, MatrixConfig, RunOptions};
+use vpir::bench::matrix::{InjectFault, MatrixConfig, RunOptions};
 use vpir::bench::perf::{
     measure_cycle_rate, run_matrix_timed_opts, validate_json, CYCLES_REQUIRED_KEYS, REQUIRED_KEYS,
 };
@@ -98,9 +96,9 @@ fn usage() -> ExitCode {
          \x20          [--inject-fault corrupt-store|truncate-store]\n  \
          vpir loadgen --addr HOST:PORT [--conns N] [--duration-ms N] [--mix MIX] [--out PATH]\n\
          \x20          [--baseline PATH] [--gate-pct N]\n\n\
-         machines: base | vp | lvp | stride | ir | ir-late | hybrid | rtb | rtb:t4 | rtb:t8\n\
-         \x20         or vp:<me|nme>-<sb|nsb>:vl<0|1> (paper configurations)\n\
-         \x20         or any registry label (e.g. magic:ME-SB:vl1)"
+         machines: any registry label: base | <magic|lvp|stride>:<ME|NME>-<SB|NSB>:vl<0|1>\n\
+         \x20         | ir_early | ir_late | rtb:t4 | rtb:t8\n\
+         \x20         or vp | lvp | stride | ir | ir-late | rtb | hybrid"
     );
     ExitCode::FAILURE
 }
@@ -115,66 +113,31 @@ fn load_program(path: &str) -> Result<Program, String> {
     }
 }
 
+/// `--machine` shorthands, each naming a registry label.
+const MACHINE_ALIASES: [(&str, &str); 6] = [
+    ("vp", "magic:ME-SB:vl0"),
+    ("lvp", "lvp:ME-SB:vl0"),
+    ("stride", "stride:ME-SB:vl0"),
+    ("ir", "ir_early"),
+    ("ir-late", "ir_late"),
+    ("rtb", "rtb:t8"),
+];
+
+/// Resolves a `--machine` value: a registry label (`base`,
+/// `magic:NME-NSB:vl1`, `ir_late`, `rtb:t4`, ...) — the same vocabulary
+/// the bench matrix, fault injection, and `vpir serve` use — or one of
+/// its aliases, or `hybrid`, which is not a matrix cell.
 fn parse_machine(spec: &str) -> Result<CoreConfig, String> {
-    match spec {
-        "base" => return Ok(CoreConfig::table1()),
-        "vp" => return Ok(CoreConfig::with_vp(VpConfig::magic())),
-        "lvp" => return Ok(CoreConfig::with_vp(VpConfig::lvp())),
-        "stride" => {
-            return Ok(CoreConfig::with_vp(VpConfig {
-                kind: VpKind::Stride,
-                ..VpConfig::magic()
-            }))
-        }
-        "ir" => return Ok(CoreConfig::with_ir(IrConfig::table1())),
-        "ir-late" => {
-            return Ok(CoreConfig::with_ir(IrConfig {
-                validation: Validation::Late,
-                ..IrConfig::table1()
-            }))
-        }
-        "hybrid" => {
-            return Ok(CoreConfig::with_hybrid(VpConfig::magic(), IrConfig::table1()))
-        }
-        "rtb" => return Ok(CoreConfig::with_rtb(RtbConfig::t8())),
-        _ => {}
+    if spec == "hybrid" {
+        return Ok(CoreConfig::with_hybrid(VpConfig::magic(), IrConfig::table1()));
     }
-    // Any label the mechanism registry knows (`magic:ME-SB:vl1`,
-    // `rtb:t4`, `ir_early`, ...) — the same vocabulary the bench
-    // matrix, fault injection, and `vpir serve` validate against.
-    if let Some(enh) = registry::enhancement_for_label(spec) {
-        return Ok(CoreConfig::with_enhancement(enh));
-    }
-    // Structured form: <vp|lvp|stride>:<me|nme>-<sb|nsb>:vl<0|1>
-    let parts: Vec<&str> = spec.split(':').collect();
-    if parts.len() != 3 {
-        return Err(format!("unknown machine `{spec}`"));
-    }
-    let kind = match parts[0] {
-        "vp" => VpKind::Magic,
-        "lvp" => VpKind::Lvp,
-        "stride" => VpKind::Stride,
-        other => return Err(format!("unknown predictor `{other}`")),
-    };
-    let (re, br) = match parts[1] {
-        "me-sb" => (Reexecution::Me, BranchResolution::Sb),
-        "me-nsb" => (Reexecution::Me, BranchResolution::Nsb),
-        "nme-sb" => (Reexecution::Nme, BranchResolution::Sb),
-        "nme-nsb" => (Reexecution::Nme, BranchResolution::Nsb),
-        other => return Err(format!("unknown policy `{other}`")),
-    };
-    let vl = match parts[2] {
-        "vl0" => 0,
-        "vl1" => 1,
-        other => return Err(format!("unknown verification latency `{other}`")),
-    };
-    Ok(CoreConfig::with_vp(VpConfig {
-        kind,
-        reexecution: re,
-        branch_resolution: br,
-        verify_latency: vl,
-        ..VpConfig::magic()
-    }))
+    let label = MACHINE_ALIASES
+        .iter()
+        .find(|(alias, _)| *alias == spec)
+        .map_or(spec, |(_, label)| label);
+    registry::enhancement_for_label(label)
+        .map(CoreConfig::with_enhancement)
+        .ok_or_else(|| format!("unknown machine `{spec}`"))
 }
 
 fn main() -> ExitCode {
@@ -358,29 +321,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "--inject-fault" => {
                 i += 1;
                 let spec = args.get(i).ok_or("--inject-fault needs <bench>/<config>")?;
-                let fault = InjectFault::parse(spec)?;
-                // A target naming an unknown benchmark or configuration
-                // would silently match no cell (the matrix would run
-                // clean and the injection would be a no-op) — reject it
-                // up front, listing the valid vocabulary.
-                if !Bench::ALL.iter().any(|b| b.name() == fault.bench) {
-                    return Err(format!(
-                        "--inject-fault: unknown benchmark `{}`; valid benchmarks: {}",
-                        fault.bench,
-                        Bench::ALL
-                            .iter()
-                            .map(|b| b.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ));
-                }
-                if !config_labels().contains(&fault.config) {
-                    return Err(format!(
-                        "--inject-fault: unknown config `{}`; valid configs: {}",
-                        fault.config,
-                        config_labels().join(", ")
-                    ));
-                }
+                let fault = InjectFault::parse(spec).map_err(|e| format!("--inject-fault: {e}"))?;
                 opts.inject_fault = Some(fault);
             }
             other => return Err(format!("bench: unknown option `{other}`")),
@@ -861,4 +802,20 @@ fn cmd_limit(args: &[String]) -> Result<(), String> {
         study.reusable_pct()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn machine_aliases_name_registry_labels() {
+        for (alias, label) in MACHINE_ALIASES {
+            assert!(registry::enhancement_for_label(label).is_some(), "{alias} -> {label}");
+        }
+        assert_eq!(parse_machine("vp"), Ok(CoreConfig::with_vp(VpConfig::magic())));
+        assert_eq!(parse_machine("magic:ME-SB:vl0"), parse_machine("vp"));
+        assert!(parse_machine("hybrid").is_ok());
+        assert!(parse_machine("vp:nme-nsb:vl1").is_err(), "the lowercase grammar is gone");
+    }
 }

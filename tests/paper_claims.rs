@@ -6,19 +6,20 @@
 
 use vpir::core::{BranchResolution, Reexecution, VpKind};
 use vpir::stats::harmonic_mean;
-use vpir_bench::matrix::{run_matrix, MatrixConfig, VpKey};
+use vpir_bench::matrix::{run_benches_jobs, MatrixConfig, VpKey};
 use vpir_bench::Matrix;
-use vpir_workloads::Scale;
+use vpir_workloads::{Bench, Scale};
 
 fn matrix() -> &'static Matrix {
     use std::sync::OnceLock;
     static MATRIX: OnceLock<Matrix> = OnceLock::new();
     MATRIX.get_or_init(|| {
-        run_matrix(MatrixConfig {
+        let cfg = MatrixConfig {
             scale: Scale::of(2),
             max_cycles: 400_000,
             limit_insts: 120_000,
-        })
+        };
+        run_benches_jobs(&Bench::ALL, cfg, 0)
     })
 }
 

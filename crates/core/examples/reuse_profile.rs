@@ -12,14 +12,15 @@ fn main() {
     let bench = std::env::args().nth(1).unwrap_or_else(|| "perl".into());
     let b = Bench::parse(&bench).unwrap();
     let prog = b.program(Scale::test());
-    let mut sim = Simulator::new(&prog, CoreConfig::with_ir(IrConfig::table1()));
+    let mut config = CoreConfig::with_ir(IrConfig::table1());
+    config.pc_profile = true;
+    let mut sim = Simulator::new(&prog, config);
     let s = sim.run(RunLimits::cycles(5_000_000)).clone();
     println!("committed={} mem_ops={} full={} addr={}", s.committed, s.mem_ops, s.reused_full, s.reused_addr);
-    let profile = sim.reuse_profile();
-    let mut prof: Vec<_> = profile.iter().collect();
-    prof.sort_by_key(|(_, (f, a))| std::cmp::Reverse(f + a));
-    for (pc, (f, a)) in prof.iter().take(14) {
+    let mut prof: Vec<_> = sim.pc_profile().iter().collect();
+    prof.sort_by_key(|(_, p)| std::cmp::Reverse(p.rb_hits + p.addr_reuses));
+    for (pc, p) in prof.iter().take(14) {
         let inst = prog.inst_at(**pc).unwrap();
-        println!("{pc:#x}: full={f:6} addr={a:6}  {inst}");
+        println!("{pc:#x}: full={:6} addr={:6}  {inst}", p.rb_hits, p.addr_reuses);
     }
 }

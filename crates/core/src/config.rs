@@ -97,12 +97,6 @@ pub struct CoreConfig {
     pub paranoia: bool,
     /// Deterministic fault injection for failure-model tests.
     pub fault: FaultInjection,
-    /// Per-instruction trace capacity: with a non-zero value the
-    /// simulator records the first N committed/squashed instructions in
-    /// a `TraceLog` from cycle zero (equivalent to calling
-    /// `Simulator::enable_trace` before the first step). Zero — the
-    /// default — collects nothing and costs nothing.
-    pub trace_capacity: usize,
     /// Collect per-static-PC committed-execution / RB-hit / VPT-correct
     /// counters (`Simulator::pc_profile`). Off by default: the map
     /// allocates per static instruction, which the allocation-free cycle
@@ -138,7 +132,6 @@ impl CoreConfig {
             watchdog_cycles: 1_000_000,
             paranoia: false,
             fault: FaultInjection::None,
-            trace_capacity: 0,
             pc_profile: false,
         }
     }

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vpir_branch::{Bimodal, DirectionPredictor, Gshare, ReturnStack, StaticTaken, TargetTable};
 use vpir_isa::{
-    execute, Inst, IntMap, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES,
+    execute, Inst, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES,
     STACK_TOP,
 };
 use vpir_mechanism::{
@@ -298,7 +298,6 @@ pub struct Simulator {
     mech_wants_exec: bool,
     mech_has_replay: bool,
     replay_plans: Vec<MemberPlan>,
-    reuse_profile: IntMap<u64, (u64, u64)>,
     pc_profile: BTreeMap<u64, PcStats>,
     trace: Option<TraceLog>,
 
@@ -359,10 +358,8 @@ impl Simulator {
             mech_wants_exec,
             mech_has_replay,
             replay_plans: Vec::new(),
-            reuse_profile: IntMap::default(),
             pc_profile: BTreeMap::new(),
-            trace: (config.trace_capacity > 0)
-                .then(|| TraceLog::new(config.trace_capacity)),
+            trace: None,
             last_commit_cycle: 0,
             retired_ring: Vec::with_capacity(RETIRED_RING),
             retired_next: 0,
@@ -407,16 +404,7 @@ impl Simulator {
         self.now
     }
 
-    /// Per-PC `(full, address)` reuse counts for committed instructions
-    /// (empty unless IR is enabled), ordered by PC. Useful for
-    /// diagnosing which static instructions benefit from the reuse
-    /// buffer. (Counts accumulate in a hash map off the commit path;
-    /// this accessor sorts them.)
-    pub fn reuse_profile(&self) -> BTreeMap<u64, (u64, u64)> {
-        self.reuse_profile.iter().map(|(&k, &v)| (k, v)).collect()
-    }
-
-    /// Per-PC committed-execution / RB-hit / VPT-correct counters,
+    /// Per-PC committed-execution / reuse / VPT-correct counters,
     /// ordered by PC (empty unless [`CoreConfig::pc_profile`] is set).
     pub fn pc_profile(&self) -> &BTreeMap<u64, PcStats> {
         &self.pc_profile
@@ -945,14 +933,15 @@ impl Simulator {
         // came from the RB).
         if reused {
             self.stats.reused_full += 1;
-            self.reuse_profile.entry(pc).or_default().0 += 1;
             if self.config.pc_profile {
                 self.pc_profile.entry(pc).or_default().rb_hits += 1;
             }
         }
         if addr_reused || (reused && mem.is_some()) {
             self.stats.reused_addr += 1;
-            self.reuse_profile.entry(pc).or_default().1 += 1;
+            if self.config.pc_profile {
+                self.pc_profile.entry(pc).or_default().addr_reuses += 1;
+            }
         }
 
         // Execution-count histogram (Table 6).

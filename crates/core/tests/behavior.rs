@@ -302,6 +302,8 @@ fn pc_profile_tracks_commits_and_mechanism_hits() {
     assert!(!profile.is_empty());
     assert_eq!(profile.values().map(|p| p.executions).sum::<u64>(), s.committed);
     assert_eq!(profile.values().map(|p| p.rb_hits).sum::<u64>(), s.reused_full);
+    assert!(s.reused_addr > 0, "the loop reuses load addresses");
+    assert_eq!(profile.values().map(|p| p.addr_reuses).sum::<u64>(), s.reused_addr);
     assert!(profile.values().all(|p| p.rb_hits <= p.executions));
 
     let mut vp_cfg = CoreConfig::with_vp(VpConfig::magic());

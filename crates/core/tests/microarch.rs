@@ -291,28 +291,26 @@ fn trace_captures_a_reused_instruction() {
 }
 
 #[test]
-fn config_trace_capacity_records_from_cycle_zero() {
+fn trace_enabled_before_the_first_cycle_records_from_cycle_zero() {
     let prog = asm::assemble(
         "       li   r1, 3
         addi r1, r1, 4
         halt",
     )
     .expect("assembles");
-    let mut cfg = CoreConfig::table1();
-    cfg.trace_capacity = 8;
-    let mut sim = Simulator::new(&prog, cfg);
+    let mut sim = Simulator::new(&prog, CoreConfig::table1());
+    sim.enable_trace(8);
     sim.run(RunLimits::cycles(10_000));
-    let trace = sim.trace().expect("config-enabled trace");
+    let trace = sim.trace().expect("enabled trace");
     let records = trace.records();
     assert_eq!(records.len(), 3, "every instruction fits in the capacity");
     assert_eq!(records[0].seq, 1, "tracing starts with the first dispatch");
     assert!(records.iter().all(|r| r.commit.is_some()));
 
-    // The same run with capacity 1 keeps only the first record, and the
-    // default capacity of zero records nothing at all.
-    let mut cfg = CoreConfig::table1();
-    cfg.trace_capacity = 1;
-    let mut sim = Simulator::new(&prog, cfg);
+    // The same run with capacity 1 keeps only the first record, and a
+    // simulator that never enables tracing records nothing at all.
+    let mut sim = Simulator::new(&prog, CoreConfig::table1());
+    sim.enable_trace(1);
     sim.run(RunLimits::cycles(10_000));
     assert_eq!(sim.trace().expect("enabled").records().len(), 1);
     let mut sim = Simulator::new(&prog, CoreConfig::table1());

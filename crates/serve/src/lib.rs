@@ -660,9 +660,10 @@ fn handle_run(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError> {
     let metrics = Arc::clone(&state.metrics);
     let job = Box::new(move || -> String {
         let rendered = catch_unwind(AssertUnwindSafe(|| {
-            let mut config = base_config.clone();
-            config.trace_capacity = trace as usize;
-            let mut sim = Simulator::new(&prepared.program, config);
+            let mut sim = Simulator::new(&prepared.program, base_config.clone());
+            if trace > 0 {
+                sim.enable_trace(trace as usize);
+            }
             let err = sim.run_checked(RunLimits::cycles(max_cycles)).map(|_| ()).err();
             metrics.sim_cycles_total.fetch_add(sim.stats().cycles, Ordering::Relaxed);
             match &err {

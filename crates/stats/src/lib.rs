@@ -84,32 +84,21 @@ where
 }
 
 /// Per-static-instruction dynamic counters collected by the pipeline
-/// when `CoreConfig::pc_profile` is on.
-///
-/// The static analyzer (`vpir-isa-analyze`) joins these against its
-/// per-PC invariance prediction: a statically *invariant* instruction
-/// should show high `rb_hits`, a *stride-derivable* one high
-/// `vpt_correct` under a stride predictor.
+/// when `CoreConfig::pc_profile` is on: which static instructions the
+/// reuse buffer and the VPT actually serve. Summed over every PC they
+/// equal the run's `committed`, `reused_full`, `reused_addr` and
+/// `result_pred_correct` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcStats {
     /// Committed executions of this static instruction.
     pub executions: u64,
     /// Committed executions satisfied from the reuse buffer.
     pub rb_hits: u64,
+    /// Committed memory operations whose effective address came from
+    /// the reuse buffer (a fully reused one counts here too).
+    pub addr_reuses: u64,
     /// Committed executions whose VPT prediction matched the result.
     pub vpt_correct: u64,
-}
-
-impl PcStats {
-    /// Percent of committed executions served by the reuse buffer.
-    pub fn rb_hit_pct(&self) -> f64 {
-        percent(self.rb_hits, self.executions)
-    }
-
-    /// Percent of committed executions the VPT predicted correctly.
-    pub fn vpt_correct_pct(&self) -> f64 {
-        percent(self.vpt_correct, self.executions)
-    }
 }
 
 /// Trace-reuse (RTB) counters, collected by the trace-reuse mechanism

@@ -206,9 +206,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         print!("{}", program.disassemble());
         println!();
     }
-    let mut config = parse_machine(&machine)?;
-    config.trace_capacity = trace;
-    let mut sim = Simulator::new(&program, config);
+    let mut sim = Simulator::new(&program, parse_machine(&machine)?);
+    if trace > 0 {
+        sim.enable_trace(trace);
+    }
     sim.run(RunLimits::cycles(cycles));
     if !sim.halted() {
         eprintln!("(cycle limit reached before halt)");

@@ -1071,8 +1071,16 @@ impl Simulator {
                 }
                 self.rob.set_nonspec(slot, finish + verify_latency);
             } else if was_predicted {
-                // Correct prediction: consumers already have the value;
-                // verification completes after the latency.
+                // Correct prediction: consumers already have the value,
+                // unless an earlier execution on value-speculative inputs
+                // replaced it with a wrong one. Then the value is
+                // republished like a misprediction's correction.
+                // Verification completes after the latency.
+                if let Some(v) = rv {
+                    if self.rob.vis_since[slot] == NO_CYCLE || self.rob.vis_value[slot] != v {
+                        self.rob.set_visible(slot, v, finish + verify_latency);
+                    }
+                }
                 self.rob.set_nonspec(slot, finish + verify_latency);
             } else {
                 match rv {

@@ -125,6 +125,25 @@ fn random_programs_match_golden_model_under_every_config() {
     }
 }
 
+/// A re-execution with correct inputs whose result matches the value
+/// prediction must still republish that value when an earlier
+/// execution on mispredicted inputs replaced the visible one: seq 1641
+/// of this program (`or r15, r10, r10`) first publishes a wrong `r15`,
+/// and `blez r15` must not resolve on it once the re-execution makes
+/// `r15` final.
+#[test]
+fn a_correct_prediction_republishes_a_value_replaced_by_a_speculative_execution() {
+    let synth = SynthConfig {
+        blocks: 10,
+        outer_iters: 10,
+        ..SynthConfig::default()
+    };
+    let prog = random_program(0x97d4_4170_bea0_4e4d, synth);
+    for (label, config) in all_configs() {
+        check(&label, &prog, config, "stale-visible-value program");
+    }
+}
+
 #[test]
 fn integer_only_random_programs_match() {
     // Stress the int pipeline (divides hold their unit for 19 cycles).
@@ -166,6 +185,10 @@ fn benchmarks_match_golden_model_under_key_configs() {
     let key: Vec<(String, CoreConfig)> = vec![
         ("base".into(), CoreConfig::table1()),
         ("vp-magic".into(), CoreConfig::with_vp(VpConfig::magic())),
+        (
+            "magic:NME-SB:vl0".into(),
+            CoreConfig::with_vp(VpConfig::magic().with_reexecution(Reexecution::Nme)),
+        ),
         (
             "vp-lvp-nsb-vl1".into(),
             CoreConfig::with_vp(

@@ -721,10 +721,8 @@ mod tests {
         assert!(InjectFault::parse("no-slash").is_err());
         assert!(InjectFault::parse("/config").is_err());
         assert!(InjectFault::parse("bench/").is_err());
-    }
-
-    #[test]
-    fn fault_targets_outside_the_vocabulary_are_rejected() {
+        // Targets outside the bench or label vocabulary, with the texts
+        // `/v1/matrix` answers in its 400 bodies.
         let e = InjectFault::parse("nope/base").expect_err("unknown bench");
         assert!(e.starts_with("unknown bench `nope` (valid: go, "), "{e}");
         let e = InjectFault::parse("go/warp").expect_err("unknown config");

@@ -18,8 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vpir_branch::{Bimodal, DirectionPredictor, Gshare, ReturnStack, StaticTaken, TargetTable};
 use vpir_isa::{
-    execute, Inst, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES,
-    STACK_TOP,
+    execute, Inst, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES, STACK_TOP,
 };
 use vpir_mechanism::{
     build_mechanisms, CommitEffects, CommitEvent, CommitMem, DispatchAction, DispatchQuery,

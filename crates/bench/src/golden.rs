@@ -22,9 +22,10 @@ use crate::state::JobPayload;
 
 /// The configuration families pinned by the golden suite: the paper's
 /// baseline, one representative VP cell, both IR validation policies,
-/// one trace-reuse cell, and the functional limit study.
-pub const GOLDEN_LABELS: [&str; 6] =
-    ["base", "magic:ME-SB:vl1", "ir_early", "ir_late", "rtb:t8", "limit"];
+/// one trace-reuse cell, the IR + VP hybrid (the only machine with two
+/// mechanisms), and the functional limit study.
+pub const GOLDEN_LABELS: [&str; 7] =
+    ["base", "magic:ME-SB:vl1", "ir_early", "ir_late", "rtb:t8", "hybrid", "limit"];
 
 /// FNV-1a 64-bit over one byte string (the digest of a serialized run).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

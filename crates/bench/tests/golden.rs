@@ -2,8 +2,8 @@
 //!
 //! Pins the simulator bit-identical to the final states recorded with
 //! the pre-columnar (array-of-structs) machine: every cell of seven
-//! workloads × {base, magic:ME-SB:vl1, ir_early, ir_late, limit} must
-//! reproduce the exact FNV-1a-64 digest of its serialized run. A digest
+//! workloads × `GOLDEN_LABELS` must reproduce the exact FNV-1a-64
+//! digest of its serialized run. A digest
 //! mismatch means the structure-of-arrays refactor changed observable
 //! semantics somewhere — a counter, a stat, a limit-study number — and
 //! is a bug unless the change is intentional (then regenerate with

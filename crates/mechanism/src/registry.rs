@@ -126,11 +126,14 @@ pub fn machine_labels() -> Vec<String> {
 }
 
 /// The enhancement behind a machine label: the inverse of the label
-/// vocabulary for every cycle-level configuration. Unknown labels (and
-/// the bench-only `limit` study) return `None`.
+/// vocabulary for every cycle-level configuration, plus `hybrid` (IR
+/// with `VP_Magic` covering the RB misses), which is no matrix cell and
+/// so not in [`machine_labels`]. Unknown labels (and the bench-only
+/// `limit` study) return `None`.
 pub fn enhancement_for_label(label: &str) -> Option<Enhancement> {
     match label {
         "base" => Some(Enhancement::None),
+        "hybrid" => Some(Enhancement::Hybrid(VpConfig::magic(), IrConfig::table1())),
         "ir_early" => Some(Enhancement::Ir(IrConfig::table1())),
         "ir_late" => Some(Enhancement::Ir(IrConfig {
             validation: Validation::Late,
@@ -189,6 +192,12 @@ mod tests {
         for bad in ["", "limit", "basex", "magic:ME-SB", "magic:XX-SB:vl1", "rtb:t5", "rtb"] {
             assert!(enhancement_for_label(bad).is_none(), "accepted `{bad}`");
         }
+        // The hybrid resolves but is no matrix cell.
+        assert_eq!(
+            enhancement_for_label("hybrid"),
+            Some(Enhancement::Hybrid(VpConfig::magic(), IrConfig::table1()))
+        );
+        assert!(!machine_labels().iter().any(|l| l == "hybrid"));
     }
 
     #[test]

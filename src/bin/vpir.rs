@@ -21,8 +21,8 @@
 //!              [--out PATH]
 //!
 //! machines: any registry label (base (default), magic:NME-NSB:vl1,
-//!           lvp:ME-SB:vl0, ir_early, ir_late, rtb:t4, rtb:t8, ...),
-//!           the aliases vp, lvp, stride, ir, ir-late, rtb, or hybrid
+//!           lvp:ME-SB:vl0, ir_early, ir_late, rtb:t4, rtb:t8, hybrid,
+//!           ...), or the aliases vp, lvp, stride, ir, ir-late, rtb
 //! ```
 //!
 //! `bench` exits nonzero when any matrix cell fails, summarizing each
@@ -66,7 +66,7 @@ use std::fs;
 use std::process::ExitCode;
 
 use vpir::analyze;
-use vpir::core::{CoreConfig, IrConfig, RunLimits, Simulator, VpConfig};
+use vpir::core::{CoreConfig, RunLimits, Simulator};
 use vpir::mechanism::registry;
 use vpir::bench::matrix::{InjectFault, MatrixConfig, RunOptions};
 use vpir::bench::perf::{
@@ -97,8 +97,8 @@ fn usage() -> ExitCode {
          vpir loadgen --addr HOST:PORT [--conns N] [--duration-ms N] [--mix MIX] [--out PATH]\n\
          \x20          [--baseline PATH] [--gate-pct N]\n\n\
          machines: any registry label: base | <magic|lvp|stride>:<ME|NME>-<SB|NSB>:vl<0|1>\n\
-         \x20         | ir_early | ir_late | rtb:t4 | rtb:t8\n\
-         \x20         or vp | lvp | stride | ir | ir-late | rtb | hybrid"
+         \x20         | ir_early | ir_late | rtb:t4 | rtb:t8 | hybrid\n\
+         \x20         or vp | lvp | stride | ir | ir-late | rtb"
     );
     ExitCode::FAILURE
 }
@@ -124,13 +124,10 @@ const MACHINE_ALIASES: [(&str, &str); 6] = [
 ];
 
 /// Resolves a `--machine` value: a registry label (`base`,
-/// `magic:NME-NSB:vl1`, `ir_late`, `rtb:t4`, ...) — the same vocabulary
-/// the bench matrix, fault injection, and `vpir serve` use — or one of
-/// its aliases, or `hybrid`, which is not a matrix cell.
+/// `magic:NME-NSB:vl1`, `ir_late`, `rtb:t4`, `hybrid`, ...) — the same
+/// vocabulary the bench matrix, fault injection, and `vpir serve` use —
+/// or one of its aliases.
 fn parse_machine(spec: &str) -> Result<CoreConfig, String> {
-    if spec == "hybrid" {
-        return Ok(CoreConfig::with_hybrid(VpConfig::magic(), IrConfig::table1()));
-    }
     let label = MACHINE_ALIASES
         .iter()
         .find(|(alias, _)| *alias == spec)
@@ -808,6 +805,7 @@ fn cmd_limit(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpir::core::VpConfig;
 
     #[test]
     fn machine_aliases_name_registry_labels() {

@@ -20,7 +20,6 @@
 
 pub mod golden;
 pub mod matrix;
-pub mod microbench;
 pub mod perf;
 pub mod report;
 pub mod state;

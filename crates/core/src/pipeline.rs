@@ -21,8 +21,8 @@ use vpir_isa::{
     execute, Inst, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES, STACK_TOP,
 };
 use vpir_mechanism::{
-    build_mechanisms, CommitEffects, CommitEvent, CommitMem, DispatchAction, DispatchQuery,
-    MechExport, MemberPlan, ReplayQuery, ReuseGrant, SpeculationMechanism, SquashVictim,
+    CommitEvent, CommitMem, DispatchAction, DispatchQuery, Mechanisms, MemberPlan, ReplayQuery,
+    ReuseGrant,
 };
 use vpir_mem::{Cache, PortArbiter};
 use vpir_reuse::{OperandView, RbInsert, RbMem};
@@ -290,12 +290,9 @@ pub struct Simulator {
     dports: PortArbiter,
     fus: FuPool,
 
-    // Speculation mechanisms (trait tenants), driven in registry order.
-    // The capability flags cache `Vec`-wide `any()` queries so the hot
-    // loop skips query construction wholesale when nothing wants it.
-    mechs: Vec<Box<dyn SpeculationMechanism + Send>>,
-    mech_wants_exec: bool,
-    mech_has_replay: bool,
+    // Speculation mechanisms, called directly: IR's reuse test first,
+    // then VP on the RB misses (the hybrid); RTB always runs alone.
+    mechs: Mechanisms,
     replay_plans: Vec<MemberPlan>,
     pc_profile: BTreeMap<u64, PcStats>,
     trace: Option<TraceLog>,
@@ -328,10 +325,6 @@ impl Simulator {
         let arch_regs = regs.clone();
         let spec = SpecState::from_parts(regs, mem);
 
-        let mechs = build_mechanisms(&config.enhancement, program);
-        let mech_wants_exec = mechs.iter().any(|m| m.wants_exec_records());
-        let mech_has_replay = mechs.iter().any(|m| m.has_replay());
-
         Simulator {
             fetch_pc: program.entry,
             fetch_stalled_until: 0,
@@ -353,9 +346,7 @@ impl Simulator {
             dcache: Cache::new(config.dcache),
             dports: PortArbiter::new(config.dcache_ports),
             fus: FuPool::new(config.fu_counts),
-            mechs,
-            mech_wants_exec,
-            mech_has_replay,
+            mechs: Mechanisms::new(&config.enhancement, program),
             replay_plans: Vec::new(),
             pc_profile: BTreeMap::new(),
             trace: None,
@@ -488,21 +479,18 @@ impl Simulator {
         let (fr, fd) = self.fus.totals();
         self.stats.fu_requests = fr;
         self.stats.fu_denials = fd;
-        let mut ex = MechExport::default();
-        for m in &self.mechs {
-            m.export(&mut ex);
+        if let Some(vp) = &self.mechs.vp {
+            let (result, addr) = vp.stats();
+            self.stats.vpt_result = result;
+            if let Some(addr) = addr {
+                self.stats.vpt_addr = addr;
+            }
         }
-        if let Some(v) = ex.vpt_result {
-            self.stats.vpt_result = v;
+        if let Some(ir) = &self.mechs.ir {
+            self.stats.rb = ir.stats();
         }
-        if let Some(v) = ex.vpt_addr {
-            self.stats.vpt_addr = v;
-        }
-        if let Some(v) = ex.rb {
-            self.stats.rb = v;
-        }
-        if let Some(v) = ex.rtb {
-            self.stats.rtb = v;
+        if let Some(rtb) = &self.mechs.rtb {
+            self.stats.rtb = rtb.stats();
         }
     }
 
@@ -917,12 +905,16 @@ impl Simulator {
                 trace_reused,
                 reuse_source,
             };
-            let mut fx = CommitEffects::default();
-            for m in self.mechs.iter_mut() {
-                m.on_commit(&ev, &mut fx);
+            if let Some(ir) = self.mechs.ir.as_mut() {
+                if ir.on_commit(&ev) {
+                    self.stats.squash_recovered += 1;
+                }
             }
-            if fx.squash_recovered {
-                self.stats.squash_recovered += 1;
+            if let Some(vp) = self.mechs.vp.as_mut() {
+                vp.on_commit(&ev);
+            }
+            if let Some(rtb) = self.mechs.rtb.as_mut() {
+                rtb.on_commit(&ev);
             }
         }
 
@@ -1100,9 +1092,8 @@ impl Simulator {
             }
         }
 
-        // Offer completed work to any mechanism that records execution
-        // results (including wrong-path work — that is how IR recovers
-        // squashed effort).
+        // Offer completed work to IR's reuse buffer (including wrong-path
+        // work — that is how IR recovers squashed effort).
         if inputs_correct {
             self.record_exec(slot);
         }
@@ -1115,12 +1106,12 @@ impl Simulator {
         }
     }
 
-    /// Builds an execution record for `slot` and offers it to every
-    /// mechanism that asked for exec records (`wants_exec_records`).
+    /// Builds an execution record for `slot` and offers it to IR's
+    /// reuse buffer.
     fn record_exec(&mut self, slot: usize) {
-        if !self.mech_wants_exec {
+        let Some(ir) = self.mechs.ir.as_mut() else {
             return;
-        }
+        };
         if self.rob.reused.test(slot) {
             return;
         }
@@ -1187,14 +1178,7 @@ impl Simulator {
             result,
             mem,
         };
-        for m in self.mechs.iter_mut() {
-            if !m.wants_exec_records() {
-                continue;
-            }
-            if let Some(entry) = m.on_executed(&rec) {
-                self.rob.rb_entry[slot] = Some(entry);
-            }
-        }
+        self.rob.rb_entry[slot] = Some(ir.on_executed(&rec));
     }
 
     // ----------------------------------------------------------------
@@ -1370,24 +1354,16 @@ impl Simulator {
             if self.rob.exec_count[slot] > 0 {
                 self.stats.squashed_executed += 1;
             }
-            if !self.mechs.is_empty() {
+            if let Some(ir) = self.mechs.ir.as_mut() {
                 // A squashed store never becomes architectural, but loads
                 // on its path may have captured its (forwarded) value into
-                // a reuse structure — mechanisms invalidate those entries.
-                let victim = SquashVictim {
-                    seq: vseq,
-                    rb_entry: self.rob.rb_entry[slot],
-                    squashed_store: if self.rob.stores.test(slot) {
-                        self.rob.out[slot]
-                            .addr
-                            .map(|a| (a, self.rob.mem[slot].width))
-                    } else {
-                        None
-                    },
+                // the reuse buffer — IR invalidates those entries.
+                let store = if self.rob.stores.test(slot) {
+                    self.rob.out[slot].addr.map(|a| (a, self.rob.mem[slot].width))
+                } else {
+                    None
                 };
-                for m in self.mechs.iter_mut() {
-                    m.on_squash_victim(&victim);
-                }
+                ir.on_squash_victim(self.rob.rb_entry[slot], store);
             }
             if self.rob.has_flag(slot, flag::HAS_CTRL) {
                 if let Some(cp) = self.checkpoints.remove(vseq) {
@@ -1419,13 +1395,12 @@ impl Simulator {
 
         // Roll back speculative architectural state and restart fetch.
         self.spec.rollback_to(seq);
-        for m in self.mechs.iter_mut() {
-            m.on_squash(seq, self.now);
+        if let Some(rtb) = self.mechs.rtb.as_mut() {
+            rtb.on_squash(seq);
         }
-        for &reg in &squashed_dsts {
-            let restored = self.spec.regs().read(reg);
-            for m in self.mechs.iter_mut() {
-                m.on_squash_restore(reg, restored);
+        if let Some(ir) = self.mechs.ir.as_mut() {
+            for &reg in &squashed_dsts {
+                ir.on_squash_restore(reg, self.spec.regs().read(reg));
             }
         }
         // Drain (rather than clear) the fetch queue so the RAS snapshots
@@ -1776,7 +1751,7 @@ impl Simulator {
         // A granted trace replay consumes the whole dispatch stage this
         // cycle: every member dispatches atomically, bypassing the
         // decode-width limit (the headline benefit of trace reuse).
-        if self.mech_has_replay && self.try_replay()? {
+        if self.mechs.rtb.is_some() && self.try_replay()? {
             return Ok(());
         }
         let mut lsq_used = self.rob.mem_ops_in_flight();
@@ -1808,12 +1783,12 @@ impl Simulator {
         Ok(())
     }
 
-    /// Offers the PC at the head of the fetch queue to replay-capable
-    /// mechanisms. On a granted replay the fetched stream is replaced
-    /// by the trace: the queue drains, every member dispatches this
-    /// cycle through the ordinary `dispatch_one` path (so renaming,
-    /// checkpointing, and the per-member replay guard all run), and
-    /// fetch restarts after the trace's last member.
+    /// Offers the PC at the head of the fetch queue to RTB. On a granted
+    /// replay the fetched stream is replaced by the trace: the queue
+    /// drains, every member dispatches this cycle through the ordinary
+    /// `dispatch_one` path (so renaming, checkpointing, and the
+    /// per-member replay guard all run), and fetch restarts after the
+    /// trace's last member.
     ///
     /// Returns `Ok(true)` when a replay consumed the dispatch stage.
     fn try_replay(&mut self) -> Result<bool, SimError> {
@@ -1836,29 +1811,23 @@ impl Simulator {
 
         let mut plans = std::mem::take(&mut self.replay_plans);
         plans.clear();
-        let mut granted = None;
-        for i in 0..self.mechs.len() {
-            if !self.mechs[i].has_replay() {
-                continue;
-            }
-            let q = ReplayQuery {
-                pc,
-                now: self.now,
-                regs: self.spec.regs(),
-                mem: self.spec.mem(),
-                rob_free,
-                lsq_free,
-                cp_free,
-            };
-            if self.mechs[i].replay_begin(&q, &mut plans) {
-                granted = Some(i);
-                break;
-            }
-        }
-        let Some(mi) = granted else {
+        let q = ReplayQuery {
+            pc,
+            regs: self.spec.regs(),
+            mem: self.spec.mem(),
+            rob_free,
+            lsq_free,
+            cp_free,
+        };
+        let granted = self
+            .mechs
+            .rtb
+            .as_mut()
+            .is_some_and(|rtb| rtb.replay_begin(&q, &mut plans));
+        if !granted {
             self.replay_plans = plans;
             return Ok(false);
-        };
+        }
         // Pre-validate the plan against the static program: every member
         // PC must decode to a real instruction. (Traces are captured
         // from dispatched instructions, so this only fails if the table
@@ -1866,7 +1835,9 @@ impl Simulator {
         let plan_ok = !plans.is_empty()
             && plans.iter().all(|p| self.program.inst_at(p.pc).is_some());
         if !plan_ok {
-            self.mechs[mi].replay_abort();
+            if let Some(rtb) = self.mechs.rtb.as_mut() {
+                rtb.replay_abort();
+            }
             self.replay_plans = plans;
             return Ok(false);
         }
@@ -2044,10 +2015,7 @@ impl Simulator {
             self.rob.assign_flag(slot, flag::HAS_CTRL, true);
         }
 
-        // Mechanism dispatch hooks, in registry order. Each mechanism
-        // sees the slot state left by its predecessors' actions (the
-        // hybrid's reuse-first-then-predict contract falls out of the
-        // [IR, VP] registry order plus the query's `reused` field).
+        // Mechanism dispatch hooks (none on the base machine).
         if !self.mechs.is_empty() {
             self.drive_dispatch_mechs(slot)?;
         }
@@ -2092,47 +2060,38 @@ impl Simulator {
         Ok(false)
     }
 
-    /// Runs every mechanism's dispatch hook against `slot`, applying
-    /// each action to the ROB before the next mechanism builds its
-    /// query (so later tenants observe earlier tenants' effects).
+    /// Runs the mechanisms' dispatch hooks against `slot` in the
+    /// paper's order: IR's reuse test first, then VP, which covers only
+    /// the RB misses; RTB always runs alone. Each action is applied to
+    /// the ROB before the next mechanism's query is built, so in the
+    /// hybrid VP observes IR's grant.
     fn drive_dispatch_mechs(&mut self, slot: usize) -> Result<(), SimError> {
-        for i in 0..self.mechs.len() {
-            let want_views = self.mechs[i].wants_operand_views();
-            let q = self.build_dispatch_query(slot, want_views)?;
-            let mut act = DispatchAction::default();
-            self.mechs[i].on_dispatch(&q, &mut act);
+        if self.mechs.ir.is_some() {
+            let q = self.reuse_query(slot)?;
+            if let Some(ir) = self.mechs.ir.as_mut() {
+                let act = ir.on_dispatch(&q);
+                self.apply_dispatch_action(slot, &act);
+            }
+        }
+        if let Some(vp) = self.mechs.vp.as_mut() {
+            let act = vp.on_dispatch(&dispatch_query(&self.rob, slot));
+            self.apply_dispatch_action(slot, &act);
+        }
+        if let Some(rtb) = self.mechs.rtb.as_mut() {
+            let act = rtb.on_dispatch(&dispatch_query(&self.rob, slot));
             self.apply_dispatch_action(slot, &act);
         }
         Ok(())
     }
 
-    /// Snapshots the dispatch-time state a mechanism may consult. The
-    /// operand views, reuse-chain pointers, and store-conflict scan are
-    /// only materialised for mechanisms that asked for them
-    /// (`wants_operand_views`) — they walk ROB state.
-    fn build_dispatch_query(
-        &self,
-        slot: usize,
-        want_views: bool,
-    ) -> Result<DispatchQuery, SimError> {
-        let inst = self.rob.inst[slot];
-        let out = self.rob.out[slot];
-        let mut q = DispatchQuery {
-            pc: self.rob.pc[slot],
-            seq: self.rob.seq[slot],
-            now: self.now,
-            inst,
-            out,
-            src_values: self.rob.src_values[slot],
-            is_load: self.rob.loads.test(slot),
-            predicted: self.rob.predicted[slot],
-            reused: self.rob.reused.test(slot),
-            addr_reused: self.rob.addr_reused.test(slot),
-            views: [(None, OperandView::default()); 2],
-            chain: [None, None],
-            store_conflict: false,
-        };
-        if !want_views || matches!(inst.op.class(), OpClass::Misc | OpClass::Jump) {
+    /// IR's dispatch query: [`dispatch_query`] plus the operand views,
+    /// reuse-chain pointers, and store-conflict scan the reuse test
+    /// needs (they walk ROB state, so only IR pays for them).
+    fn reuse_query(&self, slot: usize) -> Result<DispatchQuery, SimError> {
+        let mut q = dispatch_query(&self.rob, slot);
+        let inst = q.inst;
+        let out = q.out;
+        if matches!(inst.op.class(), OpClass::Misc | OpClass::Jump) {
             return Ok(q);
         }
 
@@ -2402,5 +2361,26 @@ fn inst_src(inst: &Inst, i: usize) -> Option<Reg> {
     match i {
         0 => inst.src1,
         _ => inst.src2,
+    }
+}
+
+/// The dispatch-time state of `slot` every mechanism may consult: plain
+/// copies of its ROB columns, taken after any earlier mechanism's
+/// action was applied. IR's [`Simulator::reuse_query`] adds the operand
+/// views.
+fn dispatch_query(rob: &Rob, slot: usize) -> DispatchQuery {
+    DispatchQuery {
+        pc: rob.pc[slot],
+        seq: rob.seq[slot],
+        inst: rob.inst[slot],
+        out: rob.out[slot],
+        src_values: rob.src_values[slot],
+        is_load: rob.loads.test(slot),
+        predicted: rob.predicted[slot],
+        reused: rob.reused.test(slot),
+        addr_reused: rob.addr_reused.test(slot),
+        views: [(None, OperandView::default()); 2],
+        chain: [None, None],
+        store_conflict: false,
     }
 }

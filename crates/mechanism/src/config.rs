@@ -1,11 +1,9 @@
 //! Per-mechanism configuration types.
 //!
-//! These used to live in `vpir-core`'s config module; they moved here
-//! when the mechanisms themselves moved behind the
-//! [`SpeculationMechanism`](crate::SpeculationMechanism) trait, so that
-//! a mechanism and its configuration are declared in the same crate.
-//! `vpir-core` re-exports every name, so downstream `use
-//! vpir_core::{VpConfig, ...}` imports keep working.
+//! A mechanism and its configuration are declared in the same crate;
+//! [`Mechanisms::new`](crate::Mechanisms::new) builds the mechanisms an
+//! [`Enhancement`] names. `vpir-core` re-exports every name, so
+//! downstream `use vpir_core::{VpConfig, ...}` imports work.
 
 use vpir_predict::VptConfig;
 use vpir_reuse::RbConfig;

@@ -1,23 +1,19 @@
-//! The instruction-reuse tenant.
+//! The instruction-reuse mechanism.
 //!
-//! A direct port of the pipeline's hard-wired `dispatch_ir` plus the
-//! commit/squash reuse-buffer maintenance, behind the
-//! [`SpeculationMechanism`] trait. Bit-identical to the pre-trait
-//! implementation (golden-digest pinned): the same operand views, the
-//! same dependence-chain (`S_{n+d}`) input, the same store-conflict
-//! downgrade, and the same non-speculative soundness guard.
+//! The reuse buffer and its validation policy: the reuse test at
+//! dispatch, capture at writeback, and RB maintenance at commit and on
+//! squashes. The behaviour is pinned by the golden-digest suite: the
+//! same operand views, the same dependence-chain (`S_{n+d}`) input, the
+//! same store-conflict downgrade, and the same non-speculative
+//! soundness guard.
 
-use vpir_isa::{OpClass, Reg};
-use vpir_reuse::{EntryRef, OperandView, RbInsert, ReuseBuffer};
+use vpir_isa::{MemWidth, OpClass, Reg};
+use vpir_reuse::{EntryRef, OperandView, RbInsert, ReuseBuffer, ReuseStats};
 
 use crate::config::{IrConfig, Validation};
-use crate::{
-    CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport, ReuseAction,
-    ReuseGrant, SpeculationMechanism, SquashVictim,
-};
+use crate::{CommitEvent, DispatchAction, DispatchQuery, ReuseAction, ReuseGrant};
 
-/// Instruction reuse as a pluggable mechanism: the reuse buffer and the
-/// validation policy.
+/// Instruction reuse: the reuse buffer and the validation policy.
 #[derive(Debug, Clone)]
 pub struct IrMech {
     rb: ReuseBuffer,
@@ -32,25 +28,14 @@ impl IrMech {
             validation: ir.validation,
         }
     }
-}
 
-impl SpeculationMechanism for IrMech {
-    fn name(&self) -> &'static str {
-        "ir"
-    }
-
-    fn wants_operand_views(&self) -> bool {
-        true
-    }
-
-    fn wants_exec_records(&self) -> bool {
-        true
-    }
-
-    fn on_dispatch(&mut self, q: &DispatchQuery, act: &mut DispatchAction) {
+    /// The reuse test for one dispatching instruction. `q` must carry
+    /// the operand views, dependence chain and store-conflict scan.
+    pub fn on_dispatch(&mut self, q: &DispatchQuery) -> DispatchAction {
+        let mut act = DispatchAction::default();
         let op = q.inst.op;
         match op.class() {
-            OpClass::Misc | OpClass::Jump => return,
+            OpClass::Misc | OpClass::Jump => return act,
             _ => {}
         }
         let views = q.views;
@@ -77,7 +62,7 @@ impl SpeculationMechanism for IrMech {
         };
 
         let Some(mut hit) = self.rb.lookup(q.pc, op, &lookup_view, reused_now) else {
-            return;
+            return act;
         };
 
         // A reused load must still snoop older in-flight stores: if one
@@ -102,7 +87,7 @@ impl SpeculationMechanism for IrMech {
         };
         debug_assert!(sound, "reuse test returned a wrong result for {:?}", q.inst);
         if !sound {
-            return;
+            return act;
         }
 
         let grant = match self.validation {
@@ -129,13 +114,21 @@ impl SpeculationMechanism for IrMech {
             entry: hit.entry,
             grant,
         });
+        act
     }
 
-    fn on_executed(&mut self, rec: &RbInsert) -> Option<EntryRef> {
-        Some(self.rb.insert(*rec))
+    /// Captures one instruction that finished executing with correct
+    /// inputs. Returns its RB entry, which the core keeps in the ROB and
+    /// hands back in [`on_squash_victim`](IrMech::on_squash_victim) and
+    /// [`CommitEvent::reuse_source`].
+    pub fn on_executed(&mut self, rec: &RbInsert) -> EntryRef {
+        self.rb.insert(*rec)
     }
 
-    fn on_commit(&mut self, ev: &CommitEvent, fx: &mut CommitEffects) {
+    /// RB maintenance for one committing instruction. Returns true when
+    /// its reuse was backed by an entry inserted on a since-squashed
+    /// path, i.e. the reuse recovered squashed work.
+    pub fn on_commit(&mut self, ev: &CommitEvent) -> bool {
         // Architected register writes invalidate dependent entries.
         if let (Some(dst), Some(v)) = (ev.inst.dst, ev.result) {
             self.rb.on_reg_write(dst, v);
@@ -150,32 +143,33 @@ impl SpeculationMechanism for IrMech {
         }
         // Squash-recovery accounting: a committing reuse backed by an
         // entry inserted on a squashed path recovered wrong-path work.
-        if ev.reused || ev.addr_reused {
-            if let Some(entry) = ev.reuse_source {
-                if self.rb.take_flag(entry) {
-                    fx.squash_recovered = true;
-                }
-            }
-        }
+        (ev.reused || ev.addr_reused) && ev.reuse_source.is_some_and(|e| self.rb.take_flag(e))
     }
 
-    fn on_squash_victim(&mut self, v: &SquashVictim) {
-        if let Some(entry) = v.rb_entry {
+    /// One in-flight instruction is being squashed. `rb_entry` is the
+    /// entry it inserted at writeback, if any — a wrong-path capture
+    /// flagged for squash-recovery accounting. `store` is `(address,
+    /// width)` when the victim was a store with a computed address.
+    pub fn on_squash_victim(&mut self, rb_entry: Option<EntryRef>, store: Option<(u64, MemWidth)>) {
+        if let Some(entry) = rb_entry {
             self.rb.flag(entry);
         }
         // A squashed store never becomes architectural, but loads on
         // its path may have captured its (forwarded) value into the
         // reuse buffer — invalidate those entries.
-        if let Some((addr, width)) = v.squashed_store {
+        if let Some((addr, width)) = store {
             self.rb.on_store(addr, width);
         }
     }
 
-    fn on_squash_restore(&mut self, reg: Reg, value: u64) {
+    /// Post-squash repair: `reg` reads `value` again on the restored
+    /// path.
+    pub fn on_squash_restore(&mut self, reg: Reg, value: u64) {
         self.rb.on_reg_write(reg, value);
     }
 
-    fn export(&self, out: &mut MechExport) {
-        out.rb = Some(self.rb.stats());
+    /// Reuse-buffer statistics.
+    pub fn stats(&self) -> ReuseStats {
+        self.rb.stats()
     }
 }

@@ -1,19 +1,18 @@
-//! Pluggable speculation mechanisms.
+//! The speculation mechanisms the cycle loop drives.
 //!
-//! The source paper compares exactly two redundancy mechanisms — value
-//! prediction and instruction reuse — and both used to be hard-wired
-//! into the cycle loop. This crate extracts the interface the two
-//! already shared into [`SpeculationMechanism`]: a dispatch-time query
-//! (produce a value/result or pass), a writeback/commit-time
-//! update/verify hook, and squash notification. The cycle loop in
-//! `vpir-core` drives every mechanism only through this trait; VP and
-//! IR are the first two tenants (bit-identical to the hard-wired
-//! implementations, pinned by the golden-digest suite), and trace reuse
-//! ([`RtbMech`], after Coppieters et al.) is the first new one.
+//! The source paper compares two redundancy mechanisms — value
+//! prediction ([`VpMech`]) and instruction reuse ([`IrMech`]) — and
+//! closes by calling for a hybrid of the two; trace reuse ([`RtbMech`],
+//! after Coppieters et al.) is the one mechanism added beyond the
+//! paper. The set is closed: [`Mechanisms`] holds what one machine runs
+//! — nothing (base), VP, IR, IR and VP (the hybrid), or RTB alone — and
+//! the cycle loop in `vpir-core` calls each mechanism's hooks directly,
+//! in the paper's order: IR's reuse test first, then VP on the RB
+//! misses.
 //!
 //! The [`registry`] module is the single source of truth for
 //! configuration labels (`base`, `magic:ME-SB:vl1`, `ir_early`,
-//! `rtb:t8`, ...): the bench matrix, `vpir serve`'s request
+//! `rtb:t8`, `hybrid`, ...): the bench matrix, `vpir serve`'s request
 //! validators, and the CLI's `--machine` parser all resolve labels
 //! through it.
 //!
@@ -22,7 +21,7 @@
 //! or the speculative register file directly. The core describes one
 //! instruction per hook call through plain-data *query* structs and
 //! receives *action* structs back, so the timing model stays in one
-//! place and a new mechanism cannot corrupt pipeline invariants.
+//! place and no mechanism can corrupt pipeline invariants.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
@@ -37,28 +36,60 @@ pub use config::{
     VpKind,
 };
 pub use ir::IrMech;
-pub use registry::build_mechanisms;
 pub use rtb::RtbMech;
 pub use vp::VpMech;
 
-use vpir_isa::{ExecOut, Inst, MemImage, MemWidth, OpClass, Reg, RegFile};
-use vpir_predict::VptStats;
-use vpir_reuse::{EntryRef, OperandView, RbInsert, ReuseStats};
-use vpir_stats::RtbStats;
+use vpir_isa::{ExecOut, Inst, MemImage, MemWidth, OpClass, Program, Reg, RegFile};
+use vpir_reuse::{EntryRef, OperandView};
+
+/// The mechanisms one machine runs. Only the hybrid holds two (IR and
+/// VP); RTB always runs alone.
+#[derive(Debug, Clone)]
+pub struct Mechanisms {
+    /// Instruction reuse (IR and hybrid machines).
+    pub ir: Option<IrMech>,
+    /// Value prediction (VP and hybrid machines).
+    pub vp: Option<VpMech>,
+    /// Trace reuse (RTB machines).
+    pub rtb: Option<RtbMech>,
+}
+
+impl Mechanisms {
+    /// Builds the mechanisms `enhancement` names. RTB joins the static
+    /// loop forest of `program` for its per-loop-depth attribution.
+    pub fn new(enhancement: &Enhancement, program: &Program) -> Mechanisms {
+        Mechanisms {
+            ir: match enhancement {
+                Enhancement::Ir(ir) | Enhancement::Hybrid(_, ir) => Some(IrMech::new(ir)),
+                _ => None,
+            },
+            vp: match enhancement {
+                Enhancement::Vp(vp) | Enhancement::Hybrid(vp, _) => Some(VpMech::new(vp)),
+                _ => None,
+            },
+            rtb: match enhancement {
+                Enhancement::Rtb(rtb) => Some(RtbMech::new(*rtb, program)),
+                _ => None,
+            },
+        }
+    }
+
+    /// True for the base machine, which runs no mechanism.
+    pub fn is_empty(&self) -> bool {
+        self.ir.is_none() && self.vp.is_none() && self.rtb.is_none()
+    }
+}
 
 /// Everything a mechanism may inspect about one dispatching
 /// instruction. All fields are plain copies taken from the ROB *after*
-/// any earlier mechanism's action was applied, so in a multi-mechanism
-/// configuration (the paper's hybrid) a later mechanism observes the
-/// effect of an earlier one — exactly as the hard-wired hybrid did.
+/// any earlier mechanism's action was applied, so in the hybrid VP
+/// observes IR's grant.
 #[derive(Debug, Clone, Copy)]
 pub struct DispatchQuery {
     /// Program counter.
     pub pc: u64,
     /// Dispatch sequence number.
     pub seq: u64,
-    /// Current cycle.
-    pub now: u64,
     /// The decoded instruction.
     pub inst: Inst,
     /// The functional (oracle-along-the-speculative-path) execution
@@ -75,8 +106,7 @@ pub struct DispatchQuery {
     /// True when an earlier mechanism already granted address reuse.
     pub addr_reused: bool,
     /// Per-operand reuse-buffer views (register, view), populated only
-    /// for mechanisms that return true from
-    /// [`SpeculationMechanism::wants_operand_views`].
+    /// in IR's query (the reuse test needs operand provenance).
     pub views: [(Option<Reg>, OperandView); 2],
     /// Reuse-buffer entries of in-flight producers feeding this
     /// instruction (the `S_{n+d}` dependence-chain input), populated
@@ -118,7 +148,9 @@ pub struct ReuseAction {
 }
 
 /// The dispatch-time outcome of one mechanism for one instruction.
-/// Everything defaults to "pass".
+/// Everything defaults to "pass"; each mechanism sets only its own
+/// fields (VP the predictions, IR the reuse claim, RTB the member
+/// flag).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchAction {
     /// `Some(p)` overwrites the slot's result prediction with `p`
@@ -135,7 +167,8 @@ pub struct DispatchAction {
     pub trace_member: bool,
 }
 
-/// One committing instruction, described to every mechanism.
+/// One committing instruction, described to every mechanism the
+/// machine runs.
 #[derive(Debug, Clone, Copy)]
 pub struct CommitEvent {
     /// Commit sequence number.
@@ -169,35 +202,10 @@ pub struct CommitMem {
     pub width: MemWidth,
 }
 
-/// Effects a mechanism reports back from a commit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CommitEffects {
-    /// The committing reuse was backed by an entry inserted on a since
-    /// -squashed path (counts toward `squash_recovered`).
-    pub squash_recovered: bool,
-}
-
-/// One squashed in-flight instruction, described to every mechanism
-/// during misprediction recovery.
-#[derive(Debug, Clone, Copy)]
-pub struct SquashVictim {
-    /// The victim's sequence number.
-    pub seq: u64,
-    /// The RB entry this instruction inserted at writeback, if any —
-    /// a wrong-path capture the mechanism must treat as suspect.
-    pub rb_entry: Option<EntryRef>,
-    /// `(address, width)` when the victim was a store with a computed
-    /// address: speculative memory under that range is rolled back.
-    pub squashed_store: Option<(u64, MemWidth)>,
-}
-
-/// The machine state a replay-capable mechanism validates a trace
-/// against at dispatch time.
+/// The machine state RTB validates a trace against at dispatch time.
 pub struct ReplayQuery<'a> {
     /// The PC at the head of the fetch queue.
     pub pc: u64,
-    /// Current cycle.
-    pub now: u64,
     /// The speculative (dispatch-path) register file.
     pub regs: &'a RegFile,
     /// The speculative memory image (includes in-flight stores).
@@ -224,95 +232,6 @@ pub struct MemberPlan {
     pub target: u64,
 }
 
-/// Per-mechanism statistics surfaced into `SimStats` at the end of a
-/// run.
-#[derive(Debug, Clone, Default)]
-pub struct MechExport {
-    /// Result-VPT statistics (VP tenant).
-    pub vpt_result: Option<VptStats>,
-    /// Address-VPT statistics (VP tenant).
-    pub vpt_addr: Option<VptStats>,
-    /// Reuse-buffer statistics (IR tenant).
-    pub rb: Option<ReuseStats>,
-    /// Trace-reuse statistics (RTB tenant).
-    pub rtb: Option<RtbStats>,
-}
-
-/// A speculation mechanism the cycle loop can drive.
-///
-/// The contract has three mandatory hook groups — dispatch-time query
-/// ([`on_dispatch`](SpeculationMechanism::on_dispatch)), commit-time
-/// update/verify ([`on_commit`](SpeculationMechanism::on_commit)), and
-/// squash notification ([`on_squash`](SpeculationMechanism::on_squash)
-/// and friends) — plus optional capabilities (writeback capture, atomic
-/// trace replay) that default to "not supported". A mechanism never
-/// mutates pipeline state; it answers queries and the core applies the
-/// actions.
-pub trait SpeculationMechanism {
-    /// Short stable name (`"vp"`, `"ir"`, `"rtb"`), used in reports and
-    /// diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// True when [`DispatchQuery::views`], [`DispatchQuery::chain`] and
-    /// [`DispatchQuery::store_conflict`] must be populated (the reuse
-    /// test needs operand provenance; plain predictors do not).
-    fn wants_operand_views(&self) -> bool {
-        false
-    }
-
-    /// True when the mechanism captures executed instructions at
-    /// writeback ([`on_executed`](SpeculationMechanism::on_executed)).
-    fn wants_exec_records(&self) -> bool {
-        false
-    }
-
-    /// True when the mechanism can replay multi-instruction traces
-    /// ([`replay_begin`](SpeculationMechanism::replay_begin)).
-    fn has_replay(&self) -> bool {
-        false
-    }
-
-    /// Dispatch-time query: inspect one dispatching instruction and
-    /// fill in `act` (or leave it defaulted to pass).
-    fn on_dispatch(&mut self, q: &DispatchQuery, act: &mut DispatchAction);
-
-    /// Writeback-time capture: one instruction finished executing with
-    /// correct inputs. Returns the mechanism's handle for the capture
-    /// (stored in the ROB and handed back in [`SquashVictim::rb_entry`]
-    /// / [`CommitEvent::reuse_source`]).
-    fn on_executed(&mut self, _rec: &RbInsert) -> Option<EntryRef> {
-        None
-    }
-
-    /// Commit-time update/verify: train predictors, promote captures,
-    /// attribute reuse.
-    fn on_commit(&mut self, _ev: &CommitEvent, _fx: &mut CommitEffects) {}
-
-    /// One in-flight instruction is being squashed.
-    fn on_squash_victim(&mut self, _v: &SquashVictim) {}
-
-    /// A squash rolled the machine back to `keep_seq` (everything
-    /// younger is gone) at cycle `now`.
-    fn on_squash(&mut self, _keep_seq: u64, _now: u64) {}
-
-    /// Post-squash architectural-view repair: `reg` now reads `value`
-    /// on the restored path.
-    fn on_squash_restore(&mut self, _reg: Reg, _value: u64) {}
-
-    /// Offer an atomic trace replay starting at `q.pc`. On a validated
-    /// hit the mechanism fills `plans` (program order) and returns
-    /// true; the core then dispatches every member this cycle.
-    fn replay_begin(&mut self, _q: &ReplayQuery<'_>, _plans: &mut Vec<MemberPlan>) -> bool {
-        false
-    }
-
-    /// Abort an in-progress replay (core-side validation failed).
-    fn replay_abort(&mut self) {}
-
-    /// Surface end-of-run statistics.
-    fn export(&self, _out: &mut MechExport) {}
-}
-
 /// Dense per-class index for attribution arrays: the nine [`OpClass`]
 /// variants in declaration order.
 pub fn class_index(class: OpClass) -> usize {
@@ -333,3 +252,26 @@ pub fn class_index(class: OpClass) -> usize {
 pub const CLASS_NAMES: [&str; 9] = [
     "int-alu", "int-mul", "load", "store", "branch", "jump", "jump-reg", "fp", "misc",
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_enhancement_builds_exactly_its_mechanisms() {
+        let prog = vpir_isa::asm::assemble("halt").expect("assembles");
+        let (vp, ir, rtb) = (VpConfig::magic(), IrConfig::table1(), RtbConfig::t8());
+        for (enhancement, want) in [
+            (Enhancement::None, [false, false, false]),
+            (Enhancement::Vp(vp), [false, true, false]),
+            (Enhancement::Ir(ir), [true, false, false]),
+            (Enhancement::Hybrid(vp, ir), [true, true, false]),
+            (Enhancement::Rtb(rtb), [false, false, true]),
+        ] {
+            let m = Mechanisms::new(&enhancement, &prog);
+            let got = [m.ir.is_some(), m.vp.is_some(), m.rtb.is_some()];
+            assert_eq!(got, want, "{enhancement:?}");
+            assert_eq!(m.is_empty(), enhancement == Enhancement::None);
+        }
+    }
+}

@@ -1,21 +1,18 @@
 //! The configuration-label registry: one vocabulary for every consumer.
 //!
 //! A *label* names one machine configuration — `base`, a full VP label
-//! like `magic:ME-SB:vl1`, `ir_early` / `ir_late`, or a trace-reuse
-//! label like `rtb:t8`. The bench matrix's job list, `--inject-fault`
-//! target validation, `vpir serve`'s run-request validation, and the
-//! CLI's machine parser all resolve labels through this module, so a
-//! new mechanism tenant registered here is immediately reachable from
-//! every entry point — and a label rejected here is rejected
-//! everywhere, with the same vocabulary in the error message.
-
-use vpir_isa::Program;
+//! like `magic:ME-SB:vl1`, `ir_early` / `ir_late`, a trace-reuse label
+//! like `rtb:t8`, or `hybrid`. The bench matrix's job list,
+//! `--inject-fault` target validation, `vpir serve`'s run-request
+//! validation, and the CLI's machine parser all resolve labels through
+//! this module, so a configuration named here is reachable from every
+//! entry point — and a label rejected here is rejected everywhere, with
+//! the same vocabulary in the error message.
 
 use crate::config::{
     BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig,
     VpKind,
 };
-use crate::{IrMech, RtbMech, SpeculationMechanism, VpMech};
 
 /// Identifies one VP configuration in the sweep.
 pub type VpKey = (VpKind, Reexecution, BranchResolution, u32);
@@ -145,26 +142,6 @@ pub fn enhancement_for_label(label: &str) -> Option<Enhancement> {
     }
 }
 
-/// Instantiates the mechanism tenants for an enhancement, in the order
-/// the cycle loop must drive them. In the hybrid the reuse test runs
-/// first and value prediction covers only the RB misses, so IR precedes
-/// VP. The RTB tenant joins the static loop forest of `program` for its
-/// per-loop-depth attribution.
-pub fn build_mechanisms(
-    enhancement: &Enhancement,
-    program: &Program,
-) -> Vec<Box<dyn SpeculationMechanism + Send>> {
-    match enhancement {
-        Enhancement::None => Vec::new(),
-        Enhancement::Vp(vp) => vec![Box::new(VpMech::new(vp))],
-        Enhancement::Ir(ir) => vec![Box::new(IrMech::new(ir))],
-        Enhancement::Hybrid(vp, ir) => {
-            vec![Box::new(IrMech::new(ir)), Box::new(VpMech::new(vp))]
-        }
-        Enhancement::Rtb(rtb) => vec![Box::new(RtbMech::new(*rtb, program))],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,16 +188,5 @@ mod tests {
             enhancement_for_label("rtb:t8"),
             Some(Enhancement::Rtb(RtbConfig::t8()))
         );
-    }
-
-    #[test]
-    fn hybrid_builds_reuse_before_prediction() {
-        let prog = vpir_isa::asm::assemble("halt").expect("assembles");
-        let mechs = build_mechanisms(
-            &Enhancement::Hybrid(VpConfig::magic(), IrConfig::table1()),
-            &prog,
-        );
-        let names: Vec<&str> = mechs.iter().map(|m| m.name()).collect();
-        assert_eq!(names, ["ir", "vp"]);
     }
 }

@@ -1,4 +1,4 @@
-//! Trace reuse: the RTB (reuse trace buffer) tenant.
+//! Trace reuse: the RTB (reuse trace buffer) mechanism.
 //!
 //! After Coppieters et al. ("Decanting the Contribution of Instruction
 //! Types and Loop Structures in the Reuse of Traces"): instead of
@@ -46,10 +46,7 @@ use std::collections::VecDeque;
 use vpir_isa::{LoadSource, MemWidth, OpClass, Program, Reg, INST_BYTES, TEXT_BASE};
 
 use crate::config::RtbConfig;
-use crate::{
-    class_index, CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport,
-    MemberPlan, ReplayQuery, SpeculationMechanism,
-};
+use crate::{class_index, CommitEvent, DispatchAction, DispatchQuery, MemberPlan, ReplayQuery};
 use vpir_stats::RtbStats;
 
 /// One member of a pending (not yet installed) capture, with the
@@ -113,7 +110,8 @@ struct ReplayState {
     cursor: usize,
 }
 
-/// Trace reuse as a pluggable mechanism.
+/// Trace reuse: the RTB, its capture window and pending installs, and
+/// the cursor of a granted replay.
 #[derive(Debug, Clone)]
 pub struct RtbMech {
     config: RtbConfig,
@@ -427,25 +425,21 @@ impl RtbMech {
         };
         true
     }
-}
 
-impl SpeculationMechanism for RtbMech {
-    fn name(&self) -> &'static str {
-        "rtb"
-    }
-
-    fn has_replay(&self) -> bool {
-        true
-    }
-
-    fn on_dispatch(&mut self, q: &DispatchQuery, act: &mut DispatchAction) {
-        if self.replay_match(q, act) {
-            return;
+    /// One dispatching instruction: either the next member of a granted
+    /// replay (checked against its recording) or input to the capture
+    /// window.
+    pub fn on_dispatch(&mut self, q: &DispatchQuery) -> DispatchAction {
+        let mut act = DispatchAction::default();
+        if !self.replay_match(q, &mut act) {
+            self.capture(q);
         }
-        self.capture(q);
+        act
     }
 
-    fn on_commit(&mut self, ev: &CommitEvent, _fx: &mut CommitEffects) {
+    /// Installs the captures whose last member has now committed, and
+    /// attributes a committed trace member by class and loop depth.
+    pub fn on_commit(&mut self, ev: &CommitEvent) {
         // Pendings are queued in capture order; every member of a
         // pending whose last member has committed must itself have
         // committed (a squashed member would have discarded it).
@@ -471,7 +465,9 @@ impl SpeculationMechanism for RtbMech {
         }
     }
 
-    fn on_squash(&mut self, keep_seq: u64, _now: u64) {
+    /// A squash rolled the machine back to `keep_seq` (everything
+    /// younger is gone).
+    pub fn on_squash(&mut self, keep_seq: u64) {
         // Wrong-path invalidation: any capture with a squashed member
         // (its last_seq is younger than the squash point) is discarded,
         // the capture window restarts, and an in-flight replay plan is
@@ -490,7 +486,10 @@ impl SpeculationMechanism for RtbMech {
         }
     }
 
-    fn replay_begin(&mut self, q: &ReplayQuery<'_>, plans: &mut Vec<MemberPlan>) -> bool {
+    /// Offers an atomic trace replay starting at `q.pc`. On a validated
+    /// hit, fills `plans` (program order) and returns true; the core
+    /// then dispatches every member this cycle.
+    pub fn replay_begin(&mut self, q: &ReplayQuery<'_>, plans: &mut Vec<MemberPlan>) -> bool {
         if self.replay.is_some() {
             return false;
         }
@@ -561,14 +560,16 @@ impl SpeculationMechanism for RtbMech {
         true
     }
 
-    fn replay_abort(&mut self) {
+    /// Aborts a granted replay the core could not start.
+    pub fn replay_abort(&mut self) {
         if self.replay.take().is_some() {
             self.stats.aborted += 1;
         }
     }
 
-    fn export(&self, out: &mut MechExport) {
-        out.rtb = Some(self.stats);
+    /// Trace-reuse statistics.
+    pub fn stats(&self) -> RtbStats {
+        self.stats
     }
 }
 

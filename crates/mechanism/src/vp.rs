@@ -1,21 +1,17 @@
-//! The value-prediction tenant.
+//! The value-prediction mechanism.
 //!
-//! A direct port of the pipeline's hard-wired `dispatch_vp` /
-//! commit-train logic behind the [`SpeculationMechanism`] trait. The
-//! behaviour is bit-identical to the pre-trait implementation (pinned
-//! by the golden-digest suite): the same predictability gate, the same
-//! overwrite-even-with-`None` result prediction, and the same
-//! address-prediction gate that observes the result prediction made
-//! instants earlier in this very call.
+//! A result VPT and an optional address VPT, called at dispatch (predict)
+//! and at commit (train). The behaviour is pinned by the golden-digest
+//! suite: the same predictability gate, the same overwrite-even-with-
+//! `None` result prediction, and the same address-prediction gate that
+//! observes the result prediction made instants earlier in this very
+//! call.
 
 use vpir_isa::OpClass;
-use vpir_predict::{
-    LastValuePredictor, MagicPredictor, StridePredictor, ValuePredictor, VptConfig, VptStats,
-};
+use vpir_predict::{LastValuePredictor, MagicPredictor, StridePredictor, VptConfig, VptStats};
 
 use crate::config::{VpConfig, VpKind};
-use crate::{CommitEffects, CommitEvent, DispatchAction, DispatchQuery, MechExport,
-    SpeculationMechanism};
+use crate::{CommitEvent, DispatchAction, DispatchQuery};
 
 /// One configured value predictor (static dispatch over the kinds).
 #[derive(Debug, Clone)]
@@ -59,8 +55,7 @@ impl Vp {
     }
 }
 
-/// Value prediction as a pluggable mechanism: a result VPT and an
-/// optional address VPT.
+/// Value prediction: a result VPT and an optional address VPT.
 #[derive(Debug, Clone)]
 pub struct VpMech {
     result: Vp,
@@ -75,18 +70,15 @@ impl VpMech {
             addr: vp.predict_addresses.then(|| Vp::new(vp.kind, vp.vpt)),
         }
     }
-}
 
-impl SpeculationMechanism for VpMech {
-    fn name(&self) -> &'static str {
-        "vp"
-    }
-
-    fn on_dispatch(&mut self, q: &DispatchQuery, act: &mut DispatchAction) {
+    /// Predicts the result (and, for loads, the address) of one
+    /// dispatching instruction.
+    pub fn on_dispatch(&mut self, q: &DispatchQuery) -> DispatchAction {
+        let mut act = DispatchAction::default();
         // In the hybrid, reuse runs first and prediction covers only
         // the RB misses.
         if q.reused {
-            return;
+            return act;
         }
         // Results: every register-writing, non-control instruction
         // (including loads — load value prediction).
@@ -111,9 +103,12 @@ impl SpeculationMechanism for VpMech {
                 act.addr_predicted = Some(vp.predict(q.pc, q.out.addr));
             }
         }
+        act
     }
 
-    fn on_commit(&mut self, ev: &CommitEvent, _fx: &mut CommitEffects) {
+    /// Trains the predictors with one committing instruction's result
+    /// and, for loads, its address.
+    pub fn on_commit(&mut self, ev: &CommitEvent) {
         if ev.inst.dst.is_some() && ev.inst.op.class() != OpClass::Jump {
             if let Some(actual) = ev.result {
                 self.result.train(ev.pc, actual);
@@ -130,10 +125,9 @@ impl SpeculationMechanism for VpMech {
         }
     }
 
-    fn export(&self, out: &mut MechExport) {
-        out.vpt_result = Some(self.result.stats());
-        if let Some(vp) = &self.addr {
-            out.vpt_addr = Some(vp.stats());
-        }
+    /// Result-VPT statistics, and address-VPT statistics when
+    /// addresses are predicted.
+    pub fn stats(&self) -> (VptStats, Option<VptStats>) {
+        (self.result.stats(), self.addr.as_ref().map(Vp::stats))
     }
 }

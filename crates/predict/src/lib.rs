@@ -23,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! use vpir_predict::{LastValuePredictor, ValuePredictor, VptConfig};
+//! use vpir_predict::{LastValuePredictor, VptConfig};
 //! let mut vp = LastValuePredictor::new(VptConfig::table1());
 //! // Train the same result twice to reach the confidence threshold.
 //! vp.train(0x1000, 7);
@@ -41,29 +41,6 @@ mod table;
 pub use stride::StridePredictor;
 pub use table::{VptConfig, VptStats, VptTable};
 
-/// A value predictor: predicts instruction results (or effective
-/// addresses) by PC.
-///
-/// `oracle` carries the architecturally correct value when the simulator
-/// knows it at prediction time (our pipeline executes at dispatch, like
-/// SimpleScalar); only [`MagicPredictor`] uses it, and *only to select
-/// among values it has already stored* — it never predicts a value it has
-/// not seen.
-pub trait ValuePredictor {
-    /// Predicts the value produced by the instruction at `pc`, or `None`
-    /// if no confident prediction is available.
-    fn predict(&mut self, pc: u64, oracle: Option<u64>) -> Option<u64>;
-
-    /// Trains the predictor with the actual value produced at `pc`.
-    fn train(&mut self, pc: u64, actual: u64);
-
-    /// A short display name (used by the experiment harness).
-    fn name(&self) -> &'static str;
-
-    /// Accumulated statistics.
-    fn stats(&self) -> VptStats;
-}
-
 /// `VP_Magic`: last-*n*-unique-values with oracle selection.
 #[derive(Debug, Clone)]
 pub struct MagicPredictor {
@@ -77,10 +54,16 @@ impl MagicPredictor {
             table: VptTable::new(config),
         }
     }
-}
 
-impl ValuePredictor for MagicPredictor {
-    fn predict(&mut self, pc: u64, oracle: Option<u64>) -> Option<u64> {
+    /// Predicts the value produced by the instruction at `pc`, or `None`
+    /// if no confident prediction is available.
+    ///
+    /// `oracle` carries the architecturally correct value when the
+    /// simulator knows it at prediction time (the pipeline executes at
+    /// dispatch, like SimpleScalar). It is used *only to select among
+    /// values already stored* — the predictor never predicts a value it
+    /// has not seen.
+    pub fn predict(&mut self, pc: u64, oracle: Option<u64>) -> Option<u64> {
         // Oracle selection among stored values (Section 4.1.1), done in
         // one allocation-free pass over the set.
         let selected = self.table.select_confident(pc, oracle);
@@ -88,15 +71,13 @@ impl ValuePredictor for MagicPredictor {
         selected
     }
 
-    fn train(&mut self, pc: u64, actual: u64) {
+    /// Trains the predictor with the actual value produced at `pc`.
+    pub fn train(&mut self, pc: u64, actual: u64) {
         self.table.train_multi(pc, actual);
     }
 
-    fn name(&self) -> &'static str {
-        "VP_Magic"
-    }
-
-    fn stats(&self) -> VptStats {
+    /// Accumulated statistics.
+    pub fn stats(&self) -> VptStats {
         self.table.stats()
     }
 }
@@ -114,24 +95,23 @@ impl LastValuePredictor {
             table: VptTable::new(config),
         }
     }
-}
 
-impl ValuePredictor for LastValuePredictor {
-    fn predict(&mut self, pc: u64, _oracle: Option<u64>) -> Option<u64> {
+    /// Predicts the value produced by the instruction at `pc`, or `None`
+    /// if no confident prediction is available. `_oracle` is ignored
+    /// (the signature matches [`MagicPredictor::predict`]).
+    pub fn predict(&mut self, pc: u64, _oracle: Option<u64>) -> Option<u64> {
         let v = self.table.last_confident_value(pc);
         self.table.note_lookup(v.is_some());
         v
     }
 
-    fn train(&mut self, pc: u64, actual: u64) {
+    /// Trains the predictor with the actual value produced at `pc`.
+    pub fn train(&mut self, pc: u64, actual: u64) {
         self.table.train_last(pc, actual);
     }
 
-    fn name(&self) -> &'static str {
-        "VP_LVP"
-    }
-
-    fn stats(&self) -> VptStats {
+    /// Accumulated statistics.
+    pub fn stats(&self) -> VptStats {
         self.table.stats()
     }
 }

@@ -9,7 +9,6 @@
 //! jumps from polluting a stable stride.
 
 use crate::table::{VptConfig, VptStats};
-use crate::ValuePredictor;
 
 #[derive(Debug, Clone, Copy)]
 struct StrideEntry {
@@ -39,7 +38,7 @@ const EMPTY: StrideEntry = StrideEntry {
 /// # Examples
 ///
 /// ```
-/// use vpir_predict::{StridePredictor, ValuePredictor, VptConfig};
+/// use vpir_predict::{StridePredictor, VptConfig};
 /// let mut vp = StridePredictor::new(VptConfig::table1());
 /// for v in [10u64, 13, 16, 19] {
 ///     vp.train(0x1000, v);
@@ -77,10 +76,12 @@ impl StridePredictor {
     fn set_of(&self, pc: u64) -> usize {
         ((pc >> 2) % self.config.sets() as u64) as usize
     }
-}
 
-impl ValuePredictor for StridePredictor {
-    fn predict(&mut self, pc: u64, _oracle: Option<u64>) -> Option<u64> {
+    /// Predicts the value produced by the instruction at `pc` (its last
+    /// value plus the confirmed stride), or `None` if no confident
+    /// prediction is available. `_oracle` is ignored (the signature
+    /// matches [`MagicPredictor::predict`](crate::MagicPredictor::predict)).
+    pub fn predict(&mut self, pc: u64, _oracle: Option<u64>) -> Option<u64> {
         self.stats.lookups += 1;
         let set = &self.sets[self.set_of(pc)];
         let hit = set
@@ -93,7 +94,8 @@ impl ValuePredictor for StridePredictor {
         hit
     }
 
-    fn train(&mut self, pc: u64, actual: u64) {
+    /// Trains the predictor with the actual value produced at `pc`.
+    pub fn train(&mut self, pc: u64, actual: u64) {
         self.stats.trainings += 1;
         self.tick += 1;
         let tick = self.tick;
@@ -137,11 +139,8 @@ impl ValuePredictor for StridePredictor {
         };
     }
 
-    fn name(&self) -> &'static str {
-        "VP_Stride"
-    }
-
-    fn stats(&self) -> VptStats {
+    /// Accumulated statistics.
+    pub fn stats(&self) -> VptStats {
         self.stats
     }
 }

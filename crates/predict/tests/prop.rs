@@ -1,8 +1,6 @@
 //! Property-based tests for the value predictors.
 
-use vpir_predict::{
-    LastValuePredictor, MagicPredictor, StridePredictor, ValuePredictor, VptConfig,
-};
+use vpir_predict::{LastValuePredictor, MagicPredictor, StridePredictor, VptConfig};
 use vpir_testkit::check;
 
 fn cfg() -> VptConfig {

@@ -29,7 +29,7 @@ use vpir_isa::{ExecOut, Inst, MemWidth, OpClass};
 use vpir_reuse::EntryRef;
 
 /// Sentinel for "no cycle recorded" in cycle-number columns
-/// ([`Rob::vis_since`], [`Rob::nonspec_cycle`], [`Rob::exec_finish`]).
+/// (`Rob::vis_since`, `Rob::nonspec_cycle`, `Rob::exec_finish`).
 /// Run limits cap cycles far below this.
 pub const NO_CYCLE: u64 = u64::MAX;
 

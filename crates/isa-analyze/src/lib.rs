@@ -4,7 +4,7 @@
 //! counterpart of the host-source linter in `vpir-analyze`:
 //!
 //! * control-flow graph construction with unreachable-block detection
-//!   ([`cfg`]),
+//!   ([`cfg`](mod@cfg)),
 //! * dominators and natural loops ([`dom`]),
 //! * dataflow: reaching definitions and must-initialized registers
 //!   ([`dataflow`]), and sparse conditional constant propagation driven

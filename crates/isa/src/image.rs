@@ -171,7 +171,7 @@ pub fn read(bytes: &[u8]) -> Result<Program, ImageError> {
     })
 }
 
-/// Convenience: [`write`] with the default text base asserted (images
+/// Convenience: [`write()`] with the default text base asserted (images
 /// produced by the assembler).
 pub fn write_default(program: &Program) -> Result<Vec<u8>, ImageError> {
     debug_assert_eq!(program.text_base, TEXT_BASE);

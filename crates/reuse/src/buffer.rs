@@ -223,7 +223,7 @@ fn mem_bucket(block: u64) -> usize {
 /// The reuse buffer: a set-associative, LRU table of previous executions
 /// with indexed invalidation on register writes and stores.
 ///
-/// Both inverted indexes are fixed-size [`SlotSet`] bitmaps, sized at
+/// Both inverted indexes are fixed-size `SlotSet` bitmaps, sized at
 /// construction: maintaining and walking them allocates nothing, and
 /// iteration is in ascending slot order, preserving the deterministic
 /// behaviour of the `BTreeSet` indexes they replaced.

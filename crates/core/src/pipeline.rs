@@ -2024,8 +2024,10 @@ impl Simulator {
         let trace_reused = self.rob.trace_reused.test(slot);
         if let Some(t) = self.trace.as_mut() {
             t.on_dispatch(seq, pc, inst, self.now);
-            if reused || trace_reused {
+            if reused {
                 t.on_outcome(seq, TraceOutcome::Reused);
+            } else if trace_reused {
+                t.on_outcome(seq, TraceOutcome::TraceReused);
             } else if self.rob.predicted[slot].is_some()
                 || self.rob.addr_predicted[slot].is_some()
             {

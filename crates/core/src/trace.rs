@@ -3,8 +3,8 @@
 //! When enabled, the simulator records the lifecycle of the first *N*
 //! dispatched instructions — dispatch, (re)issue, completion, resolution
 //! and commit cycles, plus how the instruction was satisfied (executed,
-//! value predicted, reused) — and can render them as a text timeline
-//! similar to classic pipeline viewers.
+//! value predicted, reused, replayed from a reuse trace) — and can
+//! render them as a text timeline similar to classic pipeline viewers.
 
 use std::fmt::Write as _;
 
@@ -17,8 +17,11 @@ pub enum TraceOutcome {
     Executed,
     /// Result (or address) predicted; executed to verify.
     Predicted,
-    /// Result reused; never executed.
+    /// Result reused from the reuse buffer (IR); never executed.
     Reused,
+    /// Replayed as a member of a trace from the reuse trace buffer
+    /// (RTB); never executed.
+    TraceReused,
     /// Address reused; memory access still performed.
     AddrReused,
     /// Discarded by a squash.

@@ -1,7 +1,7 @@
 //! Microarchitectural edge cases: structural limits, alignment rules,
 //! and recovery corner cases of the Table 1 machine.
 
-use vpir_core::{CoreConfig, IrConfig, RunLimits, Simulator, VpConfig};
+use vpir_core::{CoreConfig, IrConfig, RtbConfig, RunLimits, Simulator, TraceOutcome, VpConfig};
 use vpir_isa::{asm, Machine, Reg};
 
 fn run_with(src: &str, config: CoreConfig) -> (Simulator, vpir_core::SimStats) {
@@ -268,15 +268,24 @@ fn trace_captures_a_reused_instruction() {
         "       li   r1, 50
  loop:  li   r2, 9
         add  r3, r2, r2
-        addi r1, r1, -1
+        beq  r0, r0, next        # ends an RTB trace with no live-ins
+ next:  addi r1, r1, -1
         bne  r1, r0, loop
         halt",
     )
     .expect("assembles");
-    let mut sim = Simulator::new(&prog, CoreConfig::with_ir(IrConfig::table1()));
-    sim.run(RunLimits::insts(100));
-    sim.enable_trace(16);
-    sim.run(RunLimits::insts(sim.stats().committed + 40));
+    let traced = |config: CoreConfig| {
+        let mut sim = Simulator::new(&prog, config);
+        sim.run(RunLimits::insts(100));
+        sim.enable_trace(16);
+        sim.run(RunLimits::insts(sim.stats().committed + 40));
+        sim
+    };
+    let outcomes = |sim: &Simulator| -> Vec<TraceOutcome> {
+        sim.trace().expect("enabled").records().iter().map(|r| r.outcome).collect()
+    };
+
+    let sim = traced(CoreConfig::with_ir(IrConfig::table1()));
     let trace = sim.trace().expect("enabled");
     assert!(!trace.records().is_empty());
     let rendered = trace.render();
@@ -288,6 +297,15 @@ fn trace_captures_a_reused_instruction() {
             .any(|r| r.commit.is_some() && r.issues.is_empty()),
         "a reused instruction commits without ever issuing"
     );
+    assert!(!outcomes(&sim).contains(&TraceOutcome::TraceReused), "{rendered}");
+
+    // Members replayed from the reuse trace buffer are told apart from
+    // IR reuse.
+    let sim = traced(CoreConfig::with_rtb(RtbConfig::t8()));
+    let rendered = sim.trace().expect("enabled").render();
+    assert!(sim.stats().rtb.replays > 0, "the trace must replay");
+    assert!(outcomes(&sim).contains(&TraceOutcome::TraceReused), "{rendered}");
+    assert!(!outcomes(&sim).contains(&TraceOutcome::Reused), "{rendered}");
 }
 
 #[test]

@@ -748,6 +748,7 @@ fn outcome_name(outcome: TraceOutcome) -> &'static str {
         TraceOutcome::Executed => "executed",
         TraceOutcome::Predicted => "predicted",
         TraceOutcome::Reused => "reused",
+        TraceOutcome::TraceReused => "trace_reused",
         TraceOutcome::AddrReused => "addr_reused",
         TraceOutcome::Squashed => "squashed",
     }

@@ -1359,7 +1359,9 @@ impl Simulator {
                 // on its path may have captured its (forwarded) value into
                 // the reuse buffer — IR invalidates those entries.
                 let store = if self.rob.stores.test(slot) {
-                    self.rob.out[slot].addr.map(|a| (a, self.rob.mem[slot].width))
+                    self.rob.out[slot]
+                        .addr
+                        .map(|a| (a, self.rob.mem[slot].width))
                 } else {
                     None
                 };

@@ -118,8 +118,8 @@ pub struct DispatchQuery {
     pub store_conflict: bool,
 }
 
-/// What a full-reuse grant means for the pipeline (mirrors the early /
-/// late validation arms of the hard-wired IR implementation).
+/// What a reuse grant means for the pipeline, under early or late
+/// validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReuseGrant {
     /// Tag-only hit: remember the source entry, reuse nothing.
@@ -155,7 +155,7 @@ pub struct ReuseAction {
 pub struct DispatchAction {
     /// `Some(p)` overwrites the slot's result prediction with `p`
     /// (which may itself be `None` — a predictor that declines still
-    /// clears any stale prediction, as the hard-wired VP did).
+    /// clears any stale prediction).
     pub predicted: Option<Option<u64>>,
     /// `Some(p)` overwrites the slot's address prediction.
     pub addr_predicted: Option<Option<u64>>,

@@ -1,11 +1,11 @@
 //! The instruction-reuse mechanism.
 //!
 //! The reuse buffer and its validation policy: the reuse test at
-//! dispatch, capture at writeback, and RB maintenance at commit and on
-//! squashes. The behaviour is pinned by the golden-digest suite: the
-//! same operand views, the same dependence-chain (`S_{n+d}`) input, the
-//! same store-conflict downgrade, and the same non-speculative
-//! soundness guard.
+//! dispatch (over operand views and the dependence-chain `S_{n+d}`
+//! input, downgraded to address reuse on a store conflict, behind a
+//! non-speculative soundness guard), capture at writeback, and RB
+//! maintenance at commit and on squashes. The golden-digest suite pins
+//! this behaviour.
 
 use vpir_isa::{MemWidth, OpClass, Reg};
 use vpir_reuse::{EntryRef, OperandView, RbInsert, ReuseBuffer, ReuseStats};

@@ -44,7 +44,7 @@ use vpir_reuse::{EntryRef, OperandView};
 
 /// The mechanisms one machine runs. Only the hybrid holds two (IR and
 /// VP); RTB always runs alone.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mechanisms {
     /// Instruction reuse (IR and hybrid machines).
     pub ir: Option<IrMech>,

@@ -1,11 +1,11 @@
 //! The value-prediction mechanism.
 //!
 //! A result VPT and an optional address VPT, called at dispatch (predict)
-//! and at commit (train). The behaviour is pinned by the golden-digest
-//! suite: the same predictability gate, the same overwrite-even-with-
-//! `None` result prediction, and the same address-prediction gate that
-//! observes the result prediction made instants earlier in this very
-//! call.
+//! and at commit (train). Every register-writing, non-control
+//! instruction is predictable; a predictor that declines still clears a
+//! standing prediction; and a load's address is predicted only when its
+//! result is not (including by the prediction made earlier in the same
+//! call). The golden-digest suite pins this behaviour.
 
 use vpir_isa::OpClass;
 use vpir_predict::{LastValuePredictor, MagicPredictor, StridePredictor, VptConfig, VptStats};

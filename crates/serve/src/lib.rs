@@ -75,7 +75,7 @@ use vpir_workloads::{Bench, Scale};
 pub use cache::{fnv1a64, HitTier, ResultCache};
 pub use histo::Histogram;
 pub use http::{ConnReader, HttpError, Request};
-pub use metrics::{Metrics, ShedState};
+pub use metrics::{Metrics, OwnerGauges, ShedState};
 pub use pool::{JobQueue, PushError};
 pub use store::{DiskStore, StoreFault};
 
@@ -220,30 +220,26 @@ impl State {
         Ok(prepared)
     }
 
-    /// Computes the current shed state from the queue depth and
-    /// refreshes the exported gauge.
+    /// Computes the current shed state from the queue depth.
     fn shed(&self) -> ShedState {
-        let shed = ShedState::for_depth(self.queue.depth(), self.cfg.queue_capacity.max(1));
-        self.metrics.shed_state.store(shed as u64, Ordering::Relaxed);
-        shed
+        ShedState::for_depth(self.queue.depth(), self.cfg.queue_capacity.max(1))
     }
 
-    /// Copies the cache tiers' internal counters into the exported
-    /// metrics gauges.
-    fn sync_cache_metrics(&self) {
-        sync_cache_metrics(&self.metrics, &self.cache);
-    }
-}
-
-fn sync_cache_metrics(metrics: &Metrics, cache: &ResultCache) {
-    metrics.cache_entries.store(cache.len() as u64, Ordering::Relaxed);
-    metrics.cache_mem_bytes.store(cache.mem_bytes(), Ordering::Relaxed);
-    metrics.cache_entries_evicted.store(cache.mem_evicted(), Ordering::Relaxed);
-    if let Some(stats) = cache.store_stats() {
-        metrics.store_entries.store(stats.entries, Ordering::Relaxed);
-        metrics.store_bytes.store(stats.bytes, Ordering::Relaxed);
-        metrics.store_evictions.store(stats.evictions, Ordering::Relaxed);
-        metrics.store_quarantined.store(stats.quarantined, Ordering::Relaxed);
+    /// Reads the owner-held gauges from the cache, the disk store and
+    /// the job queue (store gauges read zero without a disk tier).
+    fn owner_gauges(&self) -> OwnerGauges {
+        let store = self.cache.store_stats().unwrap_or_default();
+        OwnerGauges {
+            cache_entries: self.cache.len() as u64,
+            cache_mem_bytes: self.cache.mem_bytes(),
+            cache_entries_evicted: self.cache.mem_evicted(),
+            store_entries: store.entries,
+            store_bytes: store.bytes,
+            store_evictions: store.evictions,
+            store_quarantined: store.quarantined,
+            queue_depth: self.queue.depth() as u64,
+            shed_state: self.shed() as u64,
+        }
     }
 }
 
@@ -264,7 +260,6 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(State::new(cfg, addr)?);
-        state.sync_cache_metrics();
         let workers = spawn_workers(
             state.cfg.workers,
             Arc::clone(&state.queue),
@@ -499,17 +494,13 @@ fn route(state: &Arc<State>, request: &Request) -> Result<Response, HttpError> {
                 .s("state", state.shed().name())
                 .finish(),
         )),
-        ("GET", "/metrics") => {
-            state.shed();
-            state.sync_cache_metrics();
-            Ok(Response {
-                status: 200,
-                content_type: METRICS_TEXT,
-                extra: Vec::new(),
-                body: Arc::new(state.metrics.render()),
-                shutdown: false,
-            })
-        }
+        ("GET", "/metrics") => Ok(Response {
+            status: 200,
+            content_type: METRICS_TEXT,
+            extra: Vec::new(),
+            body: Arc::new(state.metrics.render(&state.owner_gauges())),
+            shutdown: false,
+        }),
         ("POST", "/v1/run") => handle_run(state, &request.body),
         ("POST", "/v1/matrix") => handle_matrix(state, &request.body),
         ("POST", "/v1/analyze") => handle_analyze(state, &request.body),
@@ -971,7 +962,6 @@ fn respond_cached_or_enqueue(
                 "hit-disk"
             }
         };
-        state.sync_cache_metrics();
         return Ok(Response {
             status: 200,
             content_type: JSON,
@@ -1005,17 +995,13 @@ fn respond_cached_or_enqueue(
 
     let (tx, rx) = mpsc::channel::<Arc<String>>();
     let cache = Arc::clone(&state.cache);
-    let metrics = Arc::clone(&state.metrics);
     let job = Box::new(move || {
         let body = Arc::new(job_fn());
         cache.insert(key, Arc::clone(&body));
-        sync_cache_metrics(&metrics, &cache);
         let _ = tx.send(body);
     });
     match state.queue.try_push(job) {
-        Ok(depth) => {
-            state.metrics.queue_depth.store(depth as u64, Ordering::Relaxed);
-        }
+        Ok(()) => {}
         Err(PushError::Full) => {
             return Err(HttpError::new(503, "job queue is full — retry shortly"))
         }
@@ -1338,6 +1324,23 @@ mod tests {
         );
         assert_eq!(hit.body.as_str(), miss.body.as_str(), "byte-identical across restart");
         assert_eq!(state.metrics.cache_hits_disk.load(Ordering::Relaxed), 1);
+
+        // The owner-held gauges are read from the promoted memory
+        // entry, the one disk file and the idle queue.
+        let scrape = route(&state, &request("GET", "/metrics", b"")).expect("metrics");
+        let body_bytes = hit.body.len() as u64;
+        let gauges: &[(&str, u64)] = &[
+            ("vpir_cache_entries", 1),
+            ("vpir_cache_mem_bytes", body_bytes),
+            ("vpir_store_entries", 1),
+            ("vpir_store_bytes", store::HEADER_BYTES + body_bytes),
+            ("vpir_queue_depth", 0),
+            ("vpir_shed_state", 0),
+        ];
+        for (name, value) in gauges {
+            let line = format!("\n{name} {value}\n");
+            assert!(scrape.body.contains(&line), "{name}: {}", scrape.body);
+        }
         finish(&state, handles);
     }
 }

@@ -4,7 +4,10 @@
 //!
 //! No labels — every series is a named scalar, emitted in a fixed
 //! order so two scrapes of the same state are byte-identical (the same
-//! determinism discipline the simulator itself follows). Latency
+//! determinism discipline the simulator itself follows). Each series is
+//! declared once, in the `registry!` list below. Values that the cache,
+//! the disk store or the job queue already hold are not copied here:
+//! they are read from their owners when `/metrics` renders. Latency
 //! percentiles come from the log-bucketed [`Histogram`]s in
 //! [`crate::histo`], whose atomics (like every counter here) follow
 //! the telemetry-`Relaxed` half of the ordering contract documented in
@@ -16,8 +19,8 @@ use std::time::Instant;
 use crate::histo::Histogram;
 
 /// Load-shedding state derived from queue-depth watermarks; exported
-/// on `/metrics` as `vpir_shed_state` and consulted by the router for
-/// expensive endpoints.
+/// on `/metrics` as the `shed_state` owner-held gauge and consulted by
+/// the router for expensive endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ShedState {
     /// Below the shed watermark: everything is served.
@@ -52,116 +55,104 @@ impl ShedState {
     }
 }
 
-/// All counters, gauges, and histograms the service exposes on
-/// `GET /metrics`.
-#[derive(Debug)]
-pub struct Metrics {
-    start: Instant,
-    /// Connections accepted by the listener.
-    pub connections_total: AtomicU64,
-    /// Requests accepted by the HTTP layer (malformed ones included).
-    pub requests_total: AtomicU64,
-    /// Responses with a 2xx status.
-    pub responses_ok: AtomicU64,
-    /// Responses with a 4xx status.
-    pub responses_client_error: AtomicU64,
-    /// Responses with a 5xx status other than 503.
-    pub responses_server_error: AtomicU64,
-    /// 503 responses (queue full, shedding, draining, connection cap).
-    pub responses_rejected: AtomicU64,
-    /// Requests answered from the in-memory cache tier.
-    pub cache_hits: AtomicU64,
-    /// Requests answered from the disk cache tier after a restart or
-    /// memory eviction.
-    pub cache_hits_disk: AtomicU64,
-    /// Run/matrix requests that had to simulate.
-    pub cache_misses: AtomicU64,
-    /// Entries currently held by the in-memory cache tier (gauge).
-    pub cache_entries: AtomicU64,
-    /// Body bytes currently held by the in-memory cache tier (gauge).
-    pub cache_mem_bytes: AtomicU64,
-    /// Entries evicted from the in-memory LRU since startup.
-    pub cache_entries_evicted: AtomicU64,
-    /// Entries currently indexed by the disk store (gauge).
-    pub store_entries: AtomicU64,
-    /// File bytes currently indexed by the disk store (gauge).
-    pub store_bytes: AtomicU64,
-    /// Disk entries evicted to stay under the byte budget.
-    pub store_evictions: AtomicU64,
-    /// Disk entries quarantined after failing a frame check.
-    pub store_quarantined: AtomicU64,
-    /// Jobs waiting in the bounded queue (gauge).
-    pub queue_depth: AtomicU64,
-    /// Jobs currently executing on a worker (gauge).
-    pub in_flight_jobs: AtomicU64,
-    /// Current load-shedding state: 0 healthy, 1 shedding, 2 saturated.
-    pub shed_state: AtomicU64,
-    /// Expensive requests refused because the service was shedding.
-    pub requests_shed: AtomicU64,
-    /// Requests answered 504 because the simulation outran the
-    /// per-request deadline.
-    pub deadline_exceeded: AtomicU64,
-    /// Connections answered 408 because the client stalled mid-request.
-    pub slow_client_timeouts: AtomicU64,
-    /// Simulations that ran to completion (halt or cycle cap).
-    pub runs_completed: AtomicU64,
-    /// Simulations that ended in a structured `SimError`.
-    pub runs_sim_error: AtomicU64,
-    /// Jobs whose execution panicked (contained by the worker).
-    pub runs_panicked: AtomicU64,
-    /// Matrix cells that degraded to failure rows.
-    pub matrix_cells_failed: AtomicU64,
-    /// Cumulative simulated cycles across all jobs.
-    pub sim_cycles_total: AtomicU64,
-    /// Latency of `/v1/run` requests, microseconds.
-    pub latency_run: Histogram,
-    /// Latency of `/v1/matrix` requests, microseconds.
-    pub latency_matrix: Histogram,
-    /// Latency of `/v1/analyze` requests, microseconds.
-    pub latency_analyze: Histogram,
-    /// Latency of every other request (health, metrics, errors).
-    pub latency_other: Histogram,
+/// Declares the registry, each list in render order.
+///
+/// A `series` line is `kind field "name" "help";`. A plain `field` is
+/// an `AtomicU64` of [`Metrics`] that the service updates as it works;
+/// a bracketed `[field]` is an *owner-held gauge*, a value the result
+/// cache, the disk store or the job queue already keeps, which the
+/// caller reads into an [`OwnerGauges`] when `/metrics` renders. The
+/// HELP text is also the field's doc. An `endpoints` line is
+/// `path => field "name",`: the histogram [`Metrics::latency_for`]
+/// picks for requests to `path`, exported as `vpir_latency_<name>_*`.
+macro_rules! registry {
+    (
+        series { $($kind:ident $($field:ident)? $([$owned:ident])? $name:literal $help:literal;)* }
+        endpoints { $($path:pat => $histo:ident $endpoint:literal,)* }
+    ) => {
+        /// All counters, gauges, and histograms the service exposes on
+        /// `GET /metrics`, apart from the [`OwnerGauges`].
+        #[derive(Debug)]
+        pub struct Metrics {
+            start: Instant,
+            $($(#[doc = $help] pub $field: AtomicU64,)?)*
+            $(#[doc = concat!("Latency of ", $endpoint, " requests, microseconds.")] pub $histo: Histogram,)*
+        }
+
+        /// The owner-held gauges, read from their owners for one render.
+        #[derive(Debug, Default)]
+        pub struct OwnerGauges {
+            $($(#[doc = $help] pub $owned: u64,)?)*
+        }
+
+        impl Metrics {
+            /// A zeroed registry whose uptime clock starts now.
+            pub fn new() -> Metrics {
+                Metrics {
+                    start: Instant::now(),
+                    $($($field: AtomicU64::new(0),)?)*
+                    $($histo: Histogram::new(),)*
+                }
+            }
+
+            /// The latency histogram for a request path.
+            pub fn latency_for(&self, path: &str) -> &Histogram {
+                match path {
+                    $($path => &self.$histo,)*
+                }
+            }
+
+            /// Appends every declared series and endpoint histogram.
+            fn render_declared(&self, owners: &OwnerGauges, out: &mut String) {
+                $(
+                    let value = $(self.$field.load(Ordering::Relaxed))? $(owners.$owned)?;
+                    push_series(out, $name, stringify!($kind), $help, &value.to_string());
+                )*
+                $(push_histogram(out, $endpoint, &self.$histo);)*
+            }
+        }
+    };
+}
+
+registry! {
+    series {
+        counter connections_total "vpir_connections_total" "Connections accepted by the listener.";
+        counter requests_total "vpir_requests_total" "Requests accepted by the HTTP layer.";
+        counter responses_ok "vpir_responses_ok_total" "Responses with a 2xx status.";
+        counter responses_client_error "vpir_responses_client_error_total" "Responses with a 4xx status.";
+        counter responses_server_error "vpir_responses_server_error_total" "Responses with a 5xx status other than 503.";
+        counter responses_rejected "vpir_responses_rejected_total" "503 responses (backpressure, shedding, or draining).";
+        counter cache_hits "vpir_cache_hits_total" "Requests answered from the in-memory cache tier.";
+        counter cache_hits_disk "vpir_cache_hits_disk_total" "Requests answered from the disk cache tier.";
+        counter cache_misses "vpir_cache_misses_total" "Requests that had to simulate.";
+        gauge [cache_entries] "vpir_cache_entries" "Entries held by the in-memory cache tier.";
+        gauge [cache_mem_bytes] "vpir_cache_mem_bytes" "Body bytes held by the in-memory cache tier.";
+        counter [cache_entries_evicted] "vpir_cache_entries_evicted_total" "Entries evicted from the in-memory LRU.";
+        gauge [store_entries] "vpir_store_entries" "Entries indexed by the disk store.";
+        gauge [store_bytes] "vpir_store_bytes" "File bytes indexed by the disk store.";
+        counter [store_evictions] "vpir_store_evictions_total" "Disk entries evicted for the byte budget.";
+        counter [store_quarantined] "vpir_store_quarantined_total" "Disk entries quarantined by a failed frame check.";
+        gauge [queue_depth] "vpir_queue_depth" "Jobs waiting in the bounded queue.";
+        gauge in_flight_jobs "vpir_in_flight_jobs" "Jobs currently executing on a worker.";
+        gauge [shed_state] "vpir_shed_state" "Load shedding state: 0 healthy, 1 shedding, 2 saturated.";
+        counter requests_shed "vpir_requests_shed_total" "Expensive requests refused while shedding.";
+        counter deadline_exceeded "vpir_deadline_exceeded_total" "Requests answered 504 past the simulation deadline.";
+        counter slow_client_timeouts "vpir_slow_client_timeouts_total" "Connections answered 408 for stalling mid-request.";
+        counter runs_completed "vpir_runs_completed_total" "Simulations that ran to completion.";
+        counter runs_sim_error "vpir_runs_sim_error_total" "Simulations that ended in a structured SimError.";
+        counter runs_panicked "vpir_runs_panicked_total" "Jobs whose execution panicked (contained).";
+        counter matrix_cells_failed "vpir_matrix_cells_failed_total" "Matrix cells that degraded to failure rows.";
+        counter sim_cycles_total "vpir_sim_cycles_total" "Cumulative simulated cycles across all jobs.";
+    }
+    endpoints {
+        "/v1/run" => latency_run "run",
+        "/v1/matrix" => latency_matrix "matrix",
+        "/v1/analyze" => latency_analyze "analyze",
+        _ => latency_other "other",
+    }
 }
 
 impl Metrics {
-    /// A zeroed registry whose uptime clock starts now.
-    pub fn new() -> Metrics {
-        Metrics {
-            start: Instant::now(),
-            connections_total: AtomicU64::new(0),
-            requests_total: AtomicU64::new(0),
-            responses_ok: AtomicU64::new(0),
-            responses_client_error: AtomicU64::new(0),
-            responses_server_error: AtomicU64::new(0),
-            responses_rejected: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_hits_disk: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_entries: AtomicU64::new(0),
-            cache_mem_bytes: AtomicU64::new(0),
-            cache_entries_evicted: AtomicU64::new(0),
-            store_entries: AtomicU64::new(0),
-            store_bytes: AtomicU64::new(0),
-            store_evictions: AtomicU64::new(0),
-            store_quarantined: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            in_flight_jobs: AtomicU64::new(0),
-            shed_state: AtomicU64::new(0),
-            requests_shed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            slow_client_timeouts: AtomicU64::new(0),
-            runs_completed: AtomicU64::new(0),
-            runs_sim_error: AtomicU64::new(0),
-            runs_panicked: AtomicU64::new(0),
-            matrix_cells_failed: AtomicU64::new(0),
-            sim_cycles_total: AtomicU64::new(0),
-            latency_run: Histogram::new(),
-            latency_matrix: Histogram::new(),
-            latency_analyze: Histogram::new(),
-            latency_other: Histogram::new(),
-        }
-    }
-
     /// Buckets a response status into the right outcome counter.
     pub fn observe_status(&self, status: u16) {
         let counter = match status {
@@ -173,78 +164,14 @@ impl Metrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The latency histogram for a request path.
-    pub fn latency_for(&self, path: &str) -> &Histogram {
-        match path {
-            "/v1/run" => &self.latency_run,
-            "/v1/matrix" => &self.latency_matrix,
-            "/v1/analyze" => &self.latency_analyze,
-            _ => &self.latency_other,
-        }
-    }
-
-    /// Renders the registry in Prometheus text exposition format.
-    pub fn render(&self) -> String {
+    /// Renders the registry, with the owner-held gauges `owners`, in
+    /// Prometheus text exposition format.
+    pub fn render(&self, owners: &OwnerGauges) -> String {
+        let mut out = String::with_capacity(8192);
+        self.render_declared(owners, &mut out);
         let uptime = self.start.elapsed().as_secs_f64();
         let cycles = self.sim_cycles_total.load(Ordering::Relaxed);
         let cycles_per_sec = if uptime > 0.0 { cycles as f64 / uptime } else { 0.0 };
-        let mut out = String::with_capacity(8192);
-        let series: &[(&str, &str, &str, u64)] = &[
-            ("vpir_connections_total", "counter", "Connections accepted by the listener.", self.connections_total.load(Ordering::Relaxed)),
-            ("vpir_requests_total", "counter", "Requests accepted by the HTTP layer.", self.requests_total.load(Ordering::Relaxed)),
-            ("vpir_responses_ok_total", "counter", "Responses with a 2xx status.", self.responses_ok.load(Ordering::Relaxed)),
-            ("vpir_responses_client_error_total", "counter", "Responses with a 4xx status.", self.responses_client_error.load(Ordering::Relaxed)),
-            ("vpir_responses_server_error_total", "counter", "Responses with a 5xx status other than 503.", self.responses_server_error.load(Ordering::Relaxed)),
-            ("vpir_responses_rejected_total", "counter", "503 responses (backpressure, shedding, or draining).", self.responses_rejected.load(Ordering::Relaxed)),
-            ("vpir_cache_hits_total", "counter", "Requests answered from the in-memory cache tier.", self.cache_hits.load(Ordering::Relaxed)),
-            ("vpir_cache_hits_disk_total", "counter", "Requests answered from the disk cache tier.", self.cache_hits_disk.load(Ordering::Relaxed)),
-            ("vpir_cache_misses_total", "counter", "Requests that had to simulate.", self.cache_misses.load(Ordering::Relaxed)),
-            ("vpir_cache_entries", "gauge", "Entries held by the in-memory cache tier.", self.cache_entries.load(Ordering::Relaxed)),
-            ("vpir_cache_mem_bytes", "gauge", "Body bytes held by the in-memory cache tier.", self.cache_mem_bytes.load(Ordering::Relaxed)),
-            ("vpir_cache_entries_evicted_total", "counter", "Entries evicted from the in-memory LRU.", self.cache_entries_evicted.load(Ordering::Relaxed)),
-            ("vpir_store_entries", "gauge", "Entries indexed by the disk store.", self.store_entries.load(Ordering::Relaxed)),
-            ("vpir_store_bytes", "gauge", "File bytes indexed by the disk store.", self.store_bytes.load(Ordering::Relaxed)),
-            ("vpir_store_evictions_total", "counter", "Disk entries evicted for the byte budget.", self.store_evictions.load(Ordering::Relaxed)),
-            ("vpir_store_quarantined_total", "counter", "Disk entries quarantined by a failed frame check.", self.store_quarantined.load(Ordering::Relaxed)),
-            ("vpir_queue_depth", "gauge", "Jobs waiting in the bounded queue.", self.queue_depth.load(Ordering::Relaxed)),
-            ("vpir_in_flight_jobs", "gauge", "Jobs currently executing on a worker.", self.in_flight_jobs.load(Ordering::Relaxed)),
-            ("vpir_shed_state", "gauge", "Load shedding state: 0 healthy, 1 shedding, 2 saturated.", self.shed_state.load(Ordering::Relaxed)),
-            ("vpir_requests_shed_total", "counter", "Expensive requests refused while shedding.", self.requests_shed.load(Ordering::Relaxed)),
-            ("vpir_deadline_exceeded_total", "counter", "Requests answered 504 past the simulation deadline.", self.deadline_exceeded.load(Ordering::Relaxed)),
-            ("vpir_slow_client_timeouts_total", "counter", "Connections answered 408 for stalling mid-request.", self.slow_client_timeouts.load(Ordering::Relaxed)),
-            ("vpir_runs_completed_total", "counter", "Simulations that ran to completion.", self.runs_completed.load(Ordering::Relaxed)),
-            ("vpir_runs_sim_error_total", "counter", "Simulations that ended in a structured SimError.", self.runs_sim_error.load(Ordering::Relaxed)),
-            ("vpir_runs_panicked_total", "counter", "Jobs whose execution panicked (contained).", self.runs_panicked.load(Ordering::Relaxed)),
-            ("vpir_matrix_cells_failed_total", "counter", "Matrix cells that degraded to failure rows.", self.matrix_cells_failed.load(Ordering::Relaxed)),
-            ("vpir_sim_cycles_total", "counter", "Cumulative simulated cycles across all jobs.", cycles),
-        ];
-        for (name, kind, help, value) in series {
-            push_series(&mut out, name, kind, help, &value.to_string());
-        }
-        let endpoints: &[(&str, &Histogram)] = &[
-            ("run", &self.latency_run),
-            ("matrix", &self.latency_matrix),
-            ("analyze", &self.latency_analyze),
-            ("other", &self.latency_other),
-        ];
-        for (name, histo) in endpoints {
-            let quantiles: &[(&str, u64)] = &[
-                ("count", histo.count()),
-                ("p50_micros", histo.p50()),
-                ("p99_micros", histo.p99()),
-                ("p999_micros", histo.p999()),
-            ];
-            for (suffix, value) in quantiles {
-                let kind = if *suffix == "count" { "counter" } else { "gauge" };
-                push_series(
-                    &mut out,
-                    &format!("vpir_latency_{name}_{suffix}"),
-                    kind,
-                    &format!("Latency of {name} requests ({suffix})."),
-                    &value.to_string(),
-                );
-            }
-        }
         push_series(
             &mut out,
             "vpir_sim_cycles_per_second",
@@ -266,6 +193,26 @@ impl Metrics {
 impl Default for Metrics {
     fn default() -> Metrics {
         Metrics::new()
+    }
+}
+
+/// Appends one endpoint's request count and latency percentiles.
+fn push_histogram(out: &mut String, endpoint: &str, histo: &Histogram) {
+    let quantiles = [
+        ("count", histo.count()),
+        ("p50_micros", histo.p50()),
+        ("p99_micros", histo.p99()),
+        ("p999_micros", histo.p999()),
+    ];
+    for (suffix, value) in quantiles {
+        let kind = if suffix == "count" { "counter" } else { "gauge" };
+        push_series(
+            out,
+            &format!("vpir_latency_{endpoint}_{suffix}"),
+            kind,
+            &format!("Latency of {endpoint} requests ({suffix})."),
+            &value.to_string(),
+        );
     }
 }
 
@@ -300,15 +247,16 @@ mod tests {
         m.observe_status(500);
         m.latency_for("/v1/run").record(300);
         m.latency_for("/nope").record(5);
-        let text = m.render();
+        let owners = OwnerGauges { queue_depth: 3, shed_state: 1, ..OwnerGauges::default() };
+        let text = m.render(&owners);
         assert!(text.contains("vpir_requests_total 3"), "{text}");
         assert!(text.contains("vpir_cache_hits_total 1"), "{text}");
         assert!(text.contains("vpir_responses_ok_total 1"), "{text}");
         assert!(text.contains("vpir_responses_client_error_total 1"), "{text}");
         assert!(text.contains("vpir_responses_rejected_total 1"), "{text}");
         assert!(text.contains("vpir_responses_server_error_total 1"), "{text}");
-        assert!(text.contains("# TYPE vpir_queue_depth gauge"), "{text}");
-        assert!(text.contains("# TYPE vpir_shed_state gauge"), "{text}");
+        assert!(text.contains("# TYPE vpir_queue_depth gauge\nvpir_queue_depth 3\n"), "{text}");
+        assert!(text.contains("# TYPE vpir_shed_state gauge\nvpir_shed_state 1\n"), "{text}");
         assert!(text.contains("vpir_store_quarantined_total 0"), "{text}");
         assert!(text.contains("vpir_latency_run_count 1"), "{text}");
         // Single samples: each percentile is clamped to the exact max.

@@ -22,21 +22,21 @@
 //!   fences per connection — noise next to a simulation run.
 //!
 //! * **Monotonic telemetry — `Relaxed`.** Every `Metrics` counter and
-//!   gauge (`queue_depth`, `in_flight_jobs`, `runs_panicked`, …) and
-//!   every latency-histogram bucket (`crate::histo`, including the
-//!   loadgen's client-side histogram) is written with `Relaxed`
-//!   `fetch_add`/`fetch_sub`/`fetch_max`/`store` and read only by the
+//!   gauge (`in_flight_jobs`, `runs_panicked`, …) and every
+//!   latency-histogram bucket (`crate::histo`, including the loadgen's
+//!   client-side histogram) is written with `Relaxed`
+//!   `fetch_add`/`fetch_sub`/`fetch_max` and read only by the
 //!   `/metrics` scraper or an end-of-run report. No decision is ever
 //!   made on these values, so cross-thread ordering buys nothing; RMW
 //!   atomicity alone guarantees no lost increments. A scrape may
 //!   observe a counter a beat early or late — that is inherent to
-//!   scraping, not ordering. The `shed_state` gauge stays in this class
-//!   because the router never *loads* it for the shed decision: it
-//!   recomputes the watermark from the queue depth (read under the
-//!   queue mutex) and only publishes the result.
+//!   scraping, not ordering.
 //!
 //! Queue state itself (`Inner`) is plain data under the `Mutex`; the
 //! `Condvar` pairs with that same mutex, so no atomics are involved.
+//! The `/metrics` queue-depth and shed-state gauges are not atomics
+//! either: a scrape reads the depth under that mutex, as the router
+//! does for its shed decision.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,8 +77,8 @@ impl JobQueue {
         JobQueue { inner: Mutex::new(Inner::default()), ready: Condvar::new(), capacity }
     }
 
-    /// Enqueues `job`, returning the new queue depth, or refuses it.
-    pub fn try_push(&self, job: Job) -> Result<usize, PushError> {
+    /// Enqueues `job`, or refuses it.
+    pub fn try_push(&self, job: Job) -> Result<(), PushError> {
         let mut inner = self.lock();
         if inner.draining {
             return Err(PushError::Draining);
@@ -87,10 +87,9 @@ impl JobQueue {
             return Err(PushError::Full);
         }
         inner.queue.push_back(job);
-        let depth = inner.queue.len();
         drop(inner);
         self.ready.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
     /// Blocks for the next job; `None` once draining and empty.
@@ -160,7 +159,6 @@ pub fn spawn_workers(n: usize, queue: Arc<JobQueue>, metrics: Arc<Metrics>) -> V
                 .name(format!("vpir-serve-worker-{i}"))
                 .spawn(move || {
                     while let Some(job) = queue.pop() {
-                        metrics.queue_depth.store(queue.depth() as u64, Ordering::Relaxed);
                         metrics.in_flight_jobs.fetch_add(1, Ordering::Relaxed);
                         // Safety net: jobs carry their own catch_unwind
                         // around the simulation so they can report the
@@ -193,12 +191,15 @@ mod tests {
     #[test]
     fn queue_enforces_capacity_and_drain_semantics() {
         let queue = JobQueue::new(2);
-        assert_eq!(queue.try_push(Box::new(|| {})).ok(), Some(1));
-        assert_eq!(queue.try_push(Box::new(|| {})).ok(), Some(2));
-        assert_eq!(queue.try_push(Box::new(|| {})).err(), Some(PushError::Full));
+        assert_eq!(queue.try_push(Box::new(|| {})), Ok(()));
+        assert_eq!(queue.depth(), 1);
+        assert_eq!(queue.try_push(Box::new(|| {})), Ok(()));
+        assert_eq!(queue.depth(), 2);
+        assert_eq!(queue.try_push(Box::new(|| {})), Err(PushError::Full));
+        assert_eq!(queue.depth(), 2);
         queue.drain();
         // Draining: queued jobs still pop, new pushes are refused.
-        assert_eq!(queue.try_push(Box::new(|| {})).err(), Some(PushError::Draining));
+        assert_eq!(queue.try_push(Box::new(|| {})), Err(PushError::Draining));
         assert!(queue.pop().is_some());
         assert!(queue.pop().is_some());
         assert!(queue.pop().is_none());

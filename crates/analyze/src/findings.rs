@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use vpir_jsonlite::json_escape;
+
 /// The simulator invariants (R2, R4, R7–R10; host Rust sources) and
 /// guest-program structural lints (L1–L4, vpir assembly) the analyzers
 /// check.
@@ -170,10 +172,10 @@ impl Report {
                 "{{\"rule\":\"{}\",\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
                 f.rule.id(),
                 f.rule.name(),
-                escape(&f.file),
+                json_escape(&f.file),
                 f.line,
                 f.col,
-                escape(&f.message)
+                json_escape(&f.message)
             );
         }
         out.push_str("],\"proofs\":[");
@@ -185,39 +187,20 @@ impl Report {
                 out,
                 "{{\"rule\":\"{}\",\"root\":\"{}\",\"summary\":\"{}\",\"details\":[",
                 p.rule.id(),
-                escape(&p.root),
-                escape(&p.summary)
+                json_escape(&p.root),
+                json_escape(&p.summary)
             );
             for (j, d) in p.details.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", escape(d));
+                let _ = write!(out, "\"{}\"", json_escape(d));
             }
             out.push_str("]}");
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for inclusion in a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -50,6 +50,7 @@ use std::fmt::Write as _;
 
 use vpir_analyze::Finding;
 use vpir_isa::Program;
+use vpir_jsonlite::json_escape;
 
 pub use cfg::{Cfg, EdgeRole};
 pub use classify::StaticClass;
@@ -161,7 +162,7 @@ impl Analysis {
     pub fn to_json(&self) -> String {
         let (inv, stride, dep, producers) = self.class_counts();
         let mut out = String::from("{");
-        let _ = write!(out, "\"file\":\"{}\",", escape(&self.file));
+        let _ = write!(out, "\"file\":\"{}\",", json_escape(&self.file));
         let _ = write!(out, "\"insts\":{},", self.insts.len());
         let _ = write!(out, "\"blocks\":{},", self.cfg.blocks.len());
         let _ = write!(
@@ -186,10 +187,10 @@ impl Analysis {
                 "{{\"rule\":\"{}\",\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
                 f.rule.id(),
                 f.rule.name(),
-                escape(&f.file),
+                json_escape(&f.file),
                 f.line,
                 f.col,
-                escape(&f.message)
+                json_escape(&f.message)
             );
         }
         out.push_str("]}");
@@ -241,21 +242,3 @@ pub fn analyze_program(prog: &Program, file: &str) -> Analysis {
     }
 }
 
-/// Escapes a string for inclusion in a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}

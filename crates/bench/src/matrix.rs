@@ -130,10 +130,17 @@ impl Matrix {
 }
 
 /// Runs one simulator configuration over one benchmark.
+///
+/// # Panics
+///
+/// Panics, naming the benchmark, if the run ends in a [`SimError`];
+/// callers that want graceful degradation use [`run_cell`].
 pub fn run_one(bench: Bench, scale: Scale, config: CoreConfig, max_cycles: u64) -> SimStats {
     let prog = bench.program(scale);
     let mut sim = Simulator::new(&prog, config);
-    sim.run(RunLimits::cycles(max_cycles)).clone()
+    sim.run_checked(RunLimits::cycles(max_cycles))
+        .unwrap_or_else(|e| panic!("{} run failed: {e}", bench.name()))
+        .clone()
 }
 
 /// Runs everything needed for one benchmark, sequentially on the

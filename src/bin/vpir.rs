@@ -207,14 +207,22 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if trace > 0 {
         sim.enable_trace(trace);
     }
-    sim.run(RunLimits::cycles(cycles));
-    if !sim.halted() {
-        eprintln!("(cycle limit reached before halt)");
-    }
+    let verdict = run_verdict(&mut sim, cycles);
     print!("{}", sim.stats().report());
     if let Some(t) = sim.trace() {
         println!("\ntrace of the first {} dispatches:", t.records().len());
         print!("{}", t.render());
+    }
+    verdict
+}
+
+/// Runs `sim` for at most `cycles`. A structured simulator failure (a
+/// livelock, say) is the error; a run capped before `halt` is only
+/// noted on stderr.
+fn run_verdict(sim: &mut Simulator, cycles: u64) -> Result<(), String> {
+    sim.run_checked(RunLimits::cycles(cycles)).map_err(|e| e.to_string())?;
+    if !sim.halted() {
+        eprintln!("(cycle limit reached before halt)");
     }
     Ok(())
 }
@@ -805,7 +813,7 @@ fn cmd_limit(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpir::core::VpConfig;
+    use vpir::core::{FaultInjection, VpConfig};
 
     #[test]
     fn machine_aliases_name_registry_labels() {
@@ -816,5 +824,17 @@ mod tests {
         assert_eq!(parse_machine("magic:ME-SB:vl0"), parse_machine("vp"));
         assert!(parse_machine("hybrid").is_ok());
         assert!(parse_machine("vp:nme-nsb:vl1").is_err(), "the lowercase grammar is gone");
+    }
+
+    #[test]
+    fn a_livelocked_run_is_an_error() {
+        let program = asm::assemble("loop: addi r1, r1, 1\n beq r0, r0, loop\n halt")
+            .expect("assemble");
+        let mut cfg = CoreConfig::table1();
+        cfg.fault = FaultInjection::CommitStall { after_commits: 10 };
+        cfg.watchdog_cycles = 1_000;
+        let mut sim = Simulator::new(&program, cfg);
+        let err = run_verdict(&mut sim, 200_000).expect_err("the stalled commit stage livelocks");
+        assert!(err.starts_with("livelock:"), "{err}");
     }
 }

@@ -85,31 +85,31 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    let render: fn(&Matrix) -> String = match id.as_str() {
+        "table2" => report::table2,
+        "table3" => report::table3,
+        "table4" => report::table4,
+        "table5" => report::table5,
+        "table6" => report::table6,
+        "fig3" => report::fig3,
+        "fig4" => report::fig4,
+        "fig5" => report::fig5,
+        "fig6" => report::fig6,
+        "fig7" => report::fig7,
+        "fig8" => report::fig8,
+        "fig9" => report::fig9,
+        "fig10" => report::fig10,
+        "all" => report::all,
+        "csv" => report::csv,
+        "rtb" => report::rtb_table,
+        _ => return usage(),
+    };
     eprintln!(
         "running matrix (scale {}, cycle cap {}) ...",
         cfg.scale.outer, cfg.max_cycles
     );
     let matrix = build_matrix(cfg, only_bench, jobs);
-    let out = match id.as_str() {
-        "table2" => report::table2(&matrix),
-        "table3" => report::table3(&matrix),
-        "table4" => report::table4(&matrix),
-        "table5" => report::table5(&matrix),
-        "table6" => report::table6(&matrix),
-        "fig3" => report::fig3(&matrix),
-        "fig4" => report::fig4(&matrix),
-        "fig5" => report::fig5(&matrix),
-        "fig6" => report::fig6(&matrix),
-        "fig7" => report::fig7(&matrix),
-        "fig8" => report::fig8(&matrix),
-        "fig9" => report::fig9(&matrix),
-        "fig10" => report::fig10(&matrix),
-        "all" => report::all(&matrix),
-        "csv" => report::csv(&matrix),
-        "rtb" => report::rtb_table(&matrix),
-        _ => return usage(),
-    };
-    println!("{out}");
+    println!("{}", render(&matrix));
     ExitCode::SUCCESS
 }
 

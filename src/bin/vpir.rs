@@ -220,7 +220,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// livelock, say) is the error; a run capped before `halt` is only
 /// noted on stderr.
 fn run_verdict(sim: &mut Simulator, cycles: u64) -> Result<(), String> {
-    sim.run_checked(RunLimits::cycles(cycles)).map_err(|e| e.to_string())?;
+    sim.run_checked(RunLimits::cycles(cycles))
+        .map_err(|e| e.to_string())?;
     if !sim.halted() {
         eprintln!("(cycle limit reached before halt)");
     }
@@ -828,8 +829,8 @@ mod tests {
 
     #[test]
     fn a_livelocked_run_is_an_error() {
-        let program = asm::assemble("loop: addi r1, r1, 1\n beq r0, r0, loop\n halt")
-            .expect("assemble");
+        let program =
+            asm::assemble("loop: addi r1, r1, 1\n beq r0, r0, loop\n halt").expect("assemble");
         let mut cfg = CoreConfig::table1();
         cfg.fault = FaultInjection::CommitStall { after_commits: 10 };
         cfg.watchdog_cycles = 1_000;

@@ -33,17 +33,22 @@ pub fn run_interprocedural(files: &[File]) -> (Vec<Finding>, Vec<ProofNote>) {
 // ----------------------------------------------------------------
 
 /// The entry points whose whole call tree must be panic-free: the
-/// simulator's public run loop and the ISA-level machine's. Matched by
-/// exact qualified name so fixtures can use the same shapes. A root
-/// with no definition is skipped here; the workspace self-check test
-/// requires a proof for every entry, so a renamed one fails there.
-pub const PANIC_ROOTS: [&str; 6] = [
+/// simulator's public run loop, the ISA-level machine's, and the
+/// parsers that read hostile input (JSON bodies, HTTP requests,
+/// assembly). Matched by exact qualified name so fixtures can use the
+/// same shapes. A root with no definition is skipped here; the
+/// workspace self-check test requires a proof for every entry, so a
+/// renamed one fails there.
+pub const PANIC_ROOTS: [&str; 9] = [
     "Simulator::run_checked",
     "Simulator::run",
     "Simulator::run_to_halt",
     "Simulator::step_cycle",
     "Machine::run",
     "Machine::step",
+    "parse_json",
+    "assemble",
+    "ConnReader::next_request",
 ];
 
 fn panic_reach(

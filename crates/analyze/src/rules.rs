@@ -2,7 +2,7 @@
 //!
 //! | id | name     | scope                                           |
 //! |----|----------|-------------------------------------------------|
-//! | R2 | panic    | cycle-level crates + `isa/src/asm.rs` + `serve` |
+//! | R2 | panic    | cycle-level crates + [`PANIC_SCOPE`]            |
 //! | R4 | config   | `crates/core/src/config.rs` fields              |
 //! | R7 | columnar | cycle-level crates minus the column module      |
 //!
@@ -16,7 +16,7 @@
 //! The rest of each invariant lives in the compiler's lints, scoped to
 //! the same crates: every cycle crate's `clippy.toml` bans hash-ordered
 //! collections and host-clock types, and a `deny(clippy::unwrap_used,
-//! …)` in those crates' roots, in `serve` and in `isa/src/asm.rs` bans
+//! …)` in those crates' roots and in every [`PANIC_SCOPE`] root bans
 //! the panicking calls and macros.
 
 use crate::findings::{Finding, Rule};
@@ -44,13 +44,23 @@ fn in_cycle_crate(path: &str) -> bool {
         .any(|c| path.starts_with(&format!("crates/{c}/src/")))
 }
 
+/// The roots that parse hostile input outside the cycle crates: the
+/// service's request path, the JSON parser under it, and the
+/// assembler. A panic there takes down a connection or worker thread,
+/// so they keep the cycle crates' discipline: each carries the
+/// crate-level panic `deny`, and R2 scans it (a `lib.rs` root covers
+/// its whole crate).
+pub const PANIC_SCOPE: [&str; 3] = [
+    "crates/serve/src/lib.rs",
+    "crates/jsonlite/src/lib.rs",
+    "crates/isa/src/asm.rs",
+];
+
 fn in_panic_scope(path: &str) -> bool {
-    // The service crate handles hostile byte streams on its request
-    // path: a panic there takes down a connection or worker thread, so
-    // it gets the same panic-freedom discipline as the cycle crates.
     in_cycle_crate(path)
-        || path == "crates/isa/src/asm.rs"
-        || path.starts_with("crates/serve/src/")
+        || PANIC_SCOPE
+            .iter()
+            .any(|root| path.starts_with(root.trim_end_matches("lib.rs")))
 }
 
 /// Runs every rule over the scanned files.

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use vpir_analyze::passes::PANIC_ROOTS;
-use vpir_analyze::rules::CYCLE_CRATES;
+use vpir_analyze::rules::{CYCLE_CRATES, PANIC_SCOPE};
 use vpir_analyze::{analyze_root, dump_call_graph, sarif, Report};
 
 fn fixture(name: &str) -> PathBuf {
@@ -193,8 +193,8 @@ fn the_workspace_itself_is_clean() {
 }
 
 /// The attribute that denies panicking calls and macros in every crate
-/// root (and `isa/src/asm.rs`) in R2's scope. Matched with whitespace
-/// removed, so any formatting of it counts.
+/// root in R2's scope: the cycle crates and [`PANIC_SCOPE`]. Matched
+/// with whitespace removed, so any formatting of it counts.
 const PANIC_DENY: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, \
     clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]";
 
@@ -226,9 +226,8 @@ fn cycle_crates_carry_the_clippy_settings() {
     // The panic deny sits in every crate root in R2's scope.
     let roots = CYCLE_CRATES
         .iter()
-        .chain(["serve"].iter())
         .map(|c| format!("crates/{c}/src/lib.rs"))
-        .chain(["crates/isa/src/asm.rs".to_string()]);
+        .chain(PANIC_SCOPE.map(String::from));
     let squash = |s: &str| -> String { s.chars().filter(|c| !c.is_whitespace()).collect() };
     for path in roots {
         let src = fs::read_to_string(root.join(&path)).expect("crate root readable");

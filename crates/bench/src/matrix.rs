@@ -25,6 +25,7 @@ use std::sync::Mutex;
 
 use vpir_core::{CoreConfig, FaultInjection, RunLimits, SimError, SimStats, Simulator};
 use vpir_isa::Program;
+use vpir_jsonlite::json_escape;
 use vpir_mechanism::registry;
 use vpir_redundancy::{analyze, LimitConfig, LimitStudy};
 use vpir_workloads::{Bench, Scale};
@@ -493,11 +494,11 @@ fn persist_slot(
             out.push_str(&format!("  \"job_index\": {job_index},\n"));
             out.push_str(&format!(
                 "  \"bench\": \"{}\",\n",
-                state::json_escape(bench.name())
+                json_escape(bench.name())
             ));
-            out.push_str(&format!("  \"config\": \"{}\",\n", state::json_escape(label)));
-            out.push_str(&format!("  \"kind\": \"{}\",\n", state::json_escape(kind)));
-            out.push_str(&format!("  \"error\": \"{}\",\n", state::json_escape(error)));
+            out.push_str(&format!("  \"config\": \"{}\",\n", json_escape(label)));
+            out.push_str(&format!("  \"kind\": \"{}\",\n", json_escape(kind)));
+            out.push_str(&format!("  \"error\": \"{}\",\n", json_escape(error)));
             match sim_json {
                 Some(j) => out.push_str(&format!(
                     "  \"sim_error\": {}\n",

@@ -4,22 +4,18 @@
 //! scheduler while timing each phase, and serialises the result as
 //! `BENCH_matrix.json` so the repo carries a perf trajectory from PR to
 //! PR. The JSON is hand-rolled (the workspace is offline and carries no
-//! serde); [`validate_json`] — re-exported from the shared
-//! `vpir-jsonlite` crate, where this module's original checker now
-//! lives — is used by the CLI and CI to confirm the emitted file is
-//! well-formed.
+//! serde); [`vpir_jsonlite::validate_json`] is used by the CLI and CI
+//! to confirm the emitted file is well-formed.
 
 use std::time::Instant;
 
+use vpir_jsonlite::json_escape;
 use vpir_workloads::Bench;
 
 use crate::matrix::{
     build_programs, default_jobs, run_bench, run_matrix_outcome, JobFailure, Matrix,
     MatrixConfig, MatrixOutcome, RunOptions,
 };
-use crate::state::json_escape;
-
-pub use vpir_jsonlite::validate_json;
 
 /// Timings and rates for one measured matrix run.
 #[derive(Debug, Clone)]
@@ -399,6 +395,7 @@ pub const REQUIRED_KEYS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpir_jsonlite::{parse_json, validate_json};
 
     #[test]
     fn emitted_json_is_well_formed() {
@@ -452,7 +449,7 @@ mod tests {
     fn cycles_json_is_well_formed_and_round_trips() {
         let json = rate(1_250_000).to_json();
         validate_json(&json, CYCLES_REQUIRED_KEYS).expect("valid");
-        let doc = vpir_jsonlite::parse_json(&json).expect("parseable");
+        let doc = parse_json(&json).expect("parseable");
         assert_eq!(
             doc.get("sim_cycles_per_sec").and_then(|v| v.as_u64()),
             Some(1_250_000)

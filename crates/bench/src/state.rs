@@ -16,22 +16,18 @@
 //! properties of that list.
 //!
 //! Everything here is std-only: the emitter and the exact-`u64`
-//! recursive-descent parser live in the shared `vpir-jsonlite` crate
-//! (they started life in this module) and are re-exported below so
-//! existing `vpir_bench::state::{parse_json, ...}` imports keep working.
+//! parser live in the shared `vpir-jsonlite` crate.
 
 use std::mem::take;
 use std::path::{Path, PathBuf};
 
 use vpir_core::SimStats;
-use vpir_jsonlite::JsonObj as Obj;
+use vpir_jsonlite::{json_escape, parse_json, JsonObj as Obj, JsonValue};
 use vpir_mem::CacheStats;
 use vpir_predict::VptStats;
 use vpir_redundancy::LimitStudy;
 use vpir_reuse::ReuseStats;
 use vpir_stats::RtbStats;
-
-pub use vpir_jsonlite::{json_escape, parse_json, JsonValue};
 
 /// Schema tag stamped into every per-job result file.
 pub const JOB_SCHEMA: &str = "vpir-bench-job-v2";

@@ -10,8 +10,9 @@ use vpir_bench::matrix::{
     run_benches_jobs, run_matrix_outcome, build_programs, InjectFault, MatrixConfig,
     RunOptions,
 };
-use vpir_bench::perf::{validate_json, REQUIRED_KEYS};
+use vpir_bench::perf::REQUIRED_KEYS;
 use vpir_bench::state;
+use vpir_jsonlite::{parse_json, validate_json};
 use vpir_workloads::{Bench, Scale};
 
 /// Small enough for debug-mode CI, large enough that every configuration
@@ -141,7 +142,7 @@ fn an_injected_panic_is_contained_by_the_worker_boundary() {
 #[test]
 fn sim_error_json_round_trips_the_validator() {
     // The core crate emits its diagnostic snapshots as std-only JSON;
-    // the bench crate owns the JSON grammar checker. Tie them together:
+    // jsonlite owns the JSON grammar. Tie them together:
     // a real watchdog error's serialized form must both pass the
     // grammar validator and parse into a value exposing the snapshot.
     use vpir_core::{CoreConfig, FaultInjection, RunLimits, Simulator};
@@ -166,7 +167,7 @@ fn sim_error_json_round_trips_the_validator() {
     let json = err.to_json();
     validate_json(&json, &["kind", "cycle", "message", "snapshot"])
         .expect("SimError JSON is grammatical");
-    let value = state::parse_json(&json).expect("parses as a value");
+    let value = parse_json(&json).expect("parses as a value");
     let snapshot = value.get("snapshot").expect("snapshot present");
     assert!(snapshot.get("last_retired").is_some());
     assert_eq!(

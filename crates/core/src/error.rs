@@ -12,8 +12,8 @@
 //! per-stage counters.
 //!
 //! Snapshots serialise with the same std-only hand-rolled JSON style as
-//! `crates/bench/src/perf.rs`; the emitted text round-trips that
-//! module's `validate_json` checker (pinned by
+//! `crates/bench/src/perf.rs`; the emitted text passes
+//! `vpir_jsonlite::validate_json` (pinned by
 //! `crates/bench/tests/failure.rs`).
 
 use std::fmt;

@@ -5,22 +5,25 @@
 //! reports, the simulator's diagnostic snapshots, and the `vpir serve`
 //! request/response path — uses the same small, std-only toolkit:
 //!
-//! - [`JsonValue`] / [`parse_json`] — a recursive-descent parser for the
-//!   subset of JSON the workspace's documents use (objects, arrays,
-//!   strings, **unsigned integers only**, `true`/`false`/`null`).
-//!   Refusing floats, exponents, and negatives is what makes round
-//!   trips of `u64` simulator counters exact.
+//! - [`JsonValue`] / [`parse_json`] — a recursive-descent parser for
+//!   exactly RFC 8259's grammar, holding numbers as **exact `u64`s**.
+//!   Refusing signs, fractions, exponents and overflow is what makes
+//!   round trips of `u64` simulator counters exact.
+//! - [`validate_json`] — the same parser with its number rule widened
+//!   to any JSON number, plus a check for required top-level keys; used
+//!   by CLIs and CI to self-check emitted documents, which may carry
+//!   float timings.
 //! - [`json_escape`] / [`JsonObj`] — emission: string escaping and an
 //!   insertion-ordered object builder.
-//! - [`validate_json`] — a grammar checker over *full* JSON (floats and
-//!   all) that never builds a tree; used by CLIs and CI to self-check
-//!   emitted documents.
 //!
-//! Everything here was extracted from `crates/bench` (`state.rs`,
-//! `perf.rs`), which re-exports it for compatibility.
+//! Every parse error names the byte offset at which the input went
+//! wrong. `vpir serve` parses untrusted request bodies here, so the
+//! crate carries the same panic `deny` as the cycle crates, and
+//! `vpir analyze` proves `parse_json` panic-free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 use std::fmt::Write as _;
 
@@ -94,218 +97,278 @@ impl JsonValue {
 
 /// Parses a JSON document into a [`JsonValue`].
 ///
-/// Rejects fractions, exponents, and negative numbers: workspace
-/// documents only ever hold `u64` counters, strings, booleans, and
-/// containers, and anything else indicates corruption.
+/// Rejects negative numbers, fractions, exponents, and integers past
+/// `u64::MAX`: workspace documents only ever hold `u64` counters,
+/// strings, booleans, and containers, and anything else indicates
+/// corruption.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    parse(text, Numbers::U64)
+}
+
+/// Validates that `text` is well-formed JSON and, at the top level, an
+/// object containing every key in `required_keys`.
+///
+/// This is [`parse_json`]'s grammar with any JSON number allowed:
+/// emitted documents may carry floats (e.g. timings) that the
+/// exact-counter parser refuses.
+pub fn validate_json(text: &str, required_keys: &[&str]) -> Result<(), String> {
+    let doc = parse(text, Numbers::Any)?;
+    match required_keys.iter().find(|key| doc.get(key).is_none()) {
+        Some(key) => Err(format!("missing required top-level key {key:?}")),
+        None => Ok(()),
+    }
+}
+
+/// What the number rule accepts.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Numbers {
+    /// Exact `u64` counters only ([`parse_json`]).
+    U64,
+    /// Any JSON number ([`validate_json`]). One that is not a `u64`
+    /// reads as `Null`: this permissive tree never leaves the crate.
+    Any,
+}
+
+/// The most values on the path from the root to any leaf, leaf
+/// included.
+const MAX_DEPTH: u32 = 128;
+
+fn parse(text: &str, numbers: Numbers) -> Result<JsonValue, String> {
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+        numbers,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+    if p.pos != text.len() {
+        return Err(p.err("trailing data"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: u32,
+    numbers: Numbers,
 }
 
-const MAX_DEPTH: u32 = 128;
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+impl Parser<'_> {
+    /// An error message naming the current byte offset.
+    fn err(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Consumes `lit` if the input continues with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let found = self
+            .text
+            .as_bytes()
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(lit.as_bytes()));
+        if found {
+            self.pos += lit.len();
+        }
+        found
+    }
+
+    /// Consumes `lit` or fails naming it.
+    fn want(&mut self, lit: &str) -> Result<(), String> {
+        if self.eat(lit) {
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            ))
+            Err(self.err(&format!("expected `{lit}`")))
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn value(&mut self) -> Result<JsonValue, String> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err("nesting too deep".to_string());
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
         }
+        self.depth += 1;
         let v = match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!(
-                "unexpected byte `{}` at {} (negative and fractional \
-                 numbers are not valid here)",
-                b as char, self.pos
-            )),
-            None => Err("unexpected end of input".to_string()),
-        }?;
+            Some(b'{') => self.object()?,
+            Some(b'[') => self.array()?,
+            Some(b'"') => JsonValue::Str(self.string()?),
+            Some(b'-' | b'0'..=b'9') => self.number()?,
+            Some(b't') if self.eat("true") => JsonValue::Bool(true),
+            Some(b'f') if self.eat("false") => JsonValue::Bool(false),
+            Some(b'n') if self.eat("null") => JsonValue::Null,
+            Some(_) => return Err(self.err("expected a value")),
+            None => return Err(self.err("unexpected end of input")),
+        };
         self.depth -= 1;
         Ok(v)
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
+        let mut more = self.open_items("{", "}")?;
+        while more {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.want(":")?;
             self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
+            fields.push((key, self.value()?));
+            more = self.after_item("}")?;
         }
+        Ok(JsonValue::Obj(fields))
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
+        let mut more = self.open_items("[", "]")?;
+        while more {
             self.skip_ws();
             items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
+            more = self.after_item("]")?;
+        }
+        Ok(JsonValue::Arr(items))
+    }
+
+    /// Consumes a container's opening bracket; whether an item follows.
+    fn open_items(&mut self, open: &str, close: &str) -> Result<bool, String> {
+        self.want(open)?;
+        self.skip_ws();
+        Ok(!self.eat(close))
+    }
+
+    /// Consumes the `,` or `close` after an item; whether another follows.
+    fn after_item(&mut self, close: &str) -> Result<bool, String> {
+        self.skip_ws();
+        if self.eat(",") {
+            Ok(true)
+        } else if self.eat(close) {
+            Ok(false)
+        } else {
+            Err(self.err(&format!("expected `,` or `{close}`")))
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.want("\"")?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            // The run starts and stops next to ASCII bytes (or at the
+            // end), which are char boundaries of the `&str` input.
+            out.push_str(self.text.get(start..self.pos).unwrap_or_default());
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code).ok_or("invalid \\u code point")?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control byte in string at {}", self.pos))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so this is safe
-                    // to do bytewise until the next ASCII delimiter).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b & 0xc0 == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string")?,
-                    );
-                }
-                None => return Err("unterminated string".to_string()),
+                Some(b'\\') => out.push(self.escape()?),
+                Some(_) => return Err(self.err("raw control byte in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
 
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
+    /// One escape sequence, from its backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let mut code = self.hex4()?;
+                if (0xd800..0xdc00).contains(&code) && self.eat("\\u") {
+                    let low = self.hex4()?;
+                    if (0xdc00..0xe000).contains(&low) {
+                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                    }
+                }
+                // Any surrogate left unpaired is not a char.
+                return char::from_u32(code)
+                    .ok_or_else(|| format!("unpaired surrogate at byte {at}"));
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Exactly four hex digits.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self.peek().and_then(|b| char::from(b).to_digit(16));
+            code = code * 16 + digit.ok_or_else(|| self.err("bad \\u escape"))?;
+            self.pos += 1;
+        }
+        Ok(code)
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`, held by
+    /// the [`Numbers`] policy.
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        let negative = self.eat("-");
+        let int = self.pos;
+        if !self.eat("0") {
+            self.digits()?;
+        }
+        let n = self
+            .text
+            .get(int..self.pos)
+            .and_then(|d| d.parse::<u64>().ok());
+        let fraction = self.eat(".");
+        if fraction {
+            self.digits()?;
+        }
+        let exponent = matches!(self.peek(), Some(b'e' | b'E'));
+        if exponent {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        match n {
+            Some(n) if !(negative || fraction || exponent) => Ok(JsonValue::U64(n)),
+            _ if self.numbers == Numbers::Any => Ok(JsonValue::Null),
+            _ => Err(format!(
+                "number at byte {start} is not a u64: this parser holds exact \
+                 counters only"
+            )),
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let mut n: u64 = 0;
-        let start = self.pos;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(u64::from(b - b'0')))
-                .ok_or_else(|| format!("integer overflow at byte {start}"))?;
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), String> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("expected a digit"));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(format!(
-                "non-integer number at byte {start}: this parser holds exact \
-                 u64 counters only"
-            ));
-        }
-        Ok(JsonValue::U64(n))
+        Ok(())
     }
 }
 
@@ -400,247 +463,6 @@ impl JsonObj {
     }
 }
 
-// ---------------------------------------------------------------------
-// Grammar validation
-// ---------------------------------------------------------------------
-
-/// Validates that `text` is well-formed JSON and, at the top level, an
-/// object containing every key in `required_keys`.
-///
-/// A minimal recursive-descent checker — it accepts exactly the JSON
-/// grammar (objects, arrays, strings with escapes, numbers including
-/// floats and exponents, booleans, null) without building a document
-/// tree. This is deliberately wider than [`parse_json`]: emitted
-/// documents may carry floats (e.g. timings) that the exact-counter
-/// parser refuses.
-pub fn validate_json(text: &str, required_keys: &[&str]) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut p = Validator { bytes, pos: 0, top_keys: Vec::new(), depth: 0 };
-    p.skip_ws();
-    p.value(true)?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    for key in required_keys {
-        if !p.top_keys.iter().any(|k| k == key) {
-            return Err(format!("missing required top-level key {key:?}"));
-        }
-    }
-    Ok(())
-}
-
-struct Validator<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    top_keys: Vec<String>,
-    depth: u32,
-}
-
-impl Validator<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at offset {}",
-                b as char, self.pos
-            ))
-        }
-    }
-
-    fn value(&mut self, top: bool) -> Result<(), String> {
-        if self.depth > MAX_DEPTH {
-            return Err("nesting too deep".to_string());
-        }
-        self.depth += 1;
-        let r = match self.peek() {
-            Some(b'{') => self.object(top),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
-        };
-        self.depth -= 1;
-        r
-    }
-
-    fn object(&mut self, top: bool) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if top {
-                self.top_keys.push(key);
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value(false)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}', found {other:?} at offset {}",
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value(false)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']', found {other:?} at offset {}",
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(c @ (b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't')) => {
-                            out.push(c as char);
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.pos += 1,
-                                    _ => {
-                                        return Err(format!(
-                                            "bad \\u escape at offset {}",
-                                            self.pos
-                                        ))
-                                    }
-                                }
-                            }
-                        }
-                        other => {
-                            return Err(format!(
-                                "bad escape {other:?} at offset {}",
-                                self.pos
-                            ))
-                        }
-                    }
-                }
-                Some(b) if b >= 0x20 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                other => return Err(format!("bad string byte {other:?} at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut digits = 0;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("expected digits at offset {}", self.pos));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let mut frac = 0;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(format!("expected fraction digits at offset {}", self.pos));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let mut exp = 0;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(format!("expected exponent digits at offset {}", self.pos));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,5 +548,38 @@ mod tests {
         let text = r#"{"schema": "x", "jobs": 2}"#;
         validate_json(text, &["schema", "jobs"]).expect("present");
         assert!(validate_json(text, &["schema", "phases"]).is_err());
+    }
+
+    #[test]
+    fn both_entry_points_share_one_rfc_8259_grammar() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = (1..128).fold(JsonValue::Arr(vec![]), |v, _| JsonValue::Arr(vec![v]));
+        // Each row: input, and what `parse_json` returns (`None` for an
+        // error). `validate_json` must agree: every number is a u64.
+        let table = [
+            (r#""\u+041""#.to_string(), None), // a sign is not a hex digit
+            ("007".to_string(), None),         // leading zeros
+            ("-01".to_string(), None),
+            ("[01]".to_string(), None),
+            (
+                r#""\ud83d\ude00""#.to_string(),
+                Some(JsonValue::Str("\u{1f600}".into())),
+            ),
+            (r#""\ud800""#.to_string(), None), // a lone surrogate
+            (r#""\udc00""#.to_string(), None),
+            (nest(128), Some(deepest)), // one depth cap for both
+            (nest(129), None),
+        ];
+        for (text, want) in &table {
+            let parsed = parse_json(text);
+            let valid = validate_json(text, &[]);
+            assert_eq!(parsed.as_ref().ok(), want.as_ref(), "{text}: {parsed:?}");
+            assert_eq!(valid.is_ok(), want.is_some(), "{text}: {valid:?}");
+            for err in [parsed.err(), valid.err()].into_iter().flatten() {
+                assert!(err.contains(" at byte "), "{text}: {err}");
+            }
+        }
+        validate_json(r#"{"é": 1, "a\nb": 2}"#, &["é", "a\nb"])
+            .expect("non-ASCII and escaped keys");
     }
 }

@@ -70,10 +70,11 @@ use vpir::core::{CoreConfig, RunLimits, Simulator};
 use vpir::mechanism::registry;
 use vpir::bench::matrix::{InjectFault, MatrixConfig, RunOptions};
 use vpir::bench::perf::{
-    measure_cycle_rate, run_matrix_timed_opts, validate_json, CYCLES_REQUIRED_KEYS, REQUIRED_KEYS,
+    measure_cycle_rate, run_matrix_timed_opts, CYCLES_REQUIRED_KEYS, REQUIRED_KEYS,
 };
 use vpir::isa::{asm, image, Program};
 use vpir::isa_analyze::{analyze_program, cross_validate, REQUIRED_KEYS as ANALYZE_KEYS};
+use vpir::jsonlite::validate_json;
 use vpir::redundancy::{analyze, analyze_per_pc, LimitConfig};
 use vpir::serve::loadgen::{self, LoadgenConfig, Mix};
 use vpir::serve::{ServeConfig, Server, StoreFault};

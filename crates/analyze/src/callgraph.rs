@@ -13,7 +13,9 @@
 //! 3. **`self.method(…)`** — resolves `{Owner}::method` via the
 //!    enclosing impl block.
 //! 4. **`self.field.method(…)`** — the field's declared base type
-//!    (wrappers like `Option<Box<…>>` stripped) names the owner.
+//!    (wrappers like `Option<Box<…>>` stripped) names the owner; a
+//!    local bound by `let [mut] x = Type {` resolves `x.method(…)` the
+//!    same way, through `Type`.
 //! 5. **`expr.method(…)`** on any other receiver — *may-call* edges to
 //!    every workspace method (a fn declared in an `impl` or `trait`)
 //!    with that bare name ([`Target::Ambiguous`]).
@@ -250,13 +252,56 @@ const NOT_CALLS: [&str; 16] = [
 
 fn scan_fn(files: &[File], idx: &ItemIndex, f: &FnItem) -> FnNode {
     let mut node = FnNode::default();
+    // Locals bound to a struct literal so far, by name.
+    let mut locals: BTreeMap<String, String> = BTreeMap::new();
     let lines = &files[f.file].lines;
     for line in &lines[f.body_start..=f.body_end] {
-        extract_calls(&line.code, line.number, f, idx, &mut node.calls);
+        extract_calls(&line.code, line.number, f, idx, &locals, &mut node.calls);
         extract_panics(&line.code, line.number, &mut node.panics);
         extract_assumes(&line.code, line.number, &mut node.assumes);
+        // After the calls: a `let x = x.m()` right-hand side still sees
+        // the earlier `x`.
+        if let Some((name, ty)) = let_binding(&line.code) {
+            match ty {
+                Some(ty) if ty == "Self" => {
+                    locals.insert(name, f.owner.clone().unwrap_or(ty));
+                }
+                Some(ty) => {
+                    locals.insert(name, ty);
+                }
+                None => {
+                    locals.remove(&name);
+                }
+            }
+        }
     }
     node
+}
+
+/// A line's `let [mut] x = …` binding: `x`, with `Type` when the value
+/// is a struct literal `Type {`. Any other `let x` shadows an earlier
+/// literal binding, so its type is `None`.
+fn let_binding(code: &str) -> Option<(String, Option<String>)> {
+    let rest = code.trim_start().strip_prefix("let ")?.trim_start();
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
+    let name: String = rest
+        .chars()
+        .take_while(|c| c.is_alphanumeric() || *c == '_')
+        .collect();
+    if name.is_empty() {
+        return None;
+    }
+    let Some(rhs) = rest[name.len()..].trim_start().strip_prefix('=') else {
+        return Some((name, None));
+    };
+    let rhs = rhs.trim_start();
+    let ty: String = rhs
+        .chars()
+        .take_while(|c| c.is_alphanumeric() || *c == '_')
+        .collect();
+    let literal =
+        ty.starts_with(char::is_uppercase) && rhs[ty.len()..].trim_start().starts_with('{');
+    Some((name, literal.then_some(ty)))
 }
 
 /// Finds `ident(` call shapes and resolves each through the tiers.
@@ -265,6 +310,7 @@ fn extract_calls(
     line: usize,
     f: &FnItem,
     idx: &ItemIndex,
+    locals: &BTreeMap<String, String>,
     out: &mut Vec<CallEdge>,
 ) {
     let chars: Vec<char> = code.chars().collect();
@@ -337,6 +383,10 @@ fn extract_calls(
                         None => resolve_bare(idx, &ident),
                     }
                 }
+                Receiver::Local(name) => match locals.get(&name) {
+                    Some(ty) => resolve_qualified(idx, ty, &ident),
+                    None => resolve_bare(idx, &ident),
+                },
                 Receiver::Other => resolve_bare(idx, &ident),
             }
         } else {
@@ -415,7 +465,9 @@ enum Receiver {
     SelfOnly,
     /// `self.field.method(…)`
     SelfField(String),
-    /// Anything else (locals, call results, chained expressions).
+    /// `x.method(…)` on a bare identifier, such as a local.
+    Local(String),
+    /// Anything else (call results, chained or path expressions).
     Other,
 }
 
@@ -436,8 +488,12 @@ fn receiver_chain(chars: &[char], dot: usize) -> Receiver {
                 return Receiver::SelfField(seg1);
             }
         }
+        return Receiver::Other;
     }
-    Receiver::Other
+    if start1 >= 1 && chars[start1 - 1] == ':' {
+        return Receiver::Other;
+    }
+    Receiver::Local(seg1)
 }
 
 /// The identifier ending right before position `end`, if any.

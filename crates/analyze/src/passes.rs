@@ -39,9 +39,8 @@ pub fn run_interprocedural(files: &[File]) -> (Vec<Finding>, Vec<ProofNote>) {
 /// same shapes. A root with no definition is skipped here; the
 /// workspace self-check test requires a proof for every entry, so a
 /// renamed one fails there.
-pub const PANIC_ROOTS: [&str; 9] = [
+pub const PANIC_ROOTS: [&str; 8] = [
     "Simulator::run_checked",
-    "Simulator::run",
     "Simulator::run_to_halt",
     "Simulator::step_cycle",
     "Machine::run",
@@ -450,6 +449,20 @@ mod tests {
         let p = proofs.iter().find(|p| p.root == "Machine::run").unwrap();
         assert!(p.summary.starts_with("panic-free"), "{}", p.summary);
         assert!(p.summary.contains("2 reachable fn(s)"));
+    }
+
+    #[test]
+    fn r8_resolves_methods_on_struct_literal_locals() {
+        let src = "pub struct Machine;\nstruct Walker { n: u64 }\nimpl Walker {\n    fn go(&mut self) -> u64 { Some(self.n).unwrap() }\n}\nimpl Machine {\n    pub fn run(&mut self) -> u64 {\n        let mut w = Walker { n: 0 };\n        w.go()\n    }\n}\n";
+        let (findings, proofs) = run("crates/isa/src/x.rs", src);
+        let r8: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::PanicReach)
+            .collect();
+        assert_eq!(r8.len(), 1, "{r8:?}");
+        assert!(r8[0].message.contains("Machine::run -> Walker::go"));
+        let p = proofs.iter().find(|p| p.root == "Machine::run").unwrap();
+        assert!(p.summary.contains("NOT panic-free"), "{}", p.summary);
     }
 
     #[test]

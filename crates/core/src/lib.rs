@@ -24,7 +24,7 @@
 //!             halt",
 //! )?;
 //! let mut sim = Simulator::new(&prog, CoreConfig::with_ir(IrConfig::table1()));
-//! let stats = sim.run(RunLimits::unbounded());
+//! let stats = sim.run_to_halt(RunLimits::unbounded())?;
 //! assert!(stats.committed > 100);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -38,7 +38,8 @@ use crate::stats::SimStats;
 use vpir_stats::PcStats;
 use crate::trace::{TraceLog, TraceOutcome};
 
-/// Run-length limits for [`Simulator::run`].
+/// Run-length limits for [`Simulator::run_checked`] and
+/// [`Simulator::run_to_halt`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunLimits {
     /// Stop after this many cycles.
@@ -249,8 +250,7 @@ impl CheckpointStack {
 ///             halt",
 /// )?;
 /// let mut sim = Simulator::new(&prog, CoreConfig::table1());
-/// sim.run(RunLimits::unbounded());
-/// assert!(sim.halted());
+/// sim.run_to_halt(RunLimits::unbounded())?;
 /// assert_eq!(sim.arch_regs().read(vpir_isa::Reg::int(2)), 100);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -413,18 +413,10 @@ impl Simulator {
 
     /// Runs until `halt` commits or a limit is reached; returns the stats.
     ///
-    /// Simulator failures (livelock, deadlock, invariant violations) stop
-    /// the run early; the structured error is available from
-    /// [`Simulator::error`]. Use [`Simulator::run_checked`] to receive
-    /// failures as a `Result`.
-    pub fn run(&mut self, limits: RunLimits) -> &SimStats {
-        let _ = self.run_checked(limits);
-        &self.stats
-    }
-
-    /// Like [`Simulator::run`], but surfaces simulator failures as a
-    /// `Result`. Reaching a limit without halting is `Ok` — a capped run
-    /// is a normal experimental outcome, not an error.
+    /// Reaching a limit without halting is `Ok`: use this for runs
+    /// capped on purpose. A simulator failure (livelock, deadlock,
+    /// invariant violation) is the `Err`, and it is sticky: running a
+    /// failed machine again re-reports it.
     pub fn run_checked(&mut self, limits: RunLimits) -> Result<&SimStats, SimError> {
         if let Some(e) = &self.last_error {
             // A failed machine does not recover; re-report the failure.
@@ -447,8 +439,8 @@ impl Simulator {
     /// Like [`Simulator::run_checked`], but the program is required to
     /// halt within `limits`: exhausting the budget before `halt` commits
     /// is a [`SimError::CycleBudgetExceeded`] instead of a silent
-    /// partial run. This is the entry point for workloads with a known
-    /// endpoint (differential tests, per-job bench budgets).
+    /// partial run. This is the entry point for programs that must halt,
+    /// such as the differential tests against the functional `Machine`.
     pub fn run_to_halt(&mut self, limits: RunLimits) -> Result<&SimStats, SimError> {
         self.run_checked(limits)?;
         if self.halted {
@@ -462,11 +454,6 @@ impl Simulator {
             self.last_error = Some(e.clone());
             Err(e)
         }
-    }
-
-    /// The structured failure that stopped the last run, if any.
-    pub fn error(&self) -> Option<&SimError> {
-        self.last_error.as_ref()
     }
 
     fn finalize_stats(&mut self) {

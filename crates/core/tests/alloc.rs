@@ -52,7 +52,8 @@ fn steady_state_cycles_allocate_nothing() {
     // Warm-up: let every growable structure (fetch queue, speculative
     // undo logs, MSHR lists, scratch vectors) reach its steady-state
     // capacity.
-    sim.run(RunLimits::cycles(500));
+    sim.run_checked(RunLimits::cycles(500))
+        .unwrap_or_else(|e| panic!("warm-up: {e}"));
     assert!(!sim.halted(), "warm-up consumed the whole program");
 
     let before = ALLOC.allocations();

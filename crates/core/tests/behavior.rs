@@ -9,9 +9,10 @@ use vpir_isa::asm;
 fn run(src: &str, config: CoreConfig) -> (Simulator, vpir_core::SimStats) {
     let prog = asm::assemble(src).expect("test program assembles");
     let mut sim = Simulator::new(&prog, config);
-    sim.run(RunLimits::cycles(10_000_000));
-    assert!(sim.halted(), "test program must halt");
-    let stats = sim.stats().clone();
+    let stats = sim
+        .run_to_halt(RunLimits::cycles(10_000_000))
+        .unwrap_or_else(|e| panic!("test program must halt: {e}"))
+        .clone();
     (sim, stats)
 }
 

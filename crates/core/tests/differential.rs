@@ -89,13 +89,8 @@ fn check(label: &str, prog: &Program, config: CoreConfig, ctx: &str) {
     assert!(gold.halted, "golden model did not halt ({ctx})");
 
     let mut sim = Simulator::new(prog, config);
-    sim.run(RunLimits::cycles(400_000_000));
-    assert!(
-        sim.halted(),
-        "[{label}] pipeline did not halt after {} cycles, {} committed ({ctx})",
-        sim.cycle(),
-        sim.stats().committed,
-    );
+    sim.run_to_halt(RunLimits::cycles(400_000_000))
+        .unwrap_or_else(|e| panic!("[{label}] {e} ({ctx})"));
     assert_eq!(
         sim.stats().committed,
         gold.icount,
@@ -214,18 +209,18 @@ fn enhancements_never_commit_fewer_instructions_per_cycle_catastrophically() {
     // a benchmark would indicate broken recovery machinery.
     for bench in [Bench::M88ksim, Bench::Compress] {
         let prog = bench.program(Scale::test());
-        let base = {
-            let mut sim = Simulator::new(&prog, CoreConfig::table1());
-            sim.run(RunLimits::unbounded());
-            sim.stats().ipc()
-        };
+        let base = Simulator::new(&prog, CoreConfig::table1())
+            .run_to_halt(RunLimits::unbounded())
+            .unwrap_or_else(|e| panic!("[base] {e} on {}", bench.name()))
+            .ipc();
         for (label, cfg) in [
             ("vp", CoreConfig::with_vp(VpConfig::magic())),
             ("ir", CoreConfig::with_ir(IrConfig::table1())),
         ] {
-            let mut sim = Simulator::new(&prog, cfg);
-            sim.run(RunLimits::unbounded());
-            let ipc = sim.stats().ipc();
+            let ipc = Simulator::new(&prog, cfg)
+                .run_to_halt(RunLimits::unbounded())
+                .unwrap_or_else(|e| panic!("[{label}] {e} on {}", bench.name()))
+                .ipc();
             assert!(
                 ipc > base * 0.5,
                 "{label} IPC {ipc:.3} vs base {base:.3} on {}",
@@ -239,8 +234,9 @@ fn enhancements_never_commit_fewer_instructions_per_cycle_catastrophically() {
 fn reuse_and_prediction_fire_on_redundant_workloads() {
     let prog = Bench::M88ksim.program(Scale::test());
     let mut ir = Simulator::new(&prog, CoreConfig::with_ir(IrConfig::table1()));
-    ir.run(RunLimits::unbounded());
-    let s = ir.stats();
+    let s = ir
+        .run_to_halt(RunLimits::unbounded())
+        .unwrap_or_else(|e| panic!("[ir] {e}"));
     assert!(
         s.reuse_result_rate() > 5.0,
         "m88ksim-like should reuse heavily, got {:.2}%",
@@ -248,8 +244,9 @@ fn reuse_and_prediction_fire_on_redundant_workloads() {
     );
 
     let mut vp = Simulator::new(&prog, CoreConfig::with_vp(VpConfig::magic()));
-    vp.run(RunLimits::unbounded());
-    let s = vp.stats();
+    let s = vp
+        .run_to_halt(RunLimits::unbounded())
+        .unwrap_or_else(|e| panic!("[vp] {e}"));
     assert!(
         s.vp_result_rate() > 5.0,
         "m88ksim-like should predict heavily, got {:.2}%",

@@ -7,9 +7,10 @@ use vpir_isa::{asm, Machine, Reg};
 fn run_with(src: &str, config: CoreConfig) -> (Simulator, vpir_core::SimStats) {
     let prog = asm::assemble(src).expect("test program assembles");
     let mut sim = Simulator::new(&prog, config);
-    sim.run(RunLimits::cycles(10_000_000));
-    assert!(sim.halted(), "program must halt");
-    let stats = sim.stats().clone();
+    let stats = sim
+        .run_to_halt(RunLimits::cycles(10_000_000))
+        .unwrap_or_else(|e| panic!("program must halt: {e}"))
+        .clone();
     (sim, stats)
 }
 
@@ -22,8 +23,8 @@ fn check_against_golden(src: &str, config: CoreConfig) {
     let mut gold = Machine::new(&prog);
     gold.run(10_000_000).expect("golden");
     let mut sim = Simulator::new(&prog, config);
-    sim.run(RunLimits::cycles(50_000_000));
-    assert!(sim.halted());
+    sim.run_to_halt(RunLimits::cycles(50_000_000))
+        .unwrap_or_else(|e| panic!("{e}"));
     for i in 0..vpir_isa::NUM_REGS {
         let r = Reg::from_index(i);
         assert_eq!(sim.arch_regs().read(r), gold.regs.read(r), "{r}");
@@ -276,9 +277,11 @@ fn trace_captures_a_reused_instruction() {
     .expect("assembles");
     let traced = |config: CoreConfig| {
         let mut sim = Simulator::new(&prog, config);
-        sim.run(RunLimits::insts(100));
+        sim.run_checked(RunLimits::insts(100))
+            .unwrap_or_else(|e| panic!("{e}"));
         sim.enable_trace(16);
-        sim.run(RunLimits::insts(sim.stats().committed + 40));
+        sim.run_checked(RunLimits::insts(sim.stats().committed + 40))
+            .unwrap_or_else(|e| panic!("{e}"));
         sim
     };
     let outcomes = |sim: &Simulator| -> Vec<TraceOutcome> {
@@ -316,9 +319,13 @@ fn trace_enabled_before_the_first_cycle_records_from_cycle_zero() {
         halt",
     )
     .expect("assembles");
+    let run = |sim: &mut Simulator| {
+        sim.run_to_halt(RunLimits::cycles(10_000))
+            .unwrap_or_else(|e| panic!("{e}"));
+    };
     let mut sim = Simulator::new(&prog, CoreConfig::table1());
     sim.enable_trace(8);
-    sim.run(RunLimits::cycles(10_000));
+    run(&mut sim);
     let trace = sim.trace().expect("enabled trace");
     let records = trace.records();
     assert_eq!(records.len(), 3, "every instruction fits in the capacity");
@@ -329,9 +336,9 @@ fn trace_enabled_before_the_first_cycle_records_from_cycle_zero() {
     // simulator that never enables tracing records nothing at all.
     let mut sim = Simulator::new(&prog, CoreConfig::table1());
     sim.enable_trace(1);
-    sim.run(RunLimits::cycles(10_000));
+    run(&mut sim);
     assert_eq!(sim.trace().expect("enabled").records().len(), 1);
     let mut sim = Simulator::new(&prog, CoreConfig::table1());
-    sim.run(RunLimits::cycles(10_000));
+    run(&mut sim);
     assert!(sim.trace().is_none());
 }

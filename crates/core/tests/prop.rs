@@ -82,8 +82,8 @@ fn pipeline_matches_functional_machine() {
         }
 
         let mut sim = Simulator::new(&prog, config);
-        sim.run(RunLimits::cycles(100_000_000));
-        assert!(sim.halted(), "pipeline did not halt (seed {seed})");
+        sim.run_to_halt(RunLimits::cycles(100_000_000))
+            .unwrap_or_else(|e| panic!("{e} (seed {seed})"));
         assert_eq!(sim.stats().committed, gold.icount, "commit count (seed {seed})");
         for i in 0..vpir_isa::NUM_REGS {
             let r = Reg::from_index(i);
@@ -110,8 +110,9 @@ fn stats_invariants() {
             },
         );
         let mut sim = Simulator::new(&prog, config);
-        sim.run(RunLimits::cycles(50_000_000));
-        let s = sim.stats();
+        let s = sim
+            .run_to_halt(RunLimits::cycles(50_000_000))
+            .unwrap_or_else(|e| panic!("{e} (seed {seed})"));
         assert!(s.committed <= s.dispatched);
         assert!(s.result_pred_correct <= s.result_predicted);
         assert!(s.result_predicted <= s.committed);

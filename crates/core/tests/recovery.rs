@@ -97,8 +97,8 @@ fn assert_matches_golden(label: &str, prog: &Program, config: CoreConfig) {
     assert!(gold.halted, "golden model did not halt");
 
     let mut sim = Simulator::new(prog, config);
-    sim.run(RunLimits::unbounded());
-    assert!(sim.halted(), "[{label}] pipeline did not halt");
+    sim.run_to_halt(RunLimits::unbounded())
+        .unwrap_or_else(|e| panic!("[{label}] {e}"));
     assert_eq!(
         sim.stats().committed,
         gold.icount,
@@ -128,9 +128,9 @@ fn recovery_restores_exact_architectural_state() {
 fn recovery_program_squashes_heavily() {
     let prog = mispredict_heavy();
     let mut sim = Simulator::new(&prog, CoreConfig::table1());
-    sim.run(RunLimits::unbounded());
-    assert!(sim.halted());
-    let s = sim.stats();
+    let s = sim
+        .run_to_halt(RunLimits::unbounded())
+        .unwrap_or_else(|e| panic!("{e}"));
     assert!(
         s.branch_mispredicts > 100,
         "expected a mispredict-heavy run, saw {} mispredictions",
@@ -145,14 +145,12 @@ fn recovery_program_squashes_heavily() {
 fn repeated_runs_are_deterministic() {
     let prog = mispredict_heavy();
     for (label, config) in churn_configs() {
-        let mut a = Simulator::new(&prog, config.clone());
-        a.run(RunLimits::unbounded());
-        let mut b = Simulator::new(&prog, config);
-        b.run(RunLimits::unbounded());
-        assert_eq!(
-            a.stats(),
-            b.stats(),
-            "[{label}] repeated runs diverged"
-        );
+        let run = || {
+            Simulator::new(&prog, config.clone())
+                .run_to_halt(RunLimits::unbounded())
+                .unwrap_or_else(|e| panic!("[{label}] {e}"))
+                .clone()
+        };
+        assert_eq!(run(), run(), "[{label}] repeated runs diverged");
     }
 }

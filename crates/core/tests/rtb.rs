@@ -21,8 +21,8 @@ fn run_checked(prog: &Program, config: CoreConfig, ctx: &str) -> SimStats {
     assert!(gold.halted, "golden model did not halt ({ctx})");
 
     let mut sim = Simulator::new(prog, config);
-    sim.run(RunLimits::cycles(400_000_000));
-    assert!(sim.halted(), "pipeline did not halt ({ctx})");
+    sim.run_to_halt(RunLimits::cycles(400_000_000))
+        .unwrap_or_else(|e| panic!("{e} ({ctx})"));
     assert_eq!(sim.stats().committed, gold.icount, "committed count diverged ({ctx})");
     for i in 0..vpir_isa::NUM_REGS {
         let r = Reg::from_index(i);

@@ -1,11 +1,14 @@
-//! Seeded mutation fuzzing of the one JSON parser.
+//! Seeded mutation fuzzing of the one JSON parser, and round trips
+//! through the emitter.
 //!
 //! Byte flips, inserts, deletes and truncations of real workspace
 //! documents must never panic either entry point, every error must
 //! name an offset inside the input, and `parse_json` and
 //! `validate_json` may disagree only on a number that is not a `u64`.
+//! Strings and counters emitted by `JsonObj` must parse back to the
+//! same values and re-emit to the same bytes.
 
-use vpir_jsonlite::{parse_json, validate_json};
+use vpir_jsonlite::{parse_json, validate_json, JsonObj, JsonValue};
 use vpir_testkit::{check, Rng};
 
 /// One of each document kind the parser meets: a golden fixture, a
@@ -87,5 +90,52 @@ fn mutated_documents_never_panic_and_both_entry_points_agree() {
             }
             _ => {}
         }
+    });
+}
+
+/// A string over what `json_escape` and the parser's `\u` decoding must
+/// agree on: every control char, the escaped punctuation, DEL, a
+/// JavaScript line separator, and chars of two and four UTF-8 bytes.
+fn awkward_string(rng: &mut Rng) -> String {
+    const OTHERS: [char; 7] = ['"', '\\', '/', '\u{7f}', '\u{2028}', 'é', '\u{1f600}'];
+    (0..rng.gen_range(0..12))
+        .map(|_| match rng.gen_range(0..2) {
+            0 => char::from(rng.gen_range(0..0x20u8)),
+            _ => OTHERS[rng.gen_range(0..OTHERS.len())],
+        })
+        .collect()
+}
+
+fn emit(fields: &[(String, JsonValue)]) -> String {
+    fields
+        .iter()
+        .fold(JsonObj::new(), |obj, (k, v)| match v {
+            JsonValue::Str(s) => obj.s(k, s),
+            JsonValue::U64(n) => obj.u(k, *n),
+            other => panic!("not emitted here: {other:?}"),
+        })
+        .finish()
+}
+
+#[test]
+fn emitted_strings_and_counters_parse_back_and_re_emit_identically() {
+    check("jsonlite_round_trip", 5_000, |rng| {
+        let n = match rng.gen_range(0..3) {
+            0 => u64::MAX,
+            1 => rng.gen_range(0..10),
+            _ => rng.gen_u64(),
+        };
+        let fields = vec![
+            ("s".to_string(), JsonValue::Str(awkward_string(rng))),
+            ("n".to_string(), JsonValue::U64(n)),
+            (awkward_string(rng), JsonValue::Str("key".into())),
+        ];
+        let text = emit(&fields);
+        let back = match parse_json(&text) {
+            Ok(JsonValue::Obj(back)) => back,
+            other => panic!("{text:?} parsed as {other:?}"),
+        };
+        assert_eq!(back, fields, "{text:?}");
+        assert_eq!(emit(&back), text);
     });
 }

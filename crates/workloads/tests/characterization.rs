@@ -8,16 +8,20 @@ use vpir_core::{CoreConfig, IrConfig, RunLimits, Simulator};
 use vpir_redundancy::{analyze, LimitConfig};
 use vpir_workloads::{Bench, Scale};
 
+/// A 600k-cycle run: the cap is the measurement window, not a failure.
+fn capped_stats(bench: Bench, config: CoreConfig) -> vpir_core::SimStats {
+    Simulator::new(&bench.program(Scale::of(2)), config)
+        .run_checked(RunLimits::cycles(600_000))
+        .unwrap_or_else(|e| panic!("[{}] {e}", bench.name()))
+        .clone()
+}
+
 fn base_stats(bench: Bench) -> vpir_core::SimStats {
-    let prog = bench.program(Scale::of(2));
-    let mut sim = Simulator::new(&prog, CoreConfig::table1());
-    sim.run(RunLimits::cycles(600_000)).clone()
+    capped_stats(bench, CoreConfig::table1())
 }
 
 fn ir_stats(bench: Bench) -> vpir_core::SimStats {
-    let prog = bench.program(Scale::of(2));
-    let mut sim = Simulator::new(&prog, CoreConfig::with_ir(IrConfig::table1()));
-    sim.run(RunLimits::cycles(600_000)).clone()
+    capped_stats(bench, CoreConfig::with_ir(IrConfig::table1()))
 }
 
 #[test]

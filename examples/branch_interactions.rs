@@ -11,15 +11,15 @@
 //! cargo run --release --example branch_interactions
 //! ```
 
-use vpir::core::{BranchResolution, CoreConfig, RunLimits, Simulator, VpConfig};
+use vpir::core::{BranchResolution, CoreConfig, RunLimits, SimError, Simulator, VpConfig};
 use vpir::workloads::{Bench, Scale};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let bench = Bench::Perl; // high spurious-misprediction potential
     let program = bench.program(Scale::of(4));
 
     let mut base = Simulator::new(&program, CoreConfig::table1());
-    let base_stats = base.run(RunLimits::cycles(4_000_000)).clone();
+    let base_stats = base.run_to_halt(RunLimits::cycles(4_000_000))?.clone();
     println!(
         "{} base: IPC {:.3}, {} branch squashes\n",
         bench.name(),
@@ -35,7 +35,7 @@ fn main() {
         for br in [BranchResolution::Sb, BranchResolution::Nsb] {
             let cfg = CoreConfig::with_vp(vp.with_branches(br));
             let mut sim = Simulator::new(&program, cfg);
-            let s = sim.run(RunLimits::cycles(4_000_000)).clone();
+            let s = sim.run_to_halt(RunLimits::cycles(4_000_000))?;
             println!(
                 "{name}      {:>4}       {:>6.3}  {:>8}  {:>8}  {:>10.2}",
                 match br {
@@ -53,4 +53,5 @@ fn main() {
         "\nThe paper's conclusion: no single branch-resolution policy wins —\n\
          low value-misprediction rates favour SB, high rates favour NSB."
     );
+    Ok(())
 }

@@ -13,25 +13,28 @@
 //! cargo run --release --example hybrid_mechanism
 //! ```
 
-use vpir::core::{CoreConfig, IrConfig, RunLimits, Simulator, VpConfig, VpKind};
+use vpir::core::{
+    CoreConfig, IrConfig, RunLimits, SimError, SimStats, Simulator, VpConfig, VpKind,
+};
 use vpir::workloads::{Bench, Scale};
 
-fn run(program: &vpir::isa::Program, config: CoreConfig) -> vpir::core::SimStats {
-    let mut sim = Simulator::new(program, config);
-    sim.run(RunLimits::cycles(4_000_000)).clone()
+fn run(program: &vpir::isa::Program, config: CoreConfig) -> Result<SimStats, SimError> {
+    Simulator::new(program, config)
+        .run_to_halt(RunLimits::cycles(4_000_000))
+        .cloned()
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("bench     base-IPC  VP     IR     hybrid  (speedups; hybrid reuse%+pred%)");
     for bench in Bench::ALL {
         let program = bench.program(Scale::of(4));
-        let base = run(&program, CoreConfig::table1());
-        let vp = run(&program, CoreConfig::with_vp(VpConfig::magic()));
-        let ir = run(&program, CoreConfig::with_ir(IrConfig::table1()));
+        let base = run(&program, CoreConfig::table1())?;
+        let vp = run(&program, CoreConfig::with_vp(VpConfig::magic()))?;
+        let ir = run(&program, CoreConfig::with_ir(IrConfig::table1()))?;
         let hybrid = run(
             &program,
             CoreConfig::with_hybrid(VpConfig::magic(), IrConfig::table1()),
-        );
+        )?;
         println!(
             "{:<9} {:>7.3}  {:>5.3}  {:>5.3}  {:>6.3}  ({:.1}% reused + {:.1}% predicted)",
             bench.name(),
@@ -49,7 +52,7 @@ fn main() {
     println!("\nwith a stride predictor in the hybrid:");
     for bench in [Bench::Ijpeg, Bench::Compress] {
         let program = bench.program(Scale::of(4));
-        let base = run(&program, CoreConfig::table1());
+        let base = run(&program, CoreConfig::table1())?;
         let stride_vp = VpConfig {
             kind: VpKind::Stride,
             ..VpConfig::magic()
@@ -57,7 +60,7 @@ fn main() {
         let hybrid = run(
             &program,
             CoreConfig::with_hybrid(stride_vp, IrConfig::table1()),
-        );
+        )?;
         println!(
             "{:<9} hybrid(stride) speedup {:.3}  ({:.1}% reused + {:.1}% predicted)",
             bench.name(),
@@ -66,4 +69,5 @@ fn main() {
             hybrid.vp_result_rate(),
         );
     }
+    Ok(())
 }

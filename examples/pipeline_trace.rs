@@ -35,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let mut sim = Simulator::new(&program, config);
         // Warm up: run most of the loop, then trace a steady-state slice.
-        sim.run(vpir::core::RunLimits::insts(150));
+        sim.run_checked(RunLimits::insts(150))?;
         sim.enable_trace(8);
-        sim.run(RunLimits::insts(sim.stats().committed + 24));
+        sim.run_checked(RunLimits::insts(sim.stats().committed + 24))?;
         println!("=== {name}\n{}", sim.trace().expect("tracing enabled").render());
     }
     Ok(())

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("IR (Sn+d) ", CoreConfig::with_ir(IrConfig::table1())),
     ] {
         let mut sim = Simulator::new(&program, config);
-        let stats = sim.run(RunLimits::unbounded()).clone();
+        let stats = sim.run_to_halt(RunLimits::unbounded())?.clone();
         assert_eq!(
             sim.arch_regs().read(Reg::int(20)),
             machine.regs.read(Reg::int(20)),

@@ -9,16 +9,16 @@
 //! cargo run --release --example reuse_schemes
 //! ```
 
-use vpir::core::{CoreConfig, IrConfig, RunLimits, Simulator};
+use vpir::core::{CoreConfig, IrConfig, RunLimits, SimError, Simulator};
 use vpir::reuse::{RbConfig, ReuseScheme};
 use vpir::workloads::{Bench, Scale};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("bench     scheme      reuse%  addr%  speedup");
     for bench in [Bench::M88ksim, Bench::Compress, Bench::Go] {
         let program = bench.program(Scale::of(4));
         let mut base = Simulator::new(&program, CoreConfig::table1());
-        let base_ipc = base.run(RunLimits::cycles(4_000_000)).ipc();
+        let base_ipc = base.run_to_halt(RunLimits::cycles(4_000_000))?.ipc();
         for scheme in [ReuseScheme::Sn, ReuseScheme::SnD, ReuseScheme::SnDValues] {
             let ir = IrConfig {
                 rb: RbConfig {
@@ -28,7 +28,7 @@ fn main() {
                 ..IrConfig::table1()
             };
             let mut sim = Simulator::new(&program, CoreConfig::with_ir(ir));
-            let s = sim.run(RunLimits::cycles(4_000_000)).clone();
+            let s = sim.run_to_halt(RunLimits::cycles(4_000_000))?;
             println!(
                 "{:<9} {:<10}  {:>5.1}  {:>5.1}  {:>7.3}",
                 bench.name(),
@@ -43,4 +43,5 @@ fn main() {
         "\nStored operand values (SnDValues) both catch more reuse and avoid\n\
          the name-based schemes' invalidation on same-value overwrites."
     );
+    Ok(())
 }

@@ -35,9 +35,10 @@ fn image_roundtrip_simulates_identically_on_the_pipeline() {
 
     let mut a = Simulator::new(&prog, CoreConfig::with_ir(IrConfig::table1()));
     let mut b = Simulator::new(&reloaded, CoreConfig::with_ir(IrConfig::table1()));
-    a.run(RunLimits::cycles(1_000_000));
-    b.run(RunLimits::cycles(1_000_000));
-    assert!(a.halted() && b.halted());
+    for sim in [&mut a, &mut b] {
+        sim.run_to_halt(RunLimits::cycles(1_000_000))
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
     assert_eq!(a.stats().cycles, b.stats().cycles, "timing must be identical");
     assert_eq!(a.stats().reused_full, b.stats().reused_full);
     for i in 0..vpir::isa::NUM_REGS {

@@ -34,21 +34,21 @@ fn facade_full_flow() {
     assert_ne!(expect, 0);
 
     let mut speedups = Vec::new();
-    let base_ipc = {
-        let mut sim = Simulator::new(&program, CoreConfig::table1());
-        sim.run(RunLimits::unbounded());
+    let ipc = |config: CoreConfig| {
+        let mut sim = Simulator::new(&program, config);
+        let ipc = sim
+            .run_to_halt(RunLimits::unbounded())
+            .unwrap_or_else(|e| panic!("{e}"))
+            .ipc();
         assert_eq!(sim.arch_regs().read(Reg::int(20)), expect);
-        sim.stats().ipc()
+        ipc
     };
+    let base_ipc = ipc(CoreConfig::table1());
     for config in [
         CoreConfig::with_vp(VpConfig::magic()),
         CoreConfig::with_ir(IrConfig::table1()),
     ] {
-        let mut sim = Simulator::new(&program, config);
-        sim.run(RunLimits::unbounded());
-        assert!(sim.halted());
-        assert_eq!(sim.arch_regs().read(Reg::int(20)), expect);
-        speedups.push(sim.stats().ipc() / base_ipc);
+        speedups.push(ipc(config) / base_ipc);
     }
     let hm = harmonic_mean(speedups.iter().copied()).expect("positive");
     assert!(hm > 0.9, "mechanisms must not cripple the machine: {hm:.3}");
@@ -70,13 +70,11 @@ fn facade_full_flow() {
 fn all_benchmarks_run_through_facade() {
     for bench in Bench::ALL {
         let program = bench.program(Scale::of(1));
-        let mut sim = Simulator::new(&program, CoreConfig::table1());
-        sim.run(RunLimits::cycles(500_000));
-        assert!(
-            sim.stats().committed > 1_000,
-            "{} made no progress",
-            bench.name()
-        );
+        let committed = Simulator::new(&program, CoreConfig::table1())
+            .run_checked(RunLimits::cycles(500_000))
+            .unwrap_or_else(|e| panic!("[{}] {e}", bench.name()))
+            .committed;
+        assert!(committed > 1_000, "{} made no progress", bench.name());
     }
 }
 
@@ -93,7 +91,7 @@ fn workspace_types_compose() {
     config.dcache = cache;
     config.validate();
     let program = asm::assemble("li r1, 1\nhalt").expect("assembles");
-    let mut sim = Simulator::new(&program, config);
-    sim.run(RunLimits::unbounded());
-    assert!(sim.halted());
+    Simulator::new(&program, config)
+        .run_to_halt(RunLimits::unbounded())
+        .unwrap_or_else(|e| panic!("{e}"));
 }

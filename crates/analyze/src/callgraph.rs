@@ -263,24 +263,18 @@ fn scan_fn(files: &[File], idx: &ItemIndex, f: &FnItem) -> FnNode {
         // the earlier `x`.
         if let Some((name, ty)) = let_binding(&line.code) {
             match ty {
-                Some(ty) if ty == "Self" => {
-                    locals.insert(name, f.owner.clone().unwrap_or(ty));
-                }
-                Some(ty) => {
-                    locals.insert(name, ty);
-                }
-                None => {
-                    locals.remove(&name);
-                }
-            }
+                Some(ty) => locals.insert(name, ty),
+                None => locals.remove(&name),
+            };
         }
     }
     node
 }
 
 /// A line's `let [mut] x = …` binding: `x`, with `Type` when the value
-/// is a struct literal `Type {`. Any other `let x` shadows an earlier
-/// literal binding, so its type is `None`.
+/// is a struct literal `Type {` (not `Self {`, which names no type
+/// here). Any other `let x` shadows an earlier literal binding, so its
+/// type is `None`.
 fn let_binding(code: &str) -> Option<(String, Option<String>)> {
     let rest = code.trim_start().strip_prefix("let ")?.trim_start();
     let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
@@ -299,8 +293,9 @@ fn let_binding(code: &str) -> Option<(String, Option<String>)> {
         .chars()
         .take_while(|c| c.is_alphanumeric() || *c == '_')
         .collect();
-    let literal =
-        ty.starts_with(char::is_uppercase) && rhs[ty.len()..].trim_start().starts_with('{');
+    let literal = ty.starts_with(char::is_uppercase)
+        && ty != "Self"
+        && rhs[ty.len()..].trim_start().starts_with('{');
     Some((name, literal.then_some(ty)))
 }
 

@@ -1,5 +1,7 @@
 //! Simulator configuration.
 //!
+//! Table 1's fixed parameters are crate-private constants here, and
+//! [`CoreConfig`] holds only what a caller varies.
 //! [`CoreConfig::table1`] reproduces the paper's base machine exactly;
 //! the [`Enhancement`] field selects the baseline, one of the VP
 //! configurations at either verification latency, IR with early or late
@@ -8,9 +10,6 @@
 //! `vpir-mechanism` next to the mechanisms themselves and are
 //! re-exported here so existing `use vpir_core::{VpConfig, ...}`
 //! imports keep working.
-
-use vpir_isa::FuClass;
-use vpir_mem::CacheConfig;
 
 pub use vpir_mechanism::{
     BranchResolution, Enhancement, IrConfig, Reexecution, RtbConfig, Validation, VpConfig,
@@ -52,35 +51,39 @@ pub enum FaultInjection {
     },
 }
 
-/// Full machine configuration (Table 1 defaults).
+/// Instructions fetched per cycle (Table 1).
+pub(crate) const FETCH_WIDTH: usize = 4;
+/// Instructions dispatched (decoded + renamed) per cycle (Table 1).
+pub(crate) const DECODE_WIDTH: usize = 4;
+/// Operations issued to functional units per cycle (Table 1).
+pub(crate) const ISSUE_WIDTH: usize = 4;
+/// Instructions committed per cycle (Table 1).
+pub(crate) const COMMIT_WIDTH: usize = 4;
+/// Load/store-queue entries (Table 1).
+pub(crate) const LSQ_SIZE: usize = 32;
+/// Maximum unresolved branches in flight (Table 1).
+pub(crate) const MAX_BRANCHES: usize = 8;
+/// Fetch cannot cross a boundary of this many bytes in one cycle
+/// (Table 1).
+pub(crate) const FETCH_LINE_BYTES: u64 = 32;
+/// Data-cache ports (Table 1).
+pub(crate) const DCACHE_PORTS: u32 = 2;
+/// Return-address-stack depth (Table 1).
+pub(crate) const RAS_DEPTH: usize = 16;
+
+/// The settable part of the machine configuration.
+///
+/// The rest of Table 1 is fixed: the widths, LSQ, branch cap, fetch
+/// line, D$ ports and RAS depth are the constants above, and
+/// `Simulator::new` builds the caches
+/// ([`vpir_mem::CacheConfig::table1_inst`] and `table1_data`) and the
+/// functional units ([`FuPool::table1`](crate::FuPool::table1)) from
+/// their Table 1 constructors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
-    /// Instructions fetched per cycle.
-    pub fetch_width: usize,
-    /// Instructions dispatched (decoded + renamed) per cycle.
-    pub decode_width: usize,
-    /// Operations issued to functional units per cycle.
-    pub issue_width: usize,
-    /// Instructions committed per cycle.
-    pub commit_width: usize,
-    /// Reorder-buffer entries.
+    /// Reorder-buffer entries (32 in Table 1; `experiments ablations`
+    /// sweeps 16 and 64).
     pub rob_size: usize,
-    /// Load/store-queue entries.
-    pub lsq_size: usize,
-    /// Maximum unresolved branches in flight.
-    pub max_branches: usize,
-    /// Fetch cannot cross a boundary of this many bytes in one cycle.
-    pub fetch_line_bytes: u64,
-    /// Instruction cache.
-    pub icache: CacheConfig,
-    /// Data cache.
-    pub dcache: CacheConfig,
-    /// Data-cache ports.
-    pub dcache_ports: u32,
-    /// Functional-unit counts, indexed by [`FuClass::index`].
-    pub fu_counts: [usize; 5],
-    /// Return-address-stack depth.
-    pub ras_depth: usize,
     /// Front-end direction predictor.
     pub front_end: FrontEnd,
     /// The mechanism under study.
@@ -108,25 +111,7 @@ impl CoreConfig {
     /// The paper's Table 1 machine with no enhancement.
     pub fn table1() -> CoreConfig {
         CoreConfig {
-            fetch_width: 4,
-            decode_width: 4,
-            issue_width: 4,
-            commit_width: 4,
             rob_size: 32,
-            lsq_size: 32,
-            max_branches: 8,
-            fetch_line_bytes: 32,
-            icache: CacheConfig::table1_inst(),
-            dcache: CacheConfig::table1_data(),
-            dcache_ports: 2,
-            fu_counts: {
-                let mut c = [0; 5];
-                for fu in FuClass::ALL {
-                    c[fu.index()] = fu.default_count();
-                }
-                c
-            },
-            ras_depth: 16,
             front_end: FrontEnd::Gshare,
             enhancement: Enhancement::None,
             watchdog_cycles: 1_000_000,
@@ -169,19 +154,10 @@ impl CoreConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any width or buffer size is zero.
+    /// Panics if the ROB has fewer than two entries or the watchdog
+    /// window is zero.
     pub fn validate(&self) {
-        assert!(self.fetch_width > 0, "fetch width must be positive");
-        assert!(self.decode_width > 0, "decode width must be positive");
-        assert!(self.issue_width > 0, "issue width must be positive");
-        assert!(self.commit_width > 0, "commit width must be positive");
         assert!(self.rob_size > 1, "ROB too small");
-        assert!(self.lsq_size > 0, "LSQ too small");
-        assert!(self.max_branches > 0, "need at least one branch checkpoint");
-        assert!(
-            self.fetch_line_bytes.is_power_of_two(),
-            "fetch line must be a power of two"
-        );
         assert!(self.watchdog_cycles > 0, "watchdog window must be positive");
     }
 }
@@ -194,13 +170,9 @@ mod tests {
     fn table1_matches_paper() {
         let c = CoreConfig::table1();
         c.validate();
-        assert_eq!(c.fetch_width, 4);
         assert_eq!(c.rob_size, 32);
-        assert_eq!(c.lsq_size, 32);
-        assert_eq!(c.max_branches, 8);
-        assert_eq!(c.fu_counts, [8, 2, 1, 4, 1]);
-        assert_eq!(c.dcache_ports, 2);
-        assert_eq!(c.icache.size_bytes, 64 * 1024);
+        assert_eq!(c.front_end, FrontEnd::Gshare);
+        assert_eq!(c.enhancement, Enhancement::None);
     }
 
     #[test]

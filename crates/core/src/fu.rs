@@ -31,23 +31,19 @@ pub struct FuPool {
 }
 
 impl FuPool {
-    /// Creates a pool with `counts[FuClass::index()]` units per class.
-    pub fn new(counts: [usize; 5]) -> FuPool {
+    /// The Table 1 pool: 8 int ALUs, 2 load/store, 1 int mul/div,
+    /// 4 FP adders, 1 FP mul/div ([`FuClass::default_count`] units of
+    /// each class).
+    pub fn table1() -> FuPool {
+        let mut busy_until: [Vec<u64>; 5] = Default::default();
+        for fu in FuClass::ALL {
+            busy_until[fu.index()] = vec![0; fu.default_count()];
+        }
         FuPool {
-            busy_until: counts.map(|n| vec![0; n]),
+            busy_until,
             requests: 0,
             denials: 0,
         }
-    }
-
-    /// The Table 1 pool: 8 int ALUs, 2 load/store, 1 int mul/div,
-    /// 4 FP adders, 1 FP mul/div.
-    pub fn table1() -> FuPool {
-        let mut counts = [0; 5];
-        for fu in FuClass::ALL {
-            counts[fu.index()] = fu.default_count();
-        }
-        FuPool::new(counts)
     }
 
     /// Tries to issue `op` in `cycle`; on success the chosen unit is busy
@@ -67,28 +63,9 @@ impl FuPool {
         }
     }
 
-    /// Whether a unit for `op` is free in `cycle` (no state change, no
-    /// contention accounting).
-    pub fn peek(&self, cycle: u64, op: Op) -> bool {
-        self.busy_until[op.fu_class().index()]
-            .iter()
-            .any(|b| *b <= cycle)
-    }
-
     /// Total `(requests, denials)`.
     pub fn totals(&self) -> (u64, u64) {
         (self.requests, self.denials)
-    }
-
-    /// Clears busy state (used after a full pipeline squash is *not*
-    /// appropriate — units keep executing squashed work — so this exists
-    /// only for tests and run boundaries).
-    pub fn reset(&mut self) {
-        for pool in &mut self.busy_until {
-            pool.fill(0);
-        }
-        self.requests = 0;
-        self.denials = 0;
     }
 }
 
@@ -139,15 +116,5 @@ mod tests {
         assert!(p.try_issue(0, Op::Lw));
         assert!(p.try_issue(0, Op::Sw));
         assert!(!p.try_issue(0, Op::Lb), "only two load/store units");
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut p = FuPool::table1();
-        assert!(p.peek(0, Op::Div));
-        assert!(p.peek(0, Op::Div));
-        assert!(p.try_issue(0, Op::Div));
-        assert!(!p.peek(1, Op::Div));
-        assert_eq!(p.totals(), (1, 0), "peek is not a request");
     }
 }

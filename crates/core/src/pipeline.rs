@@ -24,11 +24,13 @@ use vpir_mechanism::{
     CommitEvent, CommitMem, DispatchAction, DispatchQuery, Mechanisms, MemberPlan, ReplayQuery,
     ReuseGrant,
 };
-use vpir_mem::{Cache, PortArbiter};
+use vpir_mem::{Cache, CacheConfig, PortArbiter};
 use vpir_reuse::{OperandView, RbInsert, RbMem};
 
 use crate::config::{
-    BranchResolution, CoreConfig, Enhancement, FaultInjection, FrontEnd, Reexecution,
+    BranchResolution, CoreConfig, Enhancement, FaultInjection, FrontEnd, Reexecution, COMMIT_WIDTH,
+    DCACHE_PORTS, DECODE_WIDTH, FETCH_LINE_BYTES, FETCH_WIDTH, ISSUE_WIDTH, LSQ_SIZE, MAX_BRANCHES,
+    RAS_DEPTH,
 };
 use crate::error::{DiagSnapshot, RetiredInst, SimError, RETIRED_RING};
 use crate::fu::FuPool;
@@ -194,7 +196,7 @@ struct Checkpoint {
 
 /// The live branch checkpoints, ordered by sequence number.
 ///
-/// At most `max_branches` (8 in Table 1) are ever live, and sequence
+/// At most `MAX_BRANCHES` (8 in Table 1) are ever live, and sequence
 /// numbers only grow, so a sorted `Vec` beats a `BTreeMap`: insertion is
 /// a push, lookup is a binary search over one tiny contiguous slice, and
 /// no tree nodes are ever allocated in the cycle loop.
@@ -331,9 +333,9 @@ impl Simulator {
             fetch_halted: false,
             fetch_queue: VecDeque::new(),
             bp: FrontEndBp::new(config.front_end),
-            ras: ReturnStack::new(config.ras_depth),
+            ras: ReturnStack::new(RAS_DEPTH),
             targets: TargetTable::new(512),
-            icache: Cache::new(config.icache),
+            icache: Cache::new(CacheConfig::table1_inst()),
             spec,
             arch_regs,
             rob: Rob::new(config.rob_size),
@@ -343,9 +345,9 @@ impl Simulator {
             reg_scratch: Vec::new(),
             cp_pool: Vec::new(),
             ras_pool: Vec::new(),
-            dcache: Cache::new(config.dcache),
-            dports: PortArbiter::new(config.dcache_ports),
-            fus: FuPool::new(config.fu_counts),
+            dcache: Cache::new(CacheConfig::table1_data()),
+            dports: PortArbiter::new(DCACHE_PORTS),
+            fus: FuPool::table1(),
             mechs: Mechanisms::new(&config.enhancement, program),
             replay_plans: Vec::new(),
             pc_profile: BTreeMap::new(),
@@ -467,11 +469,7 @@ impl Simulator {
         self.stats.fu_requests = fr;
         self.stats.fu_denials = fd;
         if let Some(vp) = &self.mechs.vp {
-            let (result, addr) = vp.stats();
-            self.stats.vpt_result = result;
-            if let Some(addr) = addr {
-                self.stats.vpt_addr = addr;
-            }
+            (self.stats.vpt_result, self.stats.vpt_addr) = vp.stats();
         }
         if let Some(ir) = &self.mechs.ir {
             self.stats.rb = ir.stats();
@@ -590,11 +588,10 @@ impl Simulator {
     /// RB/VPT speculation-field sanity.
     fn invariant_status(&self) -> Result<(), String> {
         self.rob.check_consistency()?;
-        if self.checkpoints.len() > self.config.max_branches {
+        if self.checkpoints.len() > MAX_BRANCHES {
             return Err(format!(
-                "checkpoint stack depth {} exceeds max_branches {}",
-                self.checkpoints.len(),
-                self.config.max_branches
+                "checkpoint stack depth {} exceeds max_branches {MAX_BRANCHES}",
+                self.checkpoints.len()
             ));
         }
         for seq in self.checkpoints.seqs() {
@@ -665,7 +662,7 @@ impl Simulator {
                 return Ok(());
             }
         }
-        for _ in 0..self.config.commit_width {
+        for _ in 0..COMMIT_WIDTH {
             let Some(head) = self.rob.head_slot() else { break };
             if !self.can_commit(head) {
                 break;
@@ -1632,7 +1629,7 @@ impl Simulator {
         let mut slots = std::mem::take(&mut self.slot_scratch);
         self.rob.collect_issue(&mut slots);
         for &slot in &slots {
-            if issued >= self.config.issue_width {
+            if issued >= ISSUE_WIDTH {
                 break;
             }
             if self.now <= self.rob.dispatch_cycle[slot] {
@@ -1744,7 +1741,7 @@ impl Simulator {
             return Ok(());
         }
         let mut lsq_used = self.rob.mem_ops_in_flight();
-        for _ in 0..self.config.decode_width {
+        for _ in 0..DECODE_WIDTH {
             if self.rob.is_full() {
                 break;
             }
@@ -1753,11 +1750,11 @@ impl Simulator {
                 f.inst.op.class(),
                 OpClass::Branch | OpClass::JumpReg
             );
-            if needs_checkpoint && self.checkpoints.len() >= self.config.max_branches {
+            if needs_checkpoint && self.checkpoints.len() >= MAX_BRANCHES {
                 break;
             }
             let is_mem = matches!(f.inst.op.class(), OpClass::Load | OpClass::Store);
-            if is_mem && lsq_used >= self.config.lsq_size {
+            if is_mem && lsq_used >= LSQ_SIZE {
                 break; // LSQ full: decode stalls at the memory op
             }
             if is_mem {
@@ -1789,14 +1786,8 @@ impl Simulator {
         };
         let pc = front.pc;
         let rob_free = self.config.rob_size - self.rob.len();
-        let lsq_free = self
-            .config
-            .lsq_size
-            .saturating_sub(self.rob.mem_ops_in_flight());
-        let cp_free = self
-            .config
-            .max_branches
-            .saturating_sub(self.checkpoints.len());
+        let lsq_free = LSQ_SIZE.saturating_sub(self.rob.mem_ops_in_flight());
+        let cp_free = MAX_BRANCHES.saturating_sub(self.checkpoints.len());
 
         let mut plans = std::mem::take(&mut self.replay_plans);
         plans.clear();
@@ -2263,11 +2254,11 @@ impl Simulator {
         if self.fetch_halted || self.now < self.fetch_stalled_until {
             return;
         }
-        if self.fetch_queue.len() >= 2 * self.config.fetch_width {
+        if self.fetch_queue.len() >= 2 * FETCH_WIDTH {
             return;
         }
         let mut pc = self.fetch_pc;
-        let line = pc / self.config.fetch_line_bytes;
+        let line = pc / FETCH_LINE_BYTES;
 
         // One instruction-cache access per fetch cycle.
         let outcome = self.icache.access(self.now, pc, false);
@@ -2276,8 +2267,8 @@ impl Simulator {
             return;
         }
 
-        for _ in 0..self.config.fetch_width {
-            if pc / self.config.fetch_line_bytes != line {
+        for _ in 0..FETCH_WIDTH {
+            if pc / FETCH_LINE_BYTES != line {
                 break; // cannot fetch across a cache-line boundary
             }
             let Some(&inst) = self.program.inst_at(pc) else {

@@ -67,10 +67,9 @@ pub struct VpConfig {
     pub reexecution: Reexecution,
     /// VP-verification latency in cycles (the paper uses 0 and 1).
     pub verify_latency: u32,
-    /// Geometry of the result VPT (and of the address VPT).
+    /// Geometry of the result VPT and of the address VPT (load
+    /// effective addresses are always predicted too).
     pub vpt: VptConfig,
-    /// Whether load effective addresses are also predicted.
-    pub predict_addresses: bool,
 }
 
 impl VpConfig {
@@ -83,7 +82,6 @@ impl VpConfig {
             reexecution: Reexecution::Me,
             verify_latency: 0,
             vpt: VptConfig::table1(),
-            predict_addresses: true,
         }
     }
 
@@ -158,37 +156,25 @@ impl IrConfig {
 /// whose live-in registers and external load values match the current
 /// speculative state replays the whole trace atomically — every member
 /// enters the ROB in the same cycle with its recorded result, bypassing
-/// the decode-width limit.
+/// the decode-width limit. Both configurations share one table
+/// geometry (64 sets of 4 ways, indexed by head PC) and install only
+/// captures of at least two members; see `crates/mechanism/src/rtb.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtbConfig {
     /// Maximum members per trace (the capture window; the terminal
     /// branch counts as a member).
     pub max_len: usize,
-    /// Minimum members for a capture to be worth installing.
-    pub min_len: usize,
-    /// RTB sets (indexed by head PC).
-    pub sets: usize,
-    /// RTB associativity.
-    pub ways: usize,
 }
 
 impl RtbConfig {
-    /// Four-member traces over a 64-set, 4-way RTB (`rtb:t4`).
+    /// Four-member traces (`rtb:t4`).
     pub fn t4() -> RtbConfig {
-        RtbConfig {
-            max_len: 4,
-            min_len: 2,
-            sets: 64,
-            ways: 4,
-        }
+        RtbConfig { max_len: 4 }
     }
 
-    /// Eight-member traces over the same geometry (`rtb:t8`).
+    /// Eight-member traces (`rtb:t8`).
     pub fn t8() -> RtbConfig {
-        RtbConfig {
-            max_len: 8,
-            ..RtbConfig::t4()
-        }
+        RtbConfig { max_len: 8 }
     }
 
     /// The registry label for this configuration, e.g. `"rtb:t8"`.
@@ -224,7 +210,6 @@ mod tests {
     fn rtb_labels_follow_max_len() {
         assert_eq!(RtbConfig::t4().label(), "rtb:t4");
         assert_eq!(RtbConfig::t8().label(), "rtb:t8");
-        assert_eq!(RtbConfig::t4().min_len, 2);
         assert!(RtbConfig::t8().max_len > RtbConfig::t4().max_len);
     }
 }

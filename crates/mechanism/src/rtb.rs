@@ -49,6 +49,13 @@ use crate::config::RtbConfig;
 use crate::{class_index, CommitEvent, DispatchAction, DispatchQuery, MemberPlan, ReplayQuery};
 use vpir_stats::RtbStats;
 
+/// Minimum members for a capture to be worth installing.
+const MIN_LEN: usize = 2;
+/// RTB sets (indexed by head PC).
+const SETS: usize = 64;
+/// RTB associativity.
+const WAYS: usize = 4;
+
 /// One member of a pending (not yet installed) capture, with the
 /// provenance needed to compute the trace interface at install time.
 #[derive(Debug, Clone, Copy, Default)]
@@ -118,7 +125,7 @@ pub struct RtbMech {
     /// Natural-loop nesting depth per static instruction, indexed by
     /// `(pc - TEXT_BASE) / INST_BYTES` (dense — no hashing).
     depths: Vec<u32>,
-    /// `sets * ways` entries, set-major.
+    /// `SETS * WAYS` entries, set-major.
     table: Vec<TraceEntry>,
     /// Deterministic LRU clock (bumped per install and per replay).
     stamp: u64,
@@ -144,11 +151,10 @@ impl RtbMech {
                 *d = summary.loop_depth;
             }
         }
-        let entries = config.sets.max(1) * config.ways.max(1);
         RtbMech {
             config,
             depths,
-            table: vec![TraceEntry::default(); entries],
+            table: vec![TraceEntry::default(); SETS * WAYS],
             stamp: 0,
             builder: TraceBuilder::default(),
             pending: VecDeque::new(),
@@ -164,8 +170,7 @@ impl RtbMech {
     }
 
     fn set_base(&self, head_pc: u64) -> usize {
-        let sets = self.config.sets.max(1);
-        ((head_pc / INST_BYTES) as usize % sets) * self.config.ways.max(1)
+        ((head_pc / INST_BYTES) as usize % SETS) * WAYS
     }
 
     fn builder_reset(&mut self) {
@@ -226,7 +231,7 @@ impl RtbMech {
         }
         if class == OpClass::Branch {
             // A branch may only terminate a trace, never head one.
-            let long_enough = self.builder.members.len() + 1 >= self.config.min_len;
+            let long_enough = self.builder.members.len() + 1 >= MIN_LEN;
             let (taken, target) = match q.out.control {
                 Some(c) => (c.taken, c.target),
                 None => {
@@ -336,11 +341,10 @@ impl RtbMech {
         // Way choice: an existing entry for this head PC is refreshed;
         // otherwise an invalid way, otherwise deterministic LRU.
         let base = self.set_base(head.pc);
-        let ways = self.config.ways.max(1);
         let mut victim = base;
         let mut victim_used = u64::MAX;
         let mut refresh = false;
-        for w in 0..ways {
+        for w in 0..WAYS {
             let Some(e) = self.table.get(base + w) else { continue };
             if e.valid && e.head_pc == head.pc {
                 victim = base + w;
@@ -494,9 +498,8 @@ impl RtbMech {
             return false;
         }
         let base = self.set_base(q.pc);
-        let ways = self.config.ways.max(1);
         let mut found = None;
-        for w in 0..ways {
+        for w in 0..WAYS {
             if let Some(e) = self.table.get(base + w) {
                 if e.valid && e.head_pc == q.pc {
                     found = Some(base + w);
@@ -603,7 +606,7 @@ mod tests {
         let rtb = RtbMech::new(RtbConfig::t8(), &program());
         for pc in (0..4096u64).map(|i| TEXT_BASE + i * INST_BYTES) {
             let base = rtb.set_base(pc);
-            assert!(base + rtb.config.ways <= rtb.table.len());
+            assert!(base + WAYS <= rtb.table.len());
         }
     }
 }

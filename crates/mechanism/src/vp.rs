@@ -1,6 +1,6 @@
 //! The value-prediction mechanism.
 //!
-//! A result VPT and an optional address VPT, called at dispatch (predict)
+//! A result VPT and an address VPT, called at dispatch (predict)
 //! and at commit (train). Every register-writing, non-control
 //! instruction is predictable; a predictor that declines still clears a
 //! standing prediction; and a load's address is predicted only when its
@@ -55,11 +55,11 @@ impl Vp {
     }
 }
 
-/// Value prediction: a result VPT and an optional address VPT.
+/// Value prediction: a result VPT and an address VPT.
 #[derive(Debug, Clone)]
 pub struct VpMech {
     result: Vp,
-    addr: Option<Vp>,
+    addr: Vp,
 }
 
 impl VpMech {
@@ -67,7 +67,7 @@ impl VpMech {
     pub fn new(vp: &VpConfig) -> VpMech {
         VpMech {
             result: Vp::new(vp.kind, vp.vpt),
-            addr: vp.predict_addresses.then(|| Vp::new(vp.kind, vp.vpt)),
+            addr: Vp::new(vp.kind, vp.vpt),
         }
     }
 
@@ -99,9 +99,7 @@ impl VpMech {
             None => q.predicted,
         };
         if q.is_load && predicted_now.is_none() && !q.addr_reused {
-            if let Some(vp) = self.addr.as_mut() {
-                act.addr_predicted = Some(vp.predict(q.pc, q.out.addr));
-            }
+            act.addr_predicted = Some(self.addr.predict(q.pc, q.out.addr));
         }
         act
     }
@@ -117,17 +115,14 @@ impl VpMech {
         if let Some(mem) = &ev.mem {
             if mem.is_load {
                 if let Some(actual) = ev.addr {
-                    if let Some(vp) = self.addr.as_mut() {
-                        vp.train(ev.pc, actual);
-                    }
+                    self.addr.train(ev.pc, actual);
                 }
             }
         }
     }
 
-    /// Result-VPT statistics, and address-VPT statistics when
-    /// addresses are predicted.
-    pub fn stats(&self) -> (VptStats, Option<VptStats>) {
-        (self.result.stats(), self.addr.as_ref().map(Vp::stats))
+    /// Result-VPT and address-VPT statistics.
+    pub fn stats(&self) -> (VptStats, VptStats) {
+        (self.result.stats(), self.addr.stats())
     }
 }

@@ -86,9 +86,7 @@ fn workspace_types_compose() {
         rb: rb_cfg,
         ..IrConfig::table1()
     };
-    let cache = vpir::mem::CacheConfig::table1_data();
-    let mut config = CoreConfig::with_ir(ir);
-    config.dcache = cache;
+    let config = CoreConfig::with_ir(ir);
     config.validate();
     let program = asm::assemble("li r1, 1\nhalt").expect("assembles");
     Simulator::new(&program, config)

@@ -89,6 +89,12 @@ const MAX_CONNECTIONS: usize = 64;
 const MAX_SCALE: u64 = 1024;
 /// Upper bound on per-request cycle and instruction caps.
 const MAX_CYCLES_CAP: u64 = 1_000_000_000;
+/// Largest accepted `trace` record count.
+const MAX_TRACE: u64 = 4096;
+/// Largest accepted request body, in bytes.
+const MAX_BODY_BYTES: usize = 1 << 20;
+/// In-memory cache tier bound, in body bytes.
+const CACHE_MEM_BYTES: u64 = 64 << 20;
 /// Per-connection write timeout (a client that stops reading its
 /// response is dropped, not waited on).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -114,18 +120,12 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// In-memory cache tier bound, in entries.
     pub cache_capacity: usize,
-    /// In-memory cache tier bound, in body bytes.
-    pub cache_mem_bytes: u64,
     /// Directory for the durable disk cache tier; `None` disables it.
     pub cache_dir: Option<PathBuf>,
     /// Disk cache tier bound, in file bytes (headers included).
     pub cache_disk_bytes: u64,
-    /// Largest accepted request body, in bytes.
-    pub max_body_bytes: usize,
     /// Cycle cap applied when a request omits `max_cycles`.
     pub default_max_cycles: u64,
-    /// Largest accepted `trace` record count.
-    pub max_trace: u64,
     /// How long a handler waits for its simulation before degrading to
     /// a structured 504 (the job still completes and fills the cache).
     pub request_deadline: Duration,
@@ -148,12 +148,9 @@ impl Default for ServeConfig {
             workers: 1,
             queue_capacity: 32,
             cache_capacity: 1024,
-            cache_mem_bytes: 64 << 20,
             cache_dir: None,
             cache_disk_bytes: 256 << 20,
-            max_body_bytes: 1 << 20,
             default_max_cycles: 2_000_000,
-            max_trace: 4096,
             request_deadline: Duration::from_secs(120),
             idle_timeout: Duration::from_secs(5),
             read_deadline: Duration::from_secs(2),
@@ -190,7 +187,7 @@ impl State {
             None => None,
             Some(dir) => Some(DiskStore::open(dir, cfg.cache_disk_bytes, cfg.inject_fault)?),
         };
-        let cache = Arc::new(ResultCache::new(cfg.cache_capacity, cfg.cache_mem_bytes, store));
+        let cache = Arc::new(ResultCache::new(cfg.cache_capacity, CACHE_MEM_BYTES, store));
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         Ok(State {
             cfg,
@@ -433,7 +430,7 @@ fn handle_connection(stream: &TcpStream, state: &Arc<State>) {
         // Read phase: the request has started; every read is deadlined.
         let _ = stream.set_read_timeout(Some(state.cfg.read_deadline));
         let started = Instant::now();
-        let request = match reader.next_request(state.cfg.max_body_bytes) {
+        let request = match reader.next_request(MAX_BODY_BYTES) {
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(err) => {
@@ -615,10 +612,10 @@ fn handle_run(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError> {
         MAX_CYCLES_CAP,
     )?;
     let trace = get_u64(&value, "trace", 0)?;
-    if trace > state.cfg.max_trace {
+    if trace > MAX_TRACE {
         return Err(HttpError::new(
             400,
-            format!("`trace` must be at most {}, got {trace}", state.cfg.max_trace),
+            format!("`trace` must be at most {MAX_TRACE}, got {trace}"),
         ));
     }
 

@@ -9,7 +9,7 @@
 //! and computed transfers (`jalr`, `jr` through a non-`ra` register)
 //! conservatively target every address-taken text label.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use vpir_isa::{Op, OpClass, Program, INST_BYTES};
 
@@ -312,22 +312,4 @@ pub fn to_json(cfg: &Cfg) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Successor/predecessor consistency check used by tests.
-#[doc(hidden)]
-pub fn edge_sets(cfg: &Cfg) -> (BTreeMap<usize, Vec<usize>>, BTreeMap<usize, Vec<usize>>) {
-    let succs = cfg
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(b, blk)| (b, blk.succs.clone()))
-        .collect();
-    let preds = cfg
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(b, blk)| (b, blk.preds.clone()))
-        .collect();
-    (succs, preds)
 }

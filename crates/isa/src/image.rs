@@ -21,7 +21,7 @@
 use std::fmt;
 
 use crate::encoding::{self, EncodeError};
-use crate::program::{Program, TEXT_BASE};
+use crate::program::Program;
 
 const MAGIC: &[u8; 4] = b"VPIR";
 const VERSION: u32 = 1;
@@ -169,13 +169,6 @@ pub fn read(bytes: &[u8]) -> Result<Program, ImageError> {
         labels: Default::default(),
         src_locs: Vec::new(),
     })
-}
-
-/// Convenience: [`write()`] with the default text base asserted (images
-/// produced by the assembler).
-pub fn write_default(program: &Program) -> Result<Vec<u8>, ImageError> {
-    debug_assert_eq!(program.text_base, TEXT_BASE);
-    write(program)
 }
 
 #[cfg(test)]

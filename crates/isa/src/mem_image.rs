@@ -129,11 +129,6 @@ impl MemImage {
         }
     }
 
-    /// Reads a 16-bit value.
-    pub fn read_u16(&self, addr: u64) -> u16 {
-        self.read(addr, MemWidth::B2) as u16
-    }
-
     /// Reads a 32-bit value.
     pub fn read_u32(&self, addr: u64) -> u32 {
         self.read(addr, MemWidth::B4) as u32
@@ -142,11 +137,6 @@ impl MemImage {
     /// Reads a 64-bit value.
     pub fn read_u64(&self, addr: u64) -> u64 {
         self.read(addr, MemWidth::B8)
-    }
-
-    /// Writes a 16-bit value.
-    pub fn write_u16(&mut self, addr: u64, v: u16) {
-        self.write(addr, MemWidth::B2, v as u64);
     }
 
     /// Writes a 32-bit value.

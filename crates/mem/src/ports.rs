@@ -62,26 +62,9 @@ impl PortArbiter {
         }
     }
 
-    /// Ports still free in `cycle` without consuming one.
-    pub fn available(&self, cycle: u64) -> u32 {
-        if cycle > self.cycle {
-            self.ports
-        } else {
-            self.ports - self.used
-        }
-    }
-
     /// Total `(granted, denied)` requests.
     pub fn totals(&self) -> (u64, u64) {
         (self.granted, self.denied)
-    }
-
-    /// Resets usage and counters.
-    pub fn reset(&mut self) {
-        self.cycle = 0;
-        self.used = 0;
-        self.granted = 0;
-        self.denied = 0;
     }
 }
 
@@ -95,7 +78,6 @@ mod tests {
         assert!(p.request(5));
         assert!(p.request(5));
         assert!(!p.request(5));
-        assert_eq!(p.available(5), 0);
         assert_eq!(p.totals(), (2, 1));
     }
 
@@ -105,7 +87,6 @@ mod tests {
         assert!(p.request(1));
         assert!(!p.request(1));
         assert!(p.request(2));
-        assert_eq!(p.available(3), 1);
     }
 
     #[test]
@@ -113,15 +94,6 @@ mod tests {
         let mut p = PortArbiter::new(1);
         assert!(p.request(10));
         assert!(!p.request(9)); // treated as cycle 10, which is full
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut p = PortArbiter::new(1);
-        p.request(1);
-        p.reset();
-        assert_eq!(p.totals(), (0, 0));
-        assert!(p.request(0));
     }
 
     #[test]

@@ -61,6 +61,19 @@ fn all_configs() -> Vec<(String, CoreConfig)> {
         cfg.front_end = fe;
         configs.push((format!("ir-{fe:?}"), cfg));
     }
+    // The ROB sizes `experiments ablations` sweeps besides Table 1's 32.
+    for rob_size in [16, 64] {
+        for (name, cfg) in [
+            ("base", CoreConfig::table1()),
+            ("vp", CoreConfig::with_vp(VpConfig::magic())),
+            ("ir", CoreConfig::with_ir(IrConfig::table1())),
+        ] {
+            configs.push((
+                format!("{name}-rob{rob_size}"),
+                CoreConfig { rob_size, ..cfg },
+            ));
+        }
+    }
     // Trace reuse: replayed members bypass issue/execute entirely, so
     // any guard bug shows up as an architectural divergence here.
     for rtb in [vpir_core::RtbConfig::t4(), vpir_core::RtbConfig::t8()] {

@@ -601,6 +601,53 @@ mod tests {
         assert_eq!(rtb.depth_of(TEXT_BASE + INST_BYTES), 1);
     }
 
+    /// A two-member trace headed at `pc`, with no live-ins or loads.
+    fn trace_at(pc: u64) -> Pending {
+        let member = |pc| PendingMember {
+            pc,
+            class: Some(OpClass::IntAlu),
+            ..PendingMember::default()
+        };
+        Pending {
+            first_seq: 0,
+            last_seq: 0,
+            members: vec![member(pc), member(pc + INST_BYTES)],
+        }
+    }
+
+    /// Whether a replay of the trace headed at `pc` is granted now.
+    fn replays(rtb: &mut RtbMech, pc: u64) -> bool {
+        let (regs, mem) = (vpir_isa::RegFile::new(), vpir_isa::MemImage::new());
+        let q = ReplayQuery {
+            pc,
+            regs: &regs,
+            mem: &mem,
+            rob_free: 64,
+            lsq_free: 32,
+            cp_free: 8,
+        };
+        let granted = rtb.replay_begin(&q, &mut Vec::new());
+        rtb.replay_abort();
+        granted
+    }
+
+    #[test]
+    fn lru_eviction_counts_installs_and_replays() {
+        let mut rtb = RtbMech::new(RtbConfig::t4(), &program());
+        // Five head PCs in one set: 64 sets of 4-byte instructions apart.
+        let heads: Vec<u64> = (0..5u64).map(|i| TEXT_BASE + i * 64 * INST_BYTES).collect();
+        for &pc in &heads[..4] {
+            rtb.install(trace_at(pc));
+        }
+        assert!(replays(&mut rtb, heads[0])); // the first is now the most recent
+        rtb.install(trace_at(heads[4])); // evicts the second
+        assert!(!replays(&mut rtb, heads[1]));
+        for pc in [heads[0], heads[2], heads[3], heads[4]] {
+            assert!(replays(&mut rtb, pc), "head {pc:#x}");
+        }
+        assert_eq!(rtb.stats().installed, 5);
+    }
+
     #[test]
     fn set_indexing_stays_in_bounds() {
         let rtb = RtbMech::new(RtbConfig::t8(), &program());

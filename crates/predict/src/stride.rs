@@ -206,6 +206,24 @@ mod tests {
     }
 
     #[test]
+    fn lru_eviction_on_set_pressure() {
+        let mut p = vp(); // 16 sets of 4 ways
+        let pcs: Vec<u64> = (0..5u64).map(|i| 0x100 + i * 16 * 4).collect();
+        for &pc in &pcs[..4] {
+            for _ in 0..3 {
+                p.train(pc, 7); // a confident zero stride
+            }
+        }
+        p.train(pcs[0], 7); // the first PC is now the most recent
+        p.train(pcs[4], 7); // evicts the least recently trained: the second
+        assert_eq!(p.predict(pcs[1], None), None);
+        for pc in [pcs[0], pcs[2], pcs[3]] {
+            assert_eq!(p.predict(pc, None), Some(7), "pc {pc:#x}");
+        }
+        assert_eq!(p.stats().allocations, 5);
+    }
+
+    #[test]
     fn untrained_pc_predicts_nothing() {
         let mut p = vp();
         p.train(0x10, 4);

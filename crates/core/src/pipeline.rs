@@ -679,7 +679,7 @@ impl Simulator {
                         "store at commit has no architectural address",
                     ));
                 };
-                self.dcache.access(self.now, addr, true);
+                self.dcache.access(self.now, addr);
             }
             self.retire(head)?;
             if self.halted {
@@ -1471,7 +1471,7 @@ impl Simulator {
                     self.stats.port_denials += 1;
                     continue;
                 }
-                self.dcache.access(self.now, addr, false).ready_cycle
+                self.dcache.access(self.now, addr).ready_cycle
             };
 
             let out = self.rob.out[slot];
@@ -2261,7 +2261,7 @@ impl Simulator {
         let line = pc / FETCH_LINE_BYTES;
 
         // One instruction-cache access per fetch cycle.
-        let outcome = self.icache.access(self.now, pc, false);
+        let outcome = self.icache.access(self.now, pc);
         if !outcome.hit {
             self.fetch_stalled_until = outcome.ready_cycle;
             return;

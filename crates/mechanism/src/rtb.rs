@@ -47,6 +47,7 @@ use vpir_isa::{LoadSource, MemWidth, OpClass, Program, Reg, INST_BYTES, TEXT_BAS
 
 use crate::config::RtbConfig;
 use crate::{class_index, CommitEvent, DispatchAction, DispatchQuery, MemberPlan, ReplayQuery};
+use vpir_mem::SetAssoc;
 use vpir_stats::RtbStats;
 
 /// Minimum members for a capture to be worth installing.
@@ -89,13 +90,11 @@ struct MemberRec {
     target: u64,
 }
 
-/// One RTB way. Invalid entries keep their member/interface vectors so
-/// eviction reuses the capacity (rule R7: no `Vec<Option<..>>`).
+/// One RTB way. An evicted trace's member/interface vectors stay with its
+/// way, so the next install reuses their capacity.
 #[derive(Debug, Clone, Default)]
 struct TraceEntry {
-    valid: bool,
     head_pc: u64,
-    last_used: u64,
     members: Vec<MemberRec>,
     live_ins: Vec<(Reg, u64)>,
     ext_loads: Vec<(u64, MemWidth, u64)>,
@@ -125,10 +124,8 @@ pub struct RtbMech {
     /// Natural-loop nesting depth per static instruction, indexed by
     /// `(pc - TEXT_BASE) / INST_BYTES` (dense — no hashing).
     depths: Vec<u32>,
-    /// `SETS * WAYS` entries, set-major.
-    table: Vec<TraceEntry>,
-    /// Deterministic LRU clock (bumped per install and per replay).
-    stamp: u64,
+    /// Traces by head PC; the LRU clock ticks per install and per replay.
+    table: SetAssoc<TraceEntry>,
     builder: TraceBuilder,
     pending: VecDeque<Pending>,
     pending_pool: Vec<Pending>,
@@ -154,8 +151,7 @@ impl RtbMech {
         RtbMech {
             config,
             depths,
-            table: vec![TraceEntry::default(); SETS * WAYS],
-            stamp: 0,
+            table: SetAssoc::new(SETS * WAYS, WAYS),
             builder: TraceBuilder::default(),
             pending: VecDeque::new(),
             pending_pool: Vec::new(),
@@ -167,10 +163,6 @@ impl RtbMech {
     fn depth_of(&self, pc: u64) -> u32 {
         let idx = (pc.wrapping_sub(TEXT_BASE) / INST_BYTES) as usize;
         self.depths.get(idx).copied().unwrap_or(0)
-    }
-
-    fn set_base(&self, head_pc: u64) -> usize {
-        ((head_pc / INST_BYTES) as usize % SETS) * WAYS
     }
 
     fn builder_reset(&mut self) {
@@ -339,46 +331,28 @@ impl RtbMech {
         }
 
         // Way choice: an existing entry for this head PC is refreshed;
-        // otherwise an invalid way, otherwise deterministic LRU.
-        let base = self.set_base(head.pc);
-        let mut victim = base;
-        let mut victim_used = u64::MAX;
-        let mut refresh = false;
-        for w in 0..WAYS {
-            let Some(e) = self.table.get(base + w) else { continue };
-            if e.valid && e.head_pc == head.pc {
-                victim = base + w;
-                refresh = true;
-                break;
-            }
-            let used = if e.valid { e.last_used } else { 0 };
-            if used < victim_used {
-                victim_used = used;
-                victim = base + w;
-            }
-        }
-        let _ = refresh;
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(e) = self.table.get_mut(victim) {
-            e.valid = true;
-            e.head_pc = head.pc;
-            e.last_used = stamp;
-            e.members.clear();
-            e.members.extend(p.members.iter().map(|m| MemberRec {
-                pc: m.pc,
-                class: m.class,
-                result: m.result,
-                addr: m.mem.map(|(a, _)| a),
-                taken: m.taken,
-                target: m.target,
-            }));
-            e.live_ins.clear();
-            e.live_ins.extend_from_slice(&live_ins);
-            e.ext_loads.clear();
-            e.ext_loads.extend_from_slice(&ext_loads);
-            self.stats.installed += 1;
-        }
+        // otherwise the set's victim is replaced.
+        let slot = self
+            .table
+            .find(head.pc >> 2, |e| e.head_pc == head.pc)
+            .unwrap_or_else(|| self.table.victim(head.pc >> 2));
+        self.table.tick();
+        let e = self.table.touch(slot);
+        e.head_pc = head.pc;
+        e.members.clear();
+        e.members.extend(p.members.iter().map(|m| MemberRec {
+            pc: m.pc,
+            class: m.class,
+            result: m.result,
+            addr: m.mem.map(|(a, _)| a),
+            taken: m.taken,
+            target: m.target,
+        }));
+        e.live_ins.clear();
+        e.live_ins.extend_from_slice(&live_ins);
+        e.ext_loads.clear();
+        e.ext_loads.extend_from_slice(&ext_loads);
+        self.stats.installed += 1;
         self.recycle(p);
     }
 
@@ -387,13 +361,10 @@ impl RtbMech {
     /// capture does not observe replayed members.
     fn replay_match(&mut self, q: &DispatchQuery, act: &mut DispatchAction) -> bool {
         let Some(rs) = self.replay else { return false };
-        let member = self.table.get(rs.entry_idx).and_then(|e| {
-            if e.valid {
-                e.members.get(rs.cursor).copied().map(|m| (m, e.members.len()))
-            } else {
-                None
-            }
-        });
+        let member = self
+            .table
+            .get(rs.entry_idx)
+            .and_then(|e| e.members.get(rs.cursor).copied().map(|m| (m, e.members.len())));
         let Some((m, len)) = member else {
             self.replay = None;
             return false;
@@ -497,18 +468,9 @@ impl RtbMech {
         if self.replay.is_some() {
             return false;
         }
-        let base = self.set_base(q.pc);
-        let mut found = None;
-        for w in 0..WAYS {
-            if let Some(e) = self.table.get(base + w) {
-                if e.valid && e.head_pc == q.pc {
-                    found = Some(base + w);
-                    break;
-                }
-            }
-        }
-        let Some(idx) = found else { return false };
-        let Some(entry) = self.table.get(idx) else { return false };
+        let Some((idx, entry)) = self.table.occupied(q.pc >> 2).find(|(_, e)| e.head_pc == q.pc) else {
+            return false;
+        };
         let n = entry.members.len();
         if n == 0 || n > q.rob_free {
             return false;
@@ -549,11 +511,8 @@ impl RtbMech {
             taken: m.taken,
             target: m.target,
         }));
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(e) = self.table.get_mut(idx) {
-            e.last_used = stamp;
-        }
+        self.table.tick();
+        self.table.touch(idx);
         self.stats.replays += 1;
         self.stats.replayed_insts += n as u64;
         self.replay = Some(ReplayState {
@@ -646,14 +605,5 @@ mod tests {
             assert!(replays(&mut rtb, pc), "head {pc:#x}");
         }
         assert_eq!(rtb.stats().installed, 5);
-    }
-
-    #[test]
-    fn set_indexing_stays_in_bounds() {
-        let rtb = RtbMech::new(RtbConfig::t8(), &program());
-        for pc in (0..4096u64).map(|i| TEXT_BASE + i * INST_BYTES) {
-            let base = rtb.set_base(pc);
-            assert!(base + WAYS <= rtb.table.len());
-        }
     }
 }

@@ -1,5 +1,7 @@
 //! Set-associative, LRU, non-blocking cache timing model.
 
+use crate::SetAssoc;
+
 /// Geometry and timing of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -81,14 +83,6 @@ impl CacheStats {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    /// Monotonic touch stamp for LRU.
-    lru: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
 struct Mshr {
     line: u64,
     ready_cycle: u64,
@@ -103,18 +97,12 @@ struct Mshr {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// All ways in one flat array; set `s` is the contiguous slice
-    /// `[s * assoc, (s + 1) * assoc)`.
-    ways: Vec<Way>,
+    /// The resident lines, indexed and tagged by line number.
+    lines: SetAssoc<u64>,
     /// `log2(line_bytes)` — the line size is validated a power of two.
     line_shift: u32,
-    /// `sets - 1` when the set count is a power of two (the common
-    /// geometry), letting `set_of` mask instead of divide; `None` falls
-    /// back to modulo.
-    set_mask: Option<u64>,
     mshrs: Vec<Mshr>,
     stats: CacheStats,
-    tick: u64,
 }
 
 impl Cache {
@@ -122,36 +110,19 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sizes, non-power-of-two
-    /// line size, or a line larger than a way's share of the capacity).
+    /// Panics if the line size is not a power of two, if there are no
+    /// MSHRs, or if the capacity is not a power-of-two number of sets of
+    /// `assoc` lines.
     pub fn new(config: CacheConfig) -> Cache {
         assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
-        assert!(config.assoc > 0 && config.mshrs > 0);
-        assert!(config.sets() > 0, "capacity must hold at least one set");
+        assert!(config.mshrs > 0);
         Cache {
             config,
-            ways: vec![
-                Way {
-                    tag: 0,
-                    valid: false,
-                    lru: 0
-                };
-                config.sets() * config.assoc
-            ],
+            lines: SetAssoc::new(config.size_bytes / config.line_bytes, config.assoc),
             line_shift: config.line_bytes.trailing_zeros(),
-            set_mask: config
-                .sets()
-                .is_power_of_two()
-                .then(|| config.sets() as u64 - 1),
             mshrs: Vec::new(),
             stats: CacheStats::default(),
-            tick: 0,
         }
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Accumulated statistics.
@@ -163,38 +134,18 @@ impl Cache {
         addr >> self.line_shift
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        match self.set_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % self.config.sets() as u64) as usize,
-        }
-    }
-
-    fn set(&self, set: usize) -> &[Way] {
-        &self.ways[set * self.config.assoc..][..self.config.assoc]
-    }
-
-    fn set_mut(&mut self, set: usize) -> &mut [Way] {
-        let assoc = self.config.assoc;
-        &mut self.ways[set * assoc..][..assoc]
-    }
-
     /// Accesses `addr` at `now`; returns when the data is ready.
     ///
     /// Writes allocate like reads (write-allocate); dirty-line writeback
     /// bandwidth is not modelled, matching the paper's single-level
     /// hierarchy with a flat 6-cycle miss.
-    pub fn access(&mut self, now: u64, addr: u64, is_write: bool) -> AccessOutcome {
-        let _ = is_write;
-        self.tick += 1;
+    pub fn access(&mut self, now: u64, addr: u64) -> AccessOutcome {
+        self.lines.tick();
         let line = self.line_of(addr);
-        let set = self.set_of(line);
-        let tag = line;
         self.mshrs.retain(|m| m.ready_cycle > now);
 
-        let tick = self.tick;
-        if let Some(way) = self.set_mut(set).iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = tick;
+        if let Some(slot) = self.lines.find(line, |&tag| tag == line) {
+            self.lines.touch(slot);
             // A hit on a line whose fill is still in flight completes with
             // the fill, not before.
             if let Some(m) = self.mshrs.iter().find(|m| m.line == line) {
@@ -226,19 +177,8 @@ impl Cache {
             base_ready
         };
         self.mshrs.push(Mshr { line, ready_cycle });
-
-        // The set is non-empty (assoc is validated positive at
-        // construction), so a victim always exists; `if let` keeps the
-        // miss path panic-free without changing the selection.
-        if let Some(victim) = self
-            .set_mut(set)
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-        {
-            victim.tag = tag;
-            victim.valid = true;
-            victim.lru = tick;
-        }
+        let victim = self.lines.victim(line);
+        *self.lines.touch(victim) = line;
 
         AccessOutcome {
             hit: false,
@@ -249,16 +189,7 @@ impl Cache {
     /// Whether `addr`'s line is currently resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        let set = self.set_of(line);
-        self.set(set).iter().any(|w| w.valid && w.tag == line)
-    }
-
-    /// Invalidates every line and drops outstanding misses.
-    pub fn flush(&mut self) {
-        for way in &mut self.ways {
-            way.valid = false;
-        }
-        self.mshrs.clear();
+        self.lines.find(line, |&tag| tag == line).is_some()
     }
 }
 
@@ -266,25 +197,27 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// 4 sets x 2 ways x 32B = 256B for easy conflict construction.
+    const SMALL: CacheConfig = CacheConfig {
+        size_bytes: 256,
+        assoc: 2,
+        line_bytes: 32,
+        hit_latency: 1,
+        miss_latency: 6,
+        mshrs: 4,
+    };
+
     fn small() -> Cache {
-        // 4 sets x 2 ways x 32B = 256B for easy conflict construction.
-        Cache::new(CacheConfig {
-            size_bytes: 256,
-            assoc: 2,
-            line_bytes: 32,
-            hit_latency: 1,
-            miss_latency: 6,
-            mshrs: 4,
-        })
+        Cache::new(SMALL)
     }
 
     #[test]
     fn miss_then_hit() {
         let mut c = small();
-        let a = c.access(0, 0x100, false);
+        let a = c.access(0, 0x100);
         assert!(!a.hit);
         assert_eq!(a.ready_cycle, 7);
-        let b = c.access(10, 0x10c, false);
+        let b = c.access(10, 0x10c);
         assert!(b.hit);
         assert_eq!(b.ready_cycle, 11);
         assert_eq!(c.stats().hits, 1);
@@ -295,10 +228,10 @@ mod tests {
     fn lru_eviction_within_set() {
         let mut c = small();
         // Three lines mapping to the same set (4 sets, 32B lines -> stride 128).
-        c.access(0, 0x000, false);
-        c.access(10, 0x080, false);
-        c.access(20, 0x000, false); // touch first again
-        c.access(30, 0x100, false); // evicts 0x080, not 0x000
+        c.access(0, 0x000);
+        c.access(10, 0x080);
+        c.access(20, 0x000); // touch first again
+        c.access(30, 0x100); // evicts 0x080, not 0x000
         assert!(c.probe(0x000));
         assert!(!c.probe(0x080));
         assert!(c.probe(0x100));
@@ -307,13 +240,13 @@ mod tests {
     #[test]
     fn access_during_outstanding_miss_completes_with_fill() {
         let mut c = small();
-        let first = c.access(0, 0x200, false);
-        let second = c.access(2, 0x208, false); // same line, miss in flight
+        let first = c.access(0, 0x200);
+        let second = c.access(2, 0x208); // same line, miss in flight
         assert!(second.hit);
         assert_eq!(second.ready_cycle, first.ready_cycle);
         assert_eq!(c.stats().mshr_merges, 1);
         // After the fill completes, accesses are plain hits again.
-        let third = c.access(first.ready_cycle + 1, 0x210, false);
+        let third = c.access(first.ready_cycle + 1, 0x210);
         assert_eq!(third.ready_cycle, first.ready_cycle + 2);
     }
 
@@ -321,10 +254,10 @@ mod tests {
     fn mshr_exhaustion_serialises() {
         let mut c = Cache::new(CacheConfig {
             mshrs: 1,
-            ..*small().config()
+            ..SMALL
         });
-        let a = c.access(0, 0x000, false);
-        let b = c.access(0, 0x400, false); // distinct line, MSHR full
+        let a = c.access(0, 0x000);
+        let b = c.access(0, 0x400); // distinct line, MSHR full
         assert!(b.ready_cycle >= a.ready_cycle);
     }
 
@@ -335,26 +268,17 @@ mod tests {
         let mut c = Cache::new(cfg);
         // Fill both ways of set 0 and verify no thrash of a 2-line set.
         let stride = (cfg.sets() * cfg.line_bytes) as u64;
-        c.access(0, 0, false);
-        c.access(1, stride, false);
+        c.access(0, 0);
+        c.access(1, stride);
         assert!(c.probe(0));
         assert!(c.probe(stride));
     }
 
     #[test]
-    fn flush_empties() {
-        let mut c = small();
-        c.access(0, 0x40, true);
-        assert!(c.probe(0x40));
-        c.flush();
-        assert!(!c.probe(0x40));
-    }
-
-    #[test]
     fn miss_ratio() {
         let mut c = small();
-        c.access(0, 0x0, false);
-        c.access(10, 0x0, false);
+        c.access(0, 0x0);
+        c.access(10, 0x0);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
     }
 
@@ -363,7 +287,7 @@ mod tests {
     fn rejects_bad_line_size() {
         Cache::new(CacheConfig {
             line_bytes: 24,
-            ..*small().config()
+            ..SMALL
         });
     }
 }

@@ -62,7 +62,7 @@ fn matches_reference_lru() {
             let addr = rng.gen_range(0u64..0x4000);
             t += 100; // far enough apart that every miss has completed
             let expect = reference.access(addr);
-            let got = cache.access(t, addr, false);
+            let got = cache.access(t, addr);
             assert_eq!(got.hit, expect, "addr {addr:#x} at {t}");
         }
     });
@@ -79,7 +79,7 @@ fn latency_bounds() {
         for _ in 0..rng.gen_range(1usize..100) {
             let addr = rng.gen_range(0u64..0x4000);
             t += 50;
-            let out = cache.access(t, addr, false);
+            let out = cache.access(t, addr);
             let delay = out.ready_cycle - t;
             assert!(delay >= cfg.hit_latency as u64);
             assert!(delay <= (cfg.hit_latency + cfg.miss_latency) as u64);
@@ -98,7 +98,7 @@ fn stats_are_consistent() {
         let n = rng.gen_range(1usize..100);
         for i in 0..n {
             let addr = rng.gen_range(0u64..0x2000);
-            cache.access(i as u64, addr, i % 3 == 0);
+            cache.access(i as u64, addr);
         }
         let s = cache.stats();
         assert_eq!(s.accesses(), n as u64);

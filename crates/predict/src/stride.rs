@@ -8,9 +8,11 @@
 //! updates after the same delta is observed twice, which keeps one-off
 //! jumps from polluting a stable stride.
 
+use vpir_mem::SetAssoc;
+
 use crate::table::{VptConfig, VptStats};
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
     tag: u64,
     last: u64,
@@ -19,19 +21,7 @@ struct StrideEntry {
     /// Most recently observed delta (promoted to `stride` on repeat).
     pending: i64,
     confidence: u8,
-    valid: bool,
-    lru: u64,
 }
-
-const EMPTY: StrideEntry = StrideEntry {
-    tag: 0,
-    last: 0,
-    stride: 0,
-    pending: 0,
-    confidence: 0,
-    valid: false,
-    lru: 0,
-};
 
 /// A set-associative two-delta stride predictor.
 ///
@@ -48,9 +38,8 @@ const EMPTY: StrideEntry = StrideEntry {
 #[derive(Debug, Clone)]
 pub struct StridePredictor {
     config: VptConfig,
-    sets: Vec<Vec<StrideEntry>>,
+    entries: SetAssoc<StrideEntry>,
     stats: VptStats,
-    tick: u64,
 }
 
 impl StridePredictor {
@@ -58,23 +47,14 @@ impl StridePredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `assoc`.
+    /// Panics if `entries` is not a power-of-two multiple of a positive
+    /// `assoc`.
     pub fn new(config: VptConfig) -> StridePredictor {
-        assert!(config.assoc > 0, "associativity must be positive");
-        assert!(
-            config.entries > 0 && config.entries.is_multiple_of(config.assoc),
-            "entries must be a positive multiple of assoc"
-        );
         StridePredictor {
             config,
-            sets: vec![vec![EMPTY; config.assoc]; config.sets()],
+            entries: SetAssoc::new(config.entries, config.assoc),
             stats: VptStats::default(),
-            tick: 0,
         }
-    }
-
-    fn set_of(&self, pc: u64) -> usize {
-        ((pc >> 2) % self.config.sets() as u64) as usize
     }
 
     /// Predicts the value produced by the instruction at `pc` (its last
@@ -83,11 +63,12 @@ impl StridePredictor {
     /// matches [`MagicPredictor::predict`](crate::MagicPredictor::predict)).
     pub fn predict(&mut self, pc: u64, _oracle: Option<u64>) -> Option<u64> {
         self.stats.lookups += 1;
-        let set = &self.sets[self.set_of(pc)];
-        let hit = set
-            .iter()
-            .find(|e| e.valid && e.tag == pc && e.confidence >= self.config.confidence_threshold)
-            .map(|e| e.last.wrapping_add(e.stride as u64));
+        let threshold = self.config.confidence_threshold;
+        let hit = self
+            .entries
+            .occupied(pc >> 2)
+            .find(|(_, e)| e.tag == pc && e.confidence >= threshold)
+            .map(|(_, e)| e.last.wrapping_add(e.stride as u64));
         if hit.is_some() {
             self.stats.predictions += 1;
         }
@@ -97,12 +78,10 @@ impl StridePredictor {
     /// Trains the predictor with the actual value produced at `pc`.
     pub fn train(&mut self, pc: u64, actual: u64) {
         self.stats.trainings += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_of(pc);
-        let set = &mut self.sets[set_idx];
+        self.entries.tick();
 
-        if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == pc) {
+        if let Some(slot) = self.entries.find(pc >> 2, |e| e.tag == pc) {
+            let e = self.entries.touch(slot);
             let delta = actual.wrapping_sub(e.last) as i64;
             if delta == e.stride {
                 e.confidence = (e.confidence + 1).min(3);
@@ -115,27 +94,14 @@ impl StridePredictor {
                 e.confidence = e.confidence.saturating_sub(1);
             }
             e.last = actual;
-            e.lru = tick;
             return;
         }
         self.stats.allocations += 1;
-        // The set is non-empty (assoc is validated positive at
-        // construction); bailing instead of panicking is
-        // behavior-identical on the reachable path.
-        let Some(victim) = set
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru } else { 0 })
-        else {
-            return;
-        };
-        *victim = StrideEntry {
+        let slot = self.entries.victim(pc >> 2);
+        *self.entries.touch(slot) = StrideEntry {
             tag: pc,
             last: actual,
-            stride: 0,
-            pending: 0,
-            confidence: 0,
-            valid: true,
-            lru: tick,
+            ..StrideEntry::default()
         };
     }
 

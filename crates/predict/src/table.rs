@@ -1,5 +1,7 @@
 //! The set-associative value prediction table.
 
+use vpir_mem::SetAssoc;
+
 /// Geometry and policy of a [`VptTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VptConfig {
@@ -20,11 +22,6 @@ impl VptConfig {
             confidence_threshold: 2,
         }
     }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.entries / self.assoc
-    }
 }
 
 /// Lookup/training counters.
@@ -40,22 +37,12 @@ pub struct VptStats {
     pub allocations: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct VptWay {
     tag: u64,
     value: u64,
     confidence: u8,
-    valid: bool,
-    lru: u64,
 }
-
-const EMPTY_WAY: VptWay = VptWay {
-    tag: 0,
-    value: 0,
-    confidence: 0,
-    valid: false,
-    lru: 0,
-};
 
 /// A set-associative, LRU table of `(pc, value, confidence)` triples.
 ///
@@ -63,18 +50,13 @@ const EMPTY_WAY: VptWay = VptWay {
 /// `VP_Magic` stores multiple unique values. [`VptTable::train_last`]
 /// enforces the single-instance discipline of `VP_LVP` instead.
 ///
-/// Storage is one flat `Vec<VptWay>`; set `s` occupies the contiguous
-/// slice `[s * assoc, (s + 1) * assoc)`. A lookup touches exactly one
-/// cache-friendly stripe and never allocates.
+/// The ways live in one [`SetAssoc`] indexed by `pc >> 2`: a lookup
+/// touches exactly one cache-friendly stripe and never allocates.
 #[derive(Debug, Clone)]
 pub struct VptTable {
     config: VptConfig,
-    ways: Vec<VptWay>,
-    /// `sets - 1` when the set count is a power of two, letting
-    /// `set_of` mask instead of divide.
-    set_mask: Option<u64>,
+    ways: SetAssoc<VptWay>,
     stats: VptStats,
-    tick: u64,
 }
 
 impl VptTable {
@@ -82,28 +64,14 @@ impl VptTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `assoc`.
+    /// Panics if `entries` is not a power-of-two multiple of a positive
+    /// `assoc`.
     pub fn new(config: VptConfig) -> VptTable {
-        assert!(config.assoc > 0, "associativity must be positive");
-        assert!(
-            config.entries > 0 && config.entries.is_multiple_of(config.assoc),
-            "entries must be a positive multiple of assoc"
-        );
         VptTable {
             config,
-            ways: vec![EMPTY_WAY; config.entries],
-            set_mask: config
-                .sets()
-                .is_power_of_two()
-                .then(|| config.sets() as u64 - 1),
+            ways: SetAssoc::new(config.entries, config.assoc),
             stats: VptStats::default(),
-            tick: 0,
         }
-    }
-
-    /// The table's configuration.
-    pub fn config(&self) -> &VptConfig {
-        &self.config
     }
 
     /// Accumulated statistics.
@@ -111,22 +79,9 @@ impl VptTable {
         self.stats
     }
 
-    fn set_of(&self, pc: u64) -> usize {
-        match self.set_mask {
-            Some(mask) => ((pc >> 2) & mask) as usize,
-            None => ((pc >> 2) % self.config.sets() as u64) as usize,
-        }
-    }
-
-    fn set(&self, pc: u64) -> &[VptWay] {
-        let start = self.set_of(pc) * self.config.assoc;
-        &self.ways[start..start + self.config.assoc]
-    }
-
-    fn set_mut(&mut self, pc: u64) -> &mut [VptWay] {
-        let start = self.set_of(pc) * self.config.assoc;
-        let assoc = self.config.assoc;
-        &mut self.ways[start..start + assoc]
+    /// The ways holding an instance of `pc`, as `(slot, way)`.
+    fn stored(&self, pc: u64) -> impl Iterator<Item = (usize, &VptWay)> {
+        self.ways.occupied(pc >> 2).filter(move |(_, w)| w.tag == pc)
     }
 
     /// Records a lookup (and whether it produced a prediction).
@@ -141,13 +96,13 @@ impl VptTable {
     /// (ties broken towards most recently used).
     pub fn confident_values(&self, pc: u64) -> Vec<u64> {
         let threshold = self.config.confidence_threshold;
-        let mut hits: Vec<&VptWay> = self
-            .set(pc)
-            .iter()
-            .filter(|w| w.valid && w.tag == pc && w.confidence >= threshold)
+        let mut hits: Vec<(u8, u64, u64)> = self
+            .stored(pc)
+            .filter(|(_, w)| w.confidence >= threshold)
+            .map(|(slot, w)| (w.confidence, self.ways.stamp(slot), w.value))
             .collect();
-        hits.sort_by(|a, b| b.confidence.cmp(&a.confidence).then(b.lru.cmp(&a.lru)));
-        hits.iter().map(|w| w.value).collect()
+        hits.sort_by(|a, b| b.cmp(a));
+        hits.iter().map(|&(_, _, value)| value).collect()
     }
 
     /// Oracle selection over the confident values stored for `pc`,
@@ -159,34 +114,33 @@ impl VptTable {
     /// and falling back to its first element, minus the allocation.
     pub fn select_confident(&self, pc: u64, oracle: Option<u64>) -> Option<u64> {
         let threshold = self.config.confidence_threshold;
-        let mut best: Option<&VptWay> = None;
+        let mut best: Option<((u8, u64), u64)> = None;
         let mut oracle_stored = false;
-        for w in self.set(pc) {
-            if !(w.valid && w.tag == pc && w.confidence >= threshold) {
+        for (slot, w) in self.stored(pc) {
+            if w.confidence < threshold {
                 continue;
             }
             if Some(w.value) == oracle {
                 oracle_stored = true;
             }
-            // `lru` ticks are unique, so (confidence, lru) totally orders
-            // the ways of a set — the max is the sort's first element.
-            if best.is_none_or(|b| (b.confidence, b.lru) < (w.confidence, w.lru)) {
-                best = Some(w);
+            // LRU stamps are unique, so (confidence, stamp) totally
+            // orders the ways of a set — the max is the sort's first
+            // element.
+            let rank = (w.confidence, self.ways.stamp(slot));
+            if best.is_none_or(|(b, _)| b < rank) {
+                best = Some((rank, w.value));
             }
         }
         if oracle_stored {
             return oracle;
         }
-        best.map(|w| w.value)
+        best.map(|(_, value)| value)
     }
 
     /// The single stored value for `pc` if it is confident (LVP lookup).
     pub fn last_confident_value(&self, pc: u64) -> Option<u64> {
-        self.set(pc)
-            .iter()
-            .find(|w| w.valid && w.tag == pc)
-            .filter(|w| w.confidence >= self.config.confidence_threshold)
-            .map(|w| w.value)
+        let (_, w) = self.stored(pc).next()?;
+        (w.confidence >= self.config.confidence_threshold).then_some(w.value)
     }
 
     /// Multi-instance training (`VP_Magic`): if `actual` is stored, raise
@@ -194,26 +148,21 @@ impl VptTable {
     /// allocate a new way for `actual`.
     pub fn train_multi(&mut self, pc: u64, actual: u64) {
         self.stats.trainings += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_mut(pc);
+        self.ways.tick();
 
-        if let Some(way) = set
-            .iter_mut()
-            .find(|w| w.valid && w.tag == pc && w.value == actual)
-        {
+        if let Some(slot) = self.ways.find(pc >> 2, |w| w.tag == pc && w.value == actual) {
+            let way = self.ways.touch(slot);
             way.confidence = (way.confidence + 1).min(3);
-            way.lru = tick;
             return;
         }
         // A stored-but-wrong instance loses confidence (the counter is
         // "incremented or decremented depending on whether prediction is
         // right or wrong").
-        if let Some(way) = set
-            .iter_mut()
-            .filter(|w| w.valid && w.tag == pc)
-            .max_by_key(|w| (w.confidence, w.lru))
-        {
+        let most_confident = self
+            .stored(pc)
+            .max_by_key(|&(slot, w)| (w.confidence, self.ways.stamp(slot)))
+            .map(|(slot, _)| slot);
+        if let Some(way) = most_confident.and_then(|slot| self.ways.get_mut(slot)) {
             way.confidence = way.confidence.saturating_sub(1);
         }
         self.allocate(pc, actual);
@@ -223,11 +172,10 @@ impl VptTable {
     /// value decays confidence and replaces the value at zero confidence.
     pub fn train_last(&mut self, pc: u64, actual: u64) {
         self.stats.trainings += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_mut(pc);
+        self.ways.tick();
 
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == pc) {
+        if let Some(slot) = self.ways.find(pc >> 2, |w| w.tag == pc) {
+            let way = self.ways.touch(slot);
             if way.value == actual {
                 way.confidence = (way.confidence + 1).min(3);
             } else {
@@ -236,7 +184,6 @@ impl VptTable {
                     way.value = actual;
                 }
             }
-            way.lru = tick;
             return;
         }
         self.allocate(pc, actual);
@@ -244,32 +191,17 @@ impl VptTable {
 
     fn allocate(&mut self, pc: u64, value: u64) {
         self.stats.allocations += 1;
-        let tick = self.tick;
-        // The set is non-empty (assoc is validated positive at
-        // construction); bailing instead of panicking is
-        // behavior-identical on the reachable path.
-        let Some(way) = self
-            .set_mut(pc)
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-        else {
-            return;
-        };
-        *way = VptWay {
+        let slot = self.ways.victim(pc >> 2);
+        *self.ways.touch(slot) = VptWay {
             tag: pc,
             value,
             confidence: 1,
-            valid: true,
-            lru: tick,
         };
     }
 
-    /// Number of valid instances currently stored for `pc`.
+    /// Number of instances currently stored for `pc`.
     pub fn instances(&self, pc: u64) -> usize {
-        self.set(pc)
-            .iter()
-            .filter(|w| w.valid && w.tag == pc)
-            .count()
+        self.stored(pc).count()
     }
 }
 

@@ -1,6 +1,7 @@
 //! The reuse buffer proper.
 
 use vpir_isa::{MemWidth, Op, OpClass, Reg, NUM_REGS};
+use vpir_mem::SetAssoc;
 
 use crate::slotset::SlotSet;
 
@@ -36,11 +37,6 @@ impl RbConfig {
             assoc: 4,
             scheme: ReuseScheme::SnDValues,
         }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.entries / self.assoc
     }
 }
 
@@ -173,8 +169,11 @@ pub struct ReuseStats {
     pub misses: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RbEntry {
+    /// Bumped each time the way takes a new instance, so an [`EntryRef`]
+    /// to an evicted one no longer matches.
+    gen: u32,
     pc: u64,
     op: Op,
     srcs: [Option<(Reg, u64)>; 2],
@@ -190,13 +189,6 @@ struct RbEntry {
     /// User flag: set for entries written by squashed (wrong-path)
     /// instructions, consumed when a later reuse recovers that work.
     flagged: bool,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Slot {
-    gen: u32,
-    lru: u64,
-    entry: Option<RbEntry>,
 }
 
 /// Memory-invalidation index granularity (bytes per block).
@@ -223,24 +215,22 @@ fn mem_bucket(block: u64) -> usize {
 /// The reuse buffer: a set-associative, LRU table of previous executions
 /// with indexed invalidation on register writes and stores.
 ///
-/// Both inverted indexes are fixed-size `SlotSet` bitmaps, sized at
-/// construction: maintaining and walking them allocates nothing, and
-/// iteration is in ascending slot order, preserving the deterministic
-/// behaviour of the `BTreeSet` indexes they replaced.
+/// The entries live in one [`SetAssoc`] indexed by `pc >> 2`, whose slot
+/// numbers the invalidation indexes hold. Both inverted indexes are
+/// fixed-size `SlotSet` bitmaps, sized at construction: maintaining and
+/// walking them allocates nothing, and iteration is in ascending slot
+/// order, preserving the deterministic behaviour of the `BTreeSet`
+/// indexes they replaced.
 #[derive(Debug, Clone)]
 pub struct ReuseBuffer {
     config: RbConfig,
-    /// `sets - 1` when the set count is a power of two, letting
-    /// `set_of` mask instead of divide.
-    set_mask: Option<u64>,
-    slots: Vec<Slot>,
+    entries: SetAssoc<RbEntry>,
     /// Register → slots whose entries name that register as an operand.
     reg_index: Vec<SlotSet>,
     /// Block bucket → slots of load entries covering a block in that
     /// bucket (see [`MEM_BUCKETS`] for the aliasing argument).
     mem_index: Vec<SlotSet>,
     stats: ReuseStats,
-    tick: u64,
 }
 
 impl ReuseBuffer {
@@ -248,47 +238,21 @@ impl ReuseBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `assoc`.
+    /// Panics if `entries` is not a power-of-two multiple of a positive
+    /// `assoc`.
     pub fn new(config: RbConfig) -> ReuseBuffer {
-        assert!(config.assoc > 0, "associativity must be positive");
-        assert!(
-            config.entries > 0 && config.entries.is_multiple_of(config.assoc),
-            "entries must be a positive multiple of assoc"
-        );
         ReuseBuffer {
             config,
-            set_mask: config
-                .sets()
-                .is_power_of_two()
-                .then(|| config.sets() as u64 - 1),
-            slots: vec![Slot::default(); config.entries],
+            entries: SetAssoc::new(config.entries, config.assoc),
             reg_index: vec![SlotSet::new(config.entries); NUM_REGS],
             mem_index: vec![SlotSet::new(config.entries); MEM_BUCKETS],
             stats: ReuseStats::default(),
-            tick: 0,
         }
-    }
-
-    /// The buffer's configuration.
-    pub fn config(&self) -> &RbConfig {
-        &self.config
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> ReuseStats {
         self.stats
-    }
-
-    fn set_of(&self, pc: u64) -> usize {
-        match self.set_mask {
-            Some(mask) => ((pc >> 2) & mask) as usize,
-            None => ((pc >> 2) % self.config.sets() as u64) as usize,
-        }
-    }
-
-    fn set_slots(&self, pc: u64) -> std::ops::Range<usize> {
-        let s = self.set_of(pc) * self.config.assoc;
-        s..s + self.config.assoc
     }
 
     /// Runs the reuse test for the instruction at `pc`.
@@ -303,20 +267,15 @@ impl ReuseBuffer {
     where
         F: Fn(Reg) -> OperandView,
     {
-        self.tick += 1;
-        let tick = self.tick;
+        self.entries.tick();
         let mut best: Option<(usize, Reused)> = None;
-        for idx in self.set_slots(pc) {
-            let slot = &self.slots[idx];
-            let Some(entry) = slot.entry.as_ref() else {
-                continue;
-            };
+        for (idx, entry) in self.entries.occupied(pc >> 2) {
             if entry.pc != pc || entry.op != op {
                 continue;
             }
             let eref = EntryRef {
                 slot: idx as u32,
-                gen: slot.gen,
+                gen: entry.gen,
             };
             if !self.operands_pass(entry, operands, reused_now) {
                 continue;
@@ -343,7 +302,7 @@ impl ReuseBuffer {
         }
         match best {
             Some((idx, reused)) => {
-                self.slots[idx].lru = tick;
+                self.entries.touch(idx);
                 if reused.full {
                     self.stats.full_reuses += 1;
                 } else {
@@ -403,51 +362,36 @@ impl ReuseBuffer {
     /// Returns a reference the pipeline can hand to dependents as their
     /// dependence pointer.
     pub fn insert(&mut self, rec: RbInsert) -> EntryRef {
-        self.tick += 1;
-        let tick = self.tick;
+        self.entries.tick();
 
         // Same pc + same operand values: refresh in place.
-        let existing = self.set_slots(rec.pc).find(|&idx| {
-            self.slots[idx]
-                .entry
-                .as_ref()
-                .is_some_and(|e| e.pc == rec.pc && e.op == rec.op && e.srcs == rec.srcs)
+        let existing = self.entries.find(rec.pc >> 2, |e| {
+            e.pc == rec.pc && e.op == rec.op && e.srcs == rec.srcs
         });
         let idx = match existing {
             Some(idx) => {
                 self.stats.updates += 1;
-                self.unindex(idx);
                 idx
             }
             None => {
-                // `set_slots` is non-empty (assoc is validated positive
-                // at construction), so min_by_key yields a slot; the
-                // first slot of the set is a behavior-identical
-                // fallback that keeps this path panic-free.
-                let fallback = self.set_slots(rec.pc).start;
-                let idx = self
-                    .set_slots(rec.pc)
-                    .min_by_key(|&idx| {
-                        let s = &self.slots[idx];
-                        if s.entry.is_some() {
-                            s.lru
-                        } else {
-                            0
-                        }
-                    })
-                    .unwrap_or(fallback);
-                if self.slots[idx].entry.is_some() {
+                let idx = self.entries.victim(rec.pc >> 2);
+                if self.entries.get(idx).is_some() {
                     self.stats.evictions += 1;
-                    self.unindex(idx);
                 }
                 self.stats.inserts += 1;
-                self.slots[idx].gen = self.slots[idx].gen.wrapping_add(1);
                 idx
             }
         };
+        self.unindex(idx);
 
         let is_load = rec.op.class() == OpClass::Load;
-        self.slots[idx].entry = Some(RbEntry {
+        let entry = self.entries.touch(idx);
+        let gen = match existing {
+            Some(_) => entry.gen,
+            None => entry.gen.wrapping_add(1),
+        };
+        *entry = RbEntry {
+            gen,
             pc: rec.pc,
             op: rec.op,
             srcs: rec.srcs,
@@ -458,8 +402,7 @@ impl ReuseBuffer {
             valid: [true; 2],
             mem_valid: is_load,
             flagged: false,
-        });
-        self.slots[idx].lru = tick;
+        };
 
         // Maintain the inverted indices.
         for (reg, _) in rec.srcs.iter().flatten() {
@@ -474,20 +417,28 @@ impl ReuseBuffer {
         }
         EntryRef {
             slot: idx as u32,
-            gen: self.slots[idx].gen,
+            gen,
         }
     }
 
+    /// Drops slot `idx`'s entry, if any, from the inverted indices.
     fn unindex(&mut self, idx: usize) {
-        if let Some(e) = self.slots[idx].entry.take() {
-            for (reg, _) in e.srcs.iter().flatten() {
-                self.reg_index[reg.index()].remove(idx as u32);
-            }
-            if let Some(m) = e.mem {
-                if e.op.class() == OpClass::Load {
-                    for b in blocks(m.addr, m.width) {
-                        self.mem_index[mem_bucket(b)].remove(idx as u32);
-                    }
+        let ReuseBuffer {
+            entries,
+            reg_index,
+            mem_index,
+            ..
+        } = self;
+        let Some(e) = entries.get(idx) else {
+            return;
+        };
+        for (reg, _) in e.srcs.iter().flatten() {
+            reg_index[reg.index()].remove(idx as u32);
+        }
+        if let Some(m) = e.mem {
+            if e.op.class() == OpClass::Load {
+                for b in blocks(m.addr, m.width) {
+                    mem_index[mem_bucket(b)].remove(idx as u32);
                 }
             }
         }
@@ -511,13 +462,13 @@ impl ReuseBuffer {
         // per-operand valid bits), so iterating the live index is safe.
         let ReuseBuffer {
             config,
-            slots,
+            entries,
             reg_index,
             stats,
             ..
         } = self;
         for s in reg_index[reg.index()].iter() {
-            let Some(entry) = slots[s as usize].entry.as_mut() else {
+            let Some(entry) = entries.get_mut(s as usize) else {
                 continue;
             };
             for i in 0..2 {
@@ -564,11 +515,14 @@ impl ReuseBuffer {
         // (and its count) idempotent when a multi-block store visits the
         // same entry through two buckets.
         let ReuseBuffer {
-            slots, mem_index, stats, ..
+            entries,
+            mem_index,
+            stats,
+            ..
         } = self;
         for b in blocks(addr, width) {
             for s in mem_index[mem_bucket(b)].iter() {
-                let Some(entry) = slots[s as usize].entry.as_mut() else {
+                let Some(entry) = entries.get_mut(s as usize) else {
                     continue;
                 };
                 let Some(m) = entry.mem else { continue };
@@ -581,41 +535,38 @@ impl ReuseBuffer {
         }
     }
 
+    /// The entry `entry` refers to, unless it was evicted since.
+    fn live_mut(&mut self, entry: EntryRef) -> Option<&mut RbEntry> {
+        self.entries
+            .get_mut(entry.slot as usize)
+            .filter(|e| e.gen == entry.gen)
+    }
+
     /// Flags a live entry as wrong-path work (Table 5 bookkeeping).
     pub fn flag(&mut self, entry: EntryRef) {
-        if self.is_live(entry) {
-            if let Some(e) = self.slots[entry.slot as usize].entry.as_mut() {
-                e.flagged = true;
-            }
+        if let Some(e) = self.live_mut(entry) {
+            e.flagged = true;
         }
     }
 
     /// Returns and clears the wrong-path flag of a live entry.
     pub fn take_flag(&mut self, entry: EntryRef) -> bool {
-        if !self.is_live(entry) {
-            return false;
-        }
-        match self.slots[entry.slot as usize].entry.as_mut() {
-            Some(e) => std::mem::take(&mut e.flagged),
-            None => false,
-        }
+        self.live_mut(entry)
+            .is_some_and(|e| std::mem::take(&mut e.flagged))
     }
 
     /// Whether `entry` still refers to a live (non-reallocated) entry.
     pub fn is_live(&self, entry: EntryRef) -> bool {
-        let slot = &self.slots[entry.slot as usize];
-        slot.gen == entry.gen && slot.entry.is_some()
+        self.entries
+            .get(entry.slot as usize)
+            .is_some_and(|e| e.gen == entry.gen)
     }
 
     /// Number of live instances buffered for `pc`.
     pub fn instances(&self, pc: u64) -> usize {
-        self.set_slots(pc)
-            .filter(|&idx| {
-                self.slots[idx]
-                    .entry
-                    .as_ref()
-                    .is_some_and(|e| e.pc == pc)
-            })
+        self.entries
+            .occupied(pc >> 2)
+            .filter(|(_, e)| e.pc == pc)
             .count()
     }
 }

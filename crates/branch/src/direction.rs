@@ -1,36 +1,12 @@
 //! Conditional-branch direction predictors.
-
-/// A conditional-branch direction predictor with speculative global
-/// history.
-///
-/// [`predict`](DirectionPredictor::predict) returns the prediction and an
-/// opaque *token* (the pre-shift global history) that the pipeline
-/// carries with the branch and hands back at
-/// [`update`](DirectionPredictor::update) so the same counter trains that
-/// made the prediction, and at
-/// [`recover`](DirectionPredictor::recover) on a misprediction so the
-/// speculative history can be repaired. Predictors without history ignore
-/// the token.
-pub trait DirectionPredictor {
-    /// Predicts the branch at `pc`; speculatively shifts the history.
-    /// Returns `(taken, token)`.
-    fn predict(&mut self, pc: u64) -> (bool, u64);
-
-    /// Trains with the resolved outcome of a branch whose prediction
-    /// carried `token`.
-    fn update(&mut self, pc: u64, taken: bool, token: u64);
-
-    /// Repairs the speculative history after the branch carrying `token`
-    /// was found mispredicted (all younger speculative shifts are bogus).
-    fn recover(&mut self, token: u64, actual_taken: bool) {
-        let _ = (token, actual_taken);
-    }
-
-    /// Current speculative global history (diagnostics / tests).
-    fn history(&self) -> u64 {
-        0
-    }
-}
+//!
+//! Each predictor's `predict` returns the prediction and an opaque
+//! *token* (for [`Gshare`], the pre-shift global history) that the
+//! pipeline carries with the branch and hands back at `update`, so the
+//! same counter trains that made the prediction, and at
+//! [`Gshare::recover`] on a misprediction, so the speculative history can
+//! be repaired. Predictors without history return and ignore a zero
+//! token.
 
 fn bump(counter: &mut u8, taken: bool) {
     if taken {
@@ -50,7 +26,7 @@ fn bump(counter: &mut u8, taken: bool) {
 /// # Examples
 ///
 /// ```
-/// use vpir_branch::{DirectionPredictor, Gshare};
+/// use vpir_branch::Gshare;
 /// let mut bp = Gshare::table1();
 /// for _ in 0..24 {
 ///     let (taken, token) = bp.predict(0x1000);
@@ -100,26 +76,31 @@ impl Gshare {
     fn mask(&self) -> u64 {
         (1 << self.history_bits) - 1
     }
-}
 
-impl DirectionPredictor for Gshare {
-    fn predict(&mut self, pc: u64) -> (bool, u64) {
+    /// Predicts the branch at `pc` and speculatively shifts the history.
+    /// Returns `(taken, token)`.
+    pub fn predict(&mut self, pc: u64) -> (bool, u64) {
         let token = self.history;
         let taken = self.table[self.index(pc, token)] >= 2;
         self.history = ((self.history << 1) | taken as u64) & self.mask();
         (taken, token)
     }
 
-    fn update(&mut self, pc: u64, taken: bool, token: u64) {
+    /// Trains with the resolved outcome of a branch whose prediction
+    /// carried `token`.
+    pub fn update(&mut self, pc: u64, taken: bool, token: u64) {
         let idx = self.index(pc, token);
         bump(&mut self.table[idx], taken);
     }
 
-    fn recover(&mut self, token: u64, actual_taken: bool) {
+    /// Repairs the speculative history after the branch carrying `token`
+    /// was found mispredicted (all younger speculative shifts are bogus).
+    pub fn recover(&mut self, token: u64, actual_taken: bool) {
         self.history = ((token << 1) | actual_taken as u64) & self.mask();
     }
 
-    fn history(&self) -> u64 {
+    /// Current speculative global history (diagnostics / tests).
+    pub fn history(&self) -> u64 {
         self.history
     }
 }
@@ -148,14 +129,14 @@ impl Bimodal {
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) & ((1 << self.index_bits) - 1)) as usize
     }
-}
 
-impl DirectionPredictor for Bimodal {
-    fn predict(&mut self, pc: u64) -> (bool, u64) {
+    /// Predicts the branch at `pc`. Returns `(taken, 0)`.
+    pub fn predict(&mut self, pc: u64) -> (bool, u64) {
         (self.table[self.index(pc)] >= 2, 0)
     }
 
-    fn update(&mut self, pc: u64, taken: bool, _token: u64) {
+    /// Trains with the resolved outcome of the branch at `pc`.
+    pub fn update(&mut self, pc: u64, taken: bool, _token: u64) {
         let idx = self.index(pc);
         bump(&mut self.table[idx], taken);
     }
@@ -165,12 +146,14 @@ impl DirectionPredictor for Bimodal {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StaticTaken;
 
-impl DirectionPredictor for StaticTaken {
-    fn predict(&mut self, _pc: u64) -> (bool, u64) {
+impl StaticTaken {
+    /// Predicts taken. Returns `(true, 0)`.
+    pub fn predict(&mut self, _pc: u64) -> (bool, u64) {
         (true, 0)
     }
 
-    fn update(&mut self, _pc: u64, _taken: bool, _token: u64) {}
+    /// Learns nothing.
+    pub fn update(&mut self, _pc: u64, _taken: bool, _token: u64) {}
 }
 
 #[cfg(test)]
@@ -271,7 +254,6 @@ mod tests {
         assert!(bp.predict(0).0);
         bp.update(0, false, 0);
         assert!(bp.predict(0).0);
-        assert_eq!(bp.history(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! # Examples
 //!
 //! ```
-//! use vpir_branch::{DirectionPredictor, Gshare};
+//! use vpir_branch::Gshare;
 //! let mut bp = Gshare::table1();
 //! // A strongly biased branch trains quickly.
 //! for _ in 0..24 {
@@ -33,6 +33,6 @@ mod direction;
 mod ras;
 mod target;
 
-pub use direction::{Bimodal, DirectionPredictor, Gshare, StaticTaken};
+pub use direction::{Bimodal, Gshare, StaticTaken};
 pub use ras::ReturnStack;
 pub use target::TargetTable;

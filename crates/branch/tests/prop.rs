@@ -1,6 +1,6 @@
 //! Property-based tests for the branch-prediction structures.
 
-use vpir_branch::{Bimodal, DirectionPredictor, Gshare, ReturnStack, TargetTable};
+use vpir_branch::{Bimodal, Gshare, ReturnStack, TargetTable};
 use vpir_testkit::check;
 
 /// The return stack behaves like a bounded Vec-based stack model.

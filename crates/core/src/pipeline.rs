@@ -16,7 +16,7 @@
 // hash seeding. The crate's `clippy.toml` bans the hash collections.
 use std::collections::{BTreeMap, VecDeque};
 
-use vpir_branch::{Bimodal, DirectionPredictor, Gshare, ReturnStack, StaticTaken, TargetTable};
+use vpir_branch::{Bimodal, Gshare, ReturnStack, StaticTaken, TargetTable};
 use vpir_isa::{
     execute, Inst, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES, STACK_TOP,
 };
@@ -109,11 +109,10 @@ impl FrontEndBp {
         }
     }
 
+    /// Repairs the speculative global history; only gshare keeps one.
     fn recover(&mut self, token: u64, actual_taken: bool) {
-        match self {
-            FrontEndBp::Gshare(p) => p.recover(token, actual_taken),
-            FrontEndBp::Bimodal(p) => p.recover(token, actual_taken),
-            FrontEndBp::StaticTaken(p) => p.recover(token, actual_taken),
+        if let FrontEndBp::Gshare(p) = self {
+            p.recover(token, actual_taken);
         }
     }
 }

@@ -295,7 +295,7 @@ fn parse_file(file: &File, file_idx: usize, index: &mut ItemIndex) {
             continue;
         }
         if let Some(name) = fn_name(code) {
-            let (sig_end, body_end, returns_guard) = fn_extent(lines, i);
+            let (body_end, returns_guard) = fn_extent(lines, i);
             let owner = owners.last().map(|(t, _, _)| t.clone());
             let qual = match &owner {
                 Some(t) => format!("{t}::{name}"),
@@ -313,7 +313,6 @@ fn parse_file(file: &File, file_idx: usize, index: &mut ItemIndex) {
                 returns_guard,
             });
             // Trait-signature-only fns (no body) advance past the `;`.
-            let _ = sig_end;
             for line in &lines[i..=body_end] {
                 depth += brace_delta(&line.code);
             }
@@ -326,10 +325,9 @@ fn parse_file(file: &File, file_idx: usize, index: &mut ItemIndex) {
 }
 
 /// Finds the extent of a fn starting at line `start`: the end of its
-/// signature, the end of its body (same as the signature end for
-/// body-less trait signatures), and whether the return type mentions
-/// `MutexGuard`.
-fn fn_extent(lines: &[crate::lexer::SourceLine], start: usize) -> (usize, usize, bool) {
+/// body (of its signature for body-less trait signatures), and whether
+/// the return type mentions `MutexGuard`.
+fn fn_extent(lines: &[crate::lexer::SourceLine], start: usize) -> (usize, bool) {
     let mut sig = String::new();
     let mut depth = 0i32;
     let mut opened = false;
@@ -350,13 +348,13 @@ fn fn_extent(lines: &[crate::lexer::SourceLine], start: usize) -> (usize, usize,
                     depth -= 1;
                     if opened && depth == 0 {
                         let guard = sig.contains("MutexGuard");
-                        return (j, j, guard);
+                        return (j, guard);
                     }
                 }
                 ';' if !opened && depth == 0 => {
                     // Trait method signature without a body.
                     let guard = sig.contains("MutexGuard");
-                    return (j, j, guard);
+                    return (j, guard);
                 }
                 _ => {}
             }
@@ -364,7 +362,7 @@ fn fn_extent(lines: &[crate::lexer::SourceLine], start: usize) -> (usize, usize,
         j += 1;
     }
     let guard = sig.contains("MutexGuard");
-    (lines.len() - 1, lines.len() - 1, guard)
+    (lines.len() - 1, guard)
 }
 
 /// Extracts the struct name from a declaration line.

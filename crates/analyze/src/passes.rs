@@ -350,7 +350,7 @@ fn walk_guards(
     let mut depth = 0i32;
     // Active guards: (binding name, identity, depth at binding).
     let mut held: Vec<(String, String, i32)> = Vec::new();
-    for (k, line) in lines.iter().enumerate().take(f.body_end + 1).skip(f.body_start) {
+    for line in lines.iter().take(f.body_end + 1).skip(f.body_start) {
         let code = &line.code;
         let ids = lock_identities(code, f.owner.as_deref());
         // Guard-returning helper calls acquire that helper's lock too.
@@ -414,7 +414,6 @@ fn walk_guards(
             }
         }
         held.retain(|(_, _, d)| *d <= depth);
-        let _ = k;
     }
 }
 

@@ -152,7 +152,6 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
     let mut seg: Option<(u64, Vec<u8>)> = None;
     let mut data_cursor = DATA_BASE;
     let mut entry: Option<u64> = None;
-    let mut pc = TEXT_BASE;
 
     let flush = |seg: &mut Option<(u64, Vec<u8>)>, segments: &mut Vec<(u64, Vec<u8>)>| {
         if let Some(s) = seg.take() {
@@ -197,13 +196,12 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
                 }
             },
             Body::Inst(mnemonic, mcol, operands) => {
-                for inst in encode(mnemonic, *mcol, operands, pc, &labels, line.no)? {
+                for inst in encode(mnemonic, *mcol, operands, &labels, line.no)? {
                     insts.push(inst);
                     src_locs.push(SrcLoc {
                         line: line.no as u32,
                         col: *mcol as u32,
                     });
-                    pc += INST_BYTES;
                 }
             }
         }
@@ -640,7 +638,6 @@ fn encode(
     mnemonic: &str,
     mcol: usize,
     args: &[Arg],
-    pc: u64,
     labels: &HashMap<String, u64>,
     line: usize,
 ) -> Result<Vec<Inst>, AsmError> {
@@ -720,7 +717,6 @@ fn encode(
             col: mcol,
             msg: format!("unknown mnemonic `{mnemonic}`"),
         })?;
-    let _ = pc;
 
     Ok(vec![match op {
         Op::Add | Op::Sub | Op::Mul | Op::Mulh | Op::Div | Op::Rem | Op::And | Op::Or | Op::Xor

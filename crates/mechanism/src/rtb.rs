@@ -361,10 +361,12 @@ impl RtbMech {
     /// capture does not observe replayed members.
     fn replay_match(&mut self, q: &DispatchQuery, act: &mut DispatchAction) -> bool {
         let Some(rs) = self.replay else { return false };
-        let member = self
-            .table
-            .get(rs.entry_idx)
-            .and_then(|e| e.members.get(rs.cursor).copied().map(|m| (m, e.members.len())));
+        let member = self.table.get(rs.entry_idx).and_then(|e| {
+            e.members
+                .get(rs.cursor)
+                .copied()
+                .map(|m| (m, e.members.len()))
+        });
         let Some((m, len)) = member else {
             self.replay = None;
             return false;
@@ -468,7 +470,11 @@ impl RtbMech {
         if self.replay.is_some() {
             return false;
         }
-        let Some((idx, entry)) = self.table.occupied(q.pc >> 2).find(|(_, e)| e.head_pc == q.pc) else {
+        let Some((idx, entry)) = self
+            .table
+            .occupied(q.pc >> 2)
+            .find(|(_, e)| e.head_pc == q.pc)
+        else {
             return false;
         };
         let n = entry.members.len();

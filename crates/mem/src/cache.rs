@@ -252,10 +252,7 @@ mod tests {
 
     #[test]
     fn mshr_exhaustion_serialises() {
-        let mut c = Cache::new(CacheConfig {
-            mshrs: 1,
-            ..SMALL
-        });
+        let mut c = Cache::new(CacheConfig { mshrs: 1, ..SMALL });
         let a = c.access(0, 0x000);
         let b = c.access(0, 0x400); // distinct line, MSHR full
         assert!(b.ready_cycle >= a.ready_cycle);

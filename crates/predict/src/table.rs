@@ -81,7 +81,9 @@ impl VptTable {
 
     /// The ways holding an instance of `pc`, as `(slot, way)`.
     fn stored(&self, pc: u64) -> impl Iterator<Item = (usize, &VptWay)> {
-        self.ways.occupied(pc >> 2).filter(move |(_, w)| w.tag == pc)
+        self.ways
+            .occupied(pc >> 2)
+            .filter(move |(_, w)| w.tag == pc)
     }
 
     /// Records a lookup (and whether it produced a prediction).
@@ -150,7 +152,10 @@ impl VptTable {
         self.stats.trainings += 1;
         self.ways.tick();
 
-        if let Some(slot) = self.ways.find(pc >> 2, |w| w.tag == pc && w.value == actual) {
+        if let Some(slot) = self
+            .ways
+            .find(pc >> 2, |w| w.tag == pc && w.value == actual)
+        {
             let way = self.ways.touch(slot);
             way.confidence = (way.confidence + 1).min(3);
             return;

@@ -6,9 +6,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use vpir_analyze::findings::ProofNote;
 use vpir_analyze::passes::PANIC_ROOTS;
 use vpir_analyze::rules::{CYCLE_CRATES, PANIC_SCOPE};
-use vpir_analyze::{analyze_root, dump_call_graph, sarif, Report};
+use vpir_analyze::{analyze_root, dump_call_graph, sarif, Finding, Report, Rule};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -236,4 +237,67 @@ fn cycle_crates_carry_the_clippy_settings() {
             "{path} lacks `{PANIC_DENY}`"
         );
     }
+}
+
+/// Compares a rendering with a file under `tests/fixtures/emit/`.
+fn pin(name: &str, actual: &str) {
+    let path = fixture("emit").join(name);
+    let want = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(actual, want, "{name}");
+}
+
+#[test]
+fn report_json_and_sarif_bytes_are_pinned() {
+    let finding = |rule, file: &str, line, col, message: &str| Finding {
+        rule,
+        file: file.into(),
+        line,
+        col,
+        message: message.into(),
+    };
+    let report = Report {
+        findings: vec![
+            finding(
+                Rule::Panic,
+                "crates/core/src/x.rs",
+                7,
+                3,
+                "`[0]` with \"quotes\"\tand a tab",
+            ),
+            finding(
+                Rule::PanicReach,
+                "crates/isa/src/y.rs",
+                12,
+                0,
+                "reachable `panic!` at a\\b",
+            ),
+            finding(
+                Rule::UninitRead,
+                "guest.s",
+                0,
+                0,
+                "r6 read before any write\nreaches it",
+            ),
+        ],
+        files_scanned: 42,
+        proofs: vec![
+            ProofNote {
+                rule: Rule::PanicReach,
+                root: "Simulator::run_checked".into(),
+                summary: "panic-free: 10 reachable fn(s)".into(),
+                details: Vec::new(),
+            },
+            ProofNote {
+                rule: Rule::PanicReach,
+                root: "parse_json".into(),
+                summary: "panic-free: 17 reachable fn(s)".into(),
+                details: vec![
+                    "unresolved `.push` at a.rs:3".into(),
+                    "may-call \"find\" (1 candidate(s))".into(),
+                ],
+            },
+        ],
+    };
+    pin("report.json", &report.to_json());
+    pin("report.sarif", &sarif::to_sarif(&report));
 }

@@ -47,22 +47,30 @@ pub fn golden_run(bench: Bench, label: &str) -> Result<JobPayload, SimError> {
 /// Renders the full golden fixture table as JSON: one object per cell
 /// with `bench`, `config`, and the hex digest.
 pub fn golden_fixture_json() -> Result<String, SimError> {
-    let mut out = String::from("{\n  \"schema\": \"vpir-golden-v1\",\n  \"cells\": [\n");
-    let mut first = true;
+    let mut cells = Vec::new();
     for bench in Bench::ALL {
         for label in GOLDEN_LABELS {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"bench\": \"{}\", \"config\": \"{}\", \"digest\": \"{:016x}\"}}",
-                bench.name(),
-                label,
-                fnv1a64(golden_run(bench, label)?.to_json().as_bytes())
-            ));
+            let digest = fnv1a64(golden_run(bench, label)?.to_json().as_bytes());
+            cells.push((bench.name().to_string(), label.to_string(), digest));
         }
     }
+    Ok(render_fixture(&cells))
+}
+
+/// Renders `(bench, config, digest)` cells as the golden fixture file.
+pub fn render_fixture(cells: &[(String, String, u64)]) -> String {
+    let mut out = String::from("{\n  \"schema\": \"vpir-golden-v1\",\n  \"cells\": [\n");
+    let mut first = true;
+    for (bench, label, digest) in cells {
+        if !first {
+            out.push_str(",\n");
+        }
+        first = false;
+        out.push_str(&format!(
+            "    {{\"bench\": \"{}\", \"config\": \"{}\", \"digest\": \"{:016x}\"}}",
+            bench, label, digest
+        ));
+    }
     out.push_str("\n  ]\n}\n");
-    Ok(out)
+    out
 }

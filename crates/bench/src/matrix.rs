@@ -25,7 +25,6 @@ use std::sync::Mutex;
 
 use vpir_core::{CoreConfig, FaultInjection, RunLimits, SimError, SimStats, Simulator};
 use vpir_isa::Program;
-use vpir_jsonlite::json_escape;
 use vpir_mechanism::registry;
 use vpir_redundancy::{analyze, LimitConfig, LimitStudy};
 use vpir_workloads::{Bench, Scale};
@@ -488,25 +487,14 @@ fn persist_slot(
             error,
             sim_json,
         } => {
-            let mut out = String::new();
-            out.push_str("{\n");
-            out.push_str(&format!("  \"schema\": \"{}\",\n", state::FAILURE_SCHEMA));
-            out.push_str(&format!("  \"job_index\": {job_index},\n"));
-            out.push_str(&format!(
-                "  \"bench\": \"{}\",\n",
-                json_escape(bench.name())
-            ));
-            out.push_str(&format!("  \"config\": \"{}\",\n", json_escape(label)));
-            out.push_str(&format!("  \"kind\": \"{}\",\n", json_escape(kind)));
-            out.push_str(&format!("  \"error\": \"{}\",\n", json_escape(error)));
-            match sim_json {
-                Some(j) => out.push_str(&format!(
-                    "  \"sim_error\": {}\n",
-                    j.replace('\n', "\n  ")
-                )),
-                None => out.push_str("  \"sim_error\": null\n"),
-            }
-            out.push_str("}\n");
+            let out = state::failure_to_json(
+                job_index,
+                bench.name(),
+                label,
+                kind,
+                error,
+                sim_json.as_deref(),
+            );
             let _ = std::fs::write(state::failure_path(dir, job_index), out);
             // A stale success from an earlier run must not mask this
             // failure when the directory is later resumed.

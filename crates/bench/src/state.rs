@@ -358,6 +358,33 @@ impl JobRecord {
     }
 }
 
+/// Renders a failed job's `vpir-bench-failure-v2` dump. `sim_error` is
+/// the failing run's [`SimError`](vpir_core::SimError) JSON, when the
+/// job failed with one rather than a panic.
+pub fn failure_to_json(
+    job_index: usize,
+    bench: &str,
+    config: &str,
+    kind: &str,
+    error: &str,
+    sim_error: Option<&str>,
+) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str(&format!("  \"schema\": \"{}\",\n", FAILURE_SCHEMA));
+    out.push_str(&format!("  \"job_index\": {job_index},\n"));
+    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
+    out.push_str(&format!("  \"config\": \"{}\",\n", json_escape(config)));
+    out.push_str(&format!("  \"kind\": \"{}\",\n", json_escape(kind)));
+    out.push_str(&format!("  \"error\": \"{}\",\n", json_escape(error)));
+    match sim_error {
+        Some(j) => out.push_str(&format!("  \"sim_error\": {}\n", j.replace('\n', "\n  "))),
+        None => out.push_str("  \"sim_error\": null\n"),
+    }
+    out.push_str("}\n");
+    out
+}
+
 /// Path of the result file for job `job_index` inside `dir`.
 pub fn job_path(dir: &Path, job_index: usize) -> PathBuf {
     dir.join(format!("job-{job_index:03}.json"))

@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use vpir_bench::golden::{fnv1a64, golden_run, GOLDEN_LABELS};
+use vpir_bench::golden::{fnv1a64, golden_run, render_fixture, GOLDEN_LABELS};
 use vpir_bench::state::{CounterVisitor, Counters, JobPayload};
 use vpir_jsonlite::parse_json;
 use vpir_workloads::Bench;
@@ -60,6 +60,11 @@ fn fixture_covers_every_cell_exactly_once() {
             assert_eq!(n, 1, "cell {}/{} recorded once", bench.name(), label);
         }
     }
+}
+
+#[test]
+fn fixture_re_renders_byte_for_byte() {
+    assert_eq!(render_fixture(&fixture_cells()), FIXTURE);
 }
 
 /// Every golden cell of one workload, run once per test binary and

@@ -5,9 +5,10 @@
 //! architectural state or fail with a `SimError` — never a panic.
 
 use vpir_core::{
-    CoreConfig, FaultInjection, IrConfig, RunLimits, Simulator, SimError, VpConfig,
+    CoreConfig, DiagSnapshot, FaultInjection, IrConfig, RetiredInst, RunLimits, SimError,
+    Simulator, VpConfig,
 };
-use vpir_isa::{asm, Reg};
+use vpir_isa::{asm, Op, Reg};
 use vpir_workloads::synth::{random_program, SynthConfig};
 use vpir_workloads::{Bench, Scale};
 
@@ -235,4 +236,133 @@ fn lcg_random_programs_agree_across_base_vp_ir_or_fail_structured() {
             }
         }
     }
+}
+
+/// A snapshot whose checkpoint stack and retired ring hold `n` (0 or 2)
+/// entries each.
+fn snapshot(n: usize) -> DiagSnapshot {
+    let retired = [
+        RetiredInst {
+            seq: 6,
+            pc: 4092,
+            op: Op::Addi,
+            cycle: 39,
+        },
+        RetiredInst {
+            seq: 7,
+            pc: 4096,
+            op: Op::Bne,
+            cycle: 40,
+        },
+    ];
+    DiagSnapshot {
+        cycle: 42,
+        committed: 7,
+        dispatched: 12,
+        executions: 11,
+        squashes: 1,
+        rob_len: 3,
+        rob_capacity: 32,
+        rob_head_seq: Some(8),
+        rob_head_pc: None,
+        checkpoint_seqs: [9, 11][..n].to_vec(),
+        fetch_pc: 4128,
+        fetch_halted: false,
+        fetch_queue_len: 2,
+        last_retired: retired[..n].to_vec(),
+    }
+}
+
+#[test]
+fn snapshot_json_bytes_are_pinned() {
+    assert_eq!(
+        snapshot(0).to_json(),
+        r#"{
+  "cycle": 42,
+  "committed": 7,
+  "dispatched": 12,
+  "executions": 11,
+  "squashes": 1,
+  "rob_len": 3,
+  "rob_capacity": 32,
+  "rob_head_seq": 8,
+  "rob_head_pc": null,
+  "checkpoint_seqs": [],
+  "fetch_pc": 4128,
+  "fetch_halted": false,
+  "fetch_queue_len": 2,
+  "last_retired": []
+}"#
+    );
+    assert_eq!(
+        snapshot(2).to_json(),
+        r#"{
+  "cycle": 42,
+  "committed": 7,
+  "dispatched": 12,
+  "executions": 11,
+  "squashes": 1,
+  "rob_len": 3,
+  "rob_capacity": 32,
+  "rob_head_seq": 8,
+  "rob_head_pc": null,
+  "checkpoint_seqs": [9, 11],
+  "fetch_pc": 4128,
+  "fetch_halted": false,
+  "fetch_queue_len": 2,
+  "last_retired": [
+    {"seq": 6, "pc": 4092, "op": "Addi", "cycle": 39},
+    {"seq": 7, "pc": 4096, "op": "Bne", "cycle": 40}
+  ]
+}"#
+    );
+}
+
+#[test]
+fn sim_error_json_bytes_are_pinned() {
+    let with_snapshot = SimError::InvariantViolation {
+        cycle: 42,
+        what: "rob \"order\"\nbroken".to_string(),
+        snapshot: Box::new(snapshot(2)),
+    };
+    assert_eq!(
+        with_snapshot.to_json(),
+        r#"{
+  "kind": "invariant_violation",
+  "cycle": 42,
+  "message": "invariant violation at cycle 42: rob \"order\"\nbroken",
+  "snapshot": {
+    "cycle": 42,
+    "committed": 7,
+    "dispatched": 12,
+    "executions": 11,
+    "squashes": 1,
+    "rob_len": 3,
+    "rob_capacity": 32,
+    "rob_head_seq": 8,
+    "rob_head_pc": null,
+    "checkpoint_seqs": [9, 11],
+    "fetch_pc": 4128,
+    "fetch_halted": false,
+    "fetch_queue_len": 2,
+    "last_retired": [
+      {"seq": 6, "pc": 4092, "op": "Addi", "cycle": 39},
+      {"seq": 7, "pc": 4096, "op": "Bne", "cycle": 40}
+    ]
+  }
+}"#
+    );
+    let without = SimError::Internal {
+        cycle: 7,
+        what: "slot \"3\" freed twice\nat commit".to_string(),
+    };
+    assert_eq!(
+        without.to_json(),
+        r#"{
+  "kind": "internal",
+  "cycle": 7,
+  "message": "internal error at cycle 7: slot \"3\" freed twice\nat commit",
+  "snapshot": null
+}"#
+    );
 }

@@ -309,3 +309,36 @@ fn workloads_are_lint_clean_and_invariance_has_zero_false_positives() {
         assert!(xv.universe > 0, "{}", bench.name());
     }
 }
+
+/// Compares a rendering with a file under `tests/fixtures/`.
+fn pin(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(actual, want, "{name}");
+}
+
+#[test]
+fn analysis_and_xval_json_bytes_are_pinned() {
+    let prog = assemble(
+        "       li   r1, 4
+                li   r2, 0
+                li   r3, 7
+        loop:   addi r2, r2, 3
+                add  r4, r3, r3
+                add  r5, r6, r2
+                addi r1, r1, -1
+                bne  r1, r0, loop
+                halt
+        dead:   addi r7, r0, 1
+                halt",
+    );
+    let analysis = analyze_program(&prog, "pin \"a\".s");
+    pin("analysis.json", &analysis.to_json());
+    let (_, per_pc) = analyze_per_pc(&prog, 10_000, LimitConfig::default());
+    pin(
+        "xval.json",
+        &cross_validate(&analysis.insts, &per_pc).to_json(),
+    );
+}

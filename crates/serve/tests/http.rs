@@ -355,3 +355,37 @@ fn a_full_queue_answers_503_with_retry_after() {
     let (status, _, body) = blocked.join().expect("blocked client");
     assert_eq!(status, 500, "{body}");
 }
+
+/// Compares a body with a file under `tests/fixtures/`.
+fn pin(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(actual, want, "{name}");
+}
+
+#[test]
+fn run_and_matrix_bodies_are_pinned_byte_for_byte() {
+    let server = Server::start(small_config(1)).expect("start");
+    let addr = server.addr();
+
+    let asm = ".data\nx: .word 5\n.text\nla r9, x\nli r1, 3\nloop: lw r2, 0(r9)\n\
+               addi r2, r2, 1\nsw r2, 0(r9)\naddi r1, r1, -1\nbne r1, r0, loop\nhalt";
+    let run = format!(
+        "{{\"asm\": \"{}\", \"config\": \"ir_early\", \"trace\": 4}}",
+        asm.replace('\n', "\\n")
+    );
+    let (status, _, body) = post(addr, "/v1/run", &run);
+    assert_eq!(status, 200, "{body}");
+    pin("run_trace4.json", &body);
+
+    let matrix = "{\"bench\": \"go\", \"scale\": 1, \"max_cycles\": 20000, \
+                  \"limit_insts\": 5000, \"inject_fault\": \"go/base:panic\"}";
+    let (status, _, body) = post(addr, "/v1/matrix", matrix);
+    assert_eq!(status, 200, "{body}");
+    pin("matrix_panic.json", &body);
+
+    shutdown(addr);
+    server.join();
+}

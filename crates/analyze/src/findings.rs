@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use vpir_jsonlite::json_escape;
+use vpir_jsonlite::{compact_array, json_str, JsonObj};
 
 /// The simulator invariants (R2, R4, R7–R10; host Rust sources) and
 /// guest-program structural lints (L1–L4, vpir assembly) the analyzers
@@ -87,6 +87,18 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// The finding as a compact JSON object, as both analyzers report it.
+    pub fn to_json(&self) -> String {
+        JsonObj::compact()
+            .s("rule", self.rule.id())
+            .s("name", self.rule.name())
+            .s("file", &self.file)
+            .u("line", self.line as u64)
+            .u("col", self.col as u64)
+            .s("message", &self.message)
+            .finish()
+    }
+
     /// `file:line` or `file:line:col` when the column is known.
     pub fn location(&self) -> String {
         if self.col > 0 {
@@ -111,6 +123,19 @@ pub struct ProofNote {
     /// Residual obligations: unresolved may-call edges, assumption
     /// counts — everything the proof is conditional on.
     pub details: Vec<String>,
+}
+
+impl ProofNote {
+    /// The proof as a compact JSON object, as both reports carry it.
+    pub fn to_json(&self) -> String {
+        let details = compact_array(self.details.iter().map(|d| json_str(d)));
+        JsonObj::compact()
+            .s("rule", self.rule.id())
+            .s("root", &self.root)
+            .s("summary", &self.summary)
+            .raw("details", &details)
+            .finish()
+    }
 }
 
 /// The result of analyzing one source tree.
@@ -159,47 +184,14 @@ impl Report {
 
     /// Machine-readable report (single JSON object).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"files_scanned\":{},", self.files_scanned);
-        let _ = write!(out, "\"live\":{},", self.findings.len());
-        out.push_str("\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":\"{}\",\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-                f.rule.id(),
-                f.rule.name(),
-                json_escape(&f.file),
-                f.line,
-                f.col,
-                json_escape(&f.message)
-            );
-        }
-        out.push_str("],\"proofs\":[");
-        for (i, p) in self.proofs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":\"{}\",\"root\":\"{}\",\"summary\":\"{}\",\"details\":[",
-                p.rule.id(),
-                json_escape(&p.root),
-                json_escape(&p.summary)
-            );
-            for (j, d) in p.details.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", json_escape(d));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        let findings = self.findings.iter().map(Finding::to_json);
+        let proofs = self.proofs.iter().map(ProofNote::to_json);
+        JsonObj::compact()
+            .u("files_scanned", self.files_scanned as u64)
+            .u("live", self.findings.len() as u64)
+            .raw("findings", &compact_array(findings))
+            .raw("proofs", &compact_array(proofs))
+            .finish()
     }
 }
 

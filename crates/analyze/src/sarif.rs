@@ -8,11 +8,9 @@
 //! emitted document through `vpir-jsonlite` and checks the structural
 //! invariants, so the emitter cannot silently drift.
 
-use std::fmt::Write as _;
+use vpir_jsonlite::{compact_array, json_str, parse_json, JsonObj, JsonValue};
 
-use vpir_jsonlite::{json_escape, parse_json, JsonValue};
-
-use crate::findings::{Report, Rule};
+use crate::findings::{ProofNote, Report, Rule};
 
 /// Every host rule, in `ruleIndex` order.
 const HOST_RULES: [(Rule, &str); 6] = [
@@ -24,77 +22,60 @@ const HOST_RULES: [(Rule, &str); 6] = [
     (Rule::LockOrder, "The lock-acquisition graph must be acyclic."),
 ];
 
+/// A compact object with one member.
+fn wrap(key: &str, value: &str) -> String {
+    JsonObj::compact().raw(key, value).finish()
+}
+
 /// Renders a report as a SARIF 2.1.0 document.
 pub fn to_sarif(report: &Report) -> String {
-    let mut rules = String::from("[");
-    for (i, (rule, desc)) in HOST_RULES.iter().enumerate() {
-        if i > 0 {
-            rules.push(',');
+    let rules = HOST_RULES.iter().map(|(rule, desc)| {
+        JsonObj::compact()
+            .s("id", rule.id())
+            .s("name", rule.name())
+            .raw("shortDescription", &wrap("text", &json_str(desc)))
+            .finish()
+    });
+    let results = report.findings.iter().map(|f| {
+        let mut region = JsonObj::compact().u("startLine", f.line.max(1) as u64);
+        if f.col > 0 {
+            region = region.u("startColumn", f.col as u64);
         }
-        let _ = write!(
-            rules,
-            "{{\"id\":\"{}\",\"name\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            rule.id(),
-            json_escape(rule.name()),
-            json_escape(desc)
-        );
-    }
-    rules.push(']');
-
-    let mut results = String::from("[");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            results.push(',');
+        let physical = JsonObj::compact()
+            .raw("artifactLocation", &wrap("uri", &json_str(&f.file)))
+            .raw("region", &region.finish())
+            .finish();
+        let locations = compact_array([wrap("physicalLocation", &physical)]);
+        let mut result = JsonObj::compact().s("ruleId", f.rule.id());
+        if let Some(x) = HOST_RULES.iter().position(|(r, _)| *r == f.rule) {
+            result = result.u("ruleIndex", x as u64);
         }
-        let rule_index = HOST_RULES.iter().position(|(r, _)| *r == f.rule);
-        let _ = write!(
-            results,
-            "{{\"ruleId\":\"{}\",{}\"level\":\"error\",\"message\":{{\"text\":\"{}\"}}",
-            f.rule.id(),
-            rule_index.map_or(String::new(), |x| format!("\"ruleIndex\":{x},")),
-            json_escape(&f.message)
-        );
-        let _ = write!(
-            results,
-            ",\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\"region\":{{\"startLine\":{}{}}}}}}}]",
-            json_escape(&f.file),
-            f.line.max(1),
-            if f.col > 0 {
-                format!(",\"startColumn\":{}", f.col)
-            } else {
-                String::new()
-            }
-        );
-        results.push('}');
-    }
-    results.push(']');
-
-    let mut proofs = String::from("[");
-    for (i, p) in report.proofs.iter().enumerate() {
-        if i > 0 {
-            proofs.push(',');
-        }
-        let _ = write!(
-            proofs,
-            "{{\"rule\":\"{}\",\"root\":\"{}\",\"summary\":\"{}\",\"details\":[",
-            p.rule.id(),
-            json_escape(&p.root),
-            json_escape(&p.summary)
-        );
-        for (j, d) in p.details.iter().enumerate() {
-            if j > 0 {
-                proofs.push(',');
-            }
-            let _ = write!(proofs, "\"{}\"", json_escape(d));
-        }
-        proofs.push_str("]}");
-    }
-    proofs.push(']');
-
-    format!(
-        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"vpir-analyze\",\"informationUri\":\"https://example.invalid/vpir\",\"rules\":{rules}}}}},\"results\":{results},\"properties\":{{\"filesScanned\":{},\"proofs\":{proofs}}}}}]}}",
-        report.files_scanned
-    )
+        result
+            .s("level", "error")
+            .raw("message", &wrap("text", &json_str(&f.message)))
+            .raw("locations", &locations)
+            .finish()
+    });
+    let driver = JsonObj::compact()
+        .s("name", "vpir-analyze")
+        .s("informationUri", "https://example.invalid/vpir")
+        .raw("rules", &compact_array(rules))
+        .finish();
+    let proofs = compact_array(report.proofs.iter().map(ProofNote::to_json));
+    let properties = JsonObj::compact()
+        .u("filesScanned", report.files_scanned as u64)
+        .raw("proofs", &proofs)
+        .finish();
+    let run = JsonObj::compact()
+        .raw("tool", &wrap("driver", &driver))
+        .raw("results", &compact_array(results))
+        .raw("properties", &properties)
+        .finish();
+    JsonObj::compact()
+        .s("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
+        .s("version", "2.1.0")
+        .raw("runs", &compact_array([run]))
+        .finish()
 }
 
 /// Validates a SARIF document produced by [`to_sarif`]: well-formed

@@ -15,6 +15,7 @@
 //! ```
 
 use vpir_core::SimError;
+use vpir_jsonlite::{pretty_array, JsonObj};
 use vpir_workloads::Bench;
 
 use crate::matrix::{run_cell, MatrixConfig};
@@ -59,18 +60,16 @@ pub fn golden_fixture_json() -> Result<String, SimError> {
 
 /// Renders `(bench, config, digest)` cells as the golden fixture file.
 pub fn render_fixture(cells: &[(String, String, u64)]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"vpir-golden-v1\",\n  \"cells\": [\n");
-    let mut first = true;
-    for (bench, label, digest) in cells {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"config\": \"{}\", \"digest\": \"{:016x}\"}}",
-            bench, label, digest
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let cells = cells.iter().map(|(bench, config, digest)| {
+        JsonObj::new()
+            .s("bench", bench)
+            .s("config", config)
+            .s("digest", &format!("{digest:016x}"))
+            .finish()
+    });
+    JsonObj::pretty()
+        .s("schema", "vpir-golden-v1")
+        .raw("cells", &pretty_array(cells))
+        .finish()
+        + "\n"
 }

@@ -25,6 +25,7 @@ use std::sync::Mutex;
 
 use vpir_core::{CoreConfig, FaultInjection, RunLimits, SimError, SimStats, Simulator};
 use vpir_isa::Program;
+use vpir_jsonlite::JsonObj;
 use vpir_mechanism::registry;
 use vpir_redundancy::{analyze, LimitConfig, LimitStudy};
 use vpir_workloads::{Bench, Scale};
@@ -356,6 +357,18 @@ pub struct JobFailure {
     pub error: String,
     /// Where the failure dump was written, when persistence is on.
     pub dump_path: Option<PathBuf>,
+}
+
+impl JobFailure {
+    /// The failure as a line-layout row, open for more members.
+    pub fn json_row(&self) -> JsonObj {
+        JsonObj::new()
+            .u("job_index", self.job_index as u64)
+            .s("bench", &self.bench)
+            .s("config", &self.config)
+            .s("kind", &self.kind)
+            .s("error", &self.error)
+    }
 }
 
 /// The result of a fault-isolated matrix run.

@@ -3,13 +3,13 @@
 //! Runs the (benchmark × configuration) matrix under the work-queue
 //! scheduler while timing each phase, and serialises the result as
 //! `BENCH_matrix.json` so the repo carries a perf trajectory from PR to
-//! PR. The JSON is hand-rolled (the workspace is offline and carries no
+//! PR. `vpir_jsonlite::JsonObj` writes it (the workspace carries no
 //! serde); [`vpir_jsonlite::validate_json`] is used by the CLI and CI
 //! to confirm the emitted file is well-formed.
 
 use std::time::Instant;
 
-use vpir_jsonlite::json_escape;
+use vpir_jsonlite::{json_str, line_array, pretty_array, JsonObj};
 use vpir_workloads::Bench;
 
 use crate::matrix::{
@@ -125,76 +125,44 @@ pub fn run_matrix_timed_opts(
 impl MatrixPerf {
     /// Serialises to the `BENCH_matrix.json` schema.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"vpir-bench-matrix-v2\",\n");
-        s.push_str(&format!("  \"scale\": {},\n", self.scale));
-        s.push_str(&format!("  \"max_cycles\": {},\n", self.max_cycles));
-        s.push_str(&format!("  \"limit_insts\": {},\n", self.limit_insts));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str("  \"benches\": [");
-        for (i, b) in self.benches.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{b}\""));
+        let failures = self.failures.iter().map(|f| {
+            let dump_path = f.dump_path.as_ref().map(|p| json_str(&p.to_string_lossy()));
+            let dump_path = dump_path.as_deref().unwrap_or("null");
+            f.json_row().raw("dump_path", dump_path).finish()
+        });
+        let (build, simulate) = (self.build_seconds, self.simulate_seconds);
+        let phases = JsonObj::pretty()
+            .raw("build_programs_seconds", &format!("{build:.6}"))
+            .raw("simulate_seconds", &format!("{simulate:.6}"))
+            .finish();
+        let benches = line_array(self.benches.iter().map(|b| json_str(b)));
+        let mut doc = JsonObj::pretty()
+            .s("schema", "vpir-bench-matrix-v2")
+            .u("scale", self.scale.into())
+            .u("max_cycles", self.max_cycles)
+            .u("limit_insts", self.limit_insts)
+            .u("jobs", self.jobs as u64)
+            .u("available_parallelism", self.available_parallelism as u64)
+            .raw("benches", &benches)
+            .u("sim_runs", self.sim_runs as u64)
+            .u("total_jobs", self.total_jobs as u64)
+            .u("completed_jobs", self.completed_jobs as u64)
+            .raw("failures", &pretty_array(failures))
+            .raw("phases", &phases)
+            .u("total_sim_cycles", self.total_sim_cycles)
+            .raw(
+                "sim_cycles_per_sec",
+                &format!("{:.1}", self.sim_cycles_per_sec),
+            );
+        if let Some((secs, speedup, identical)) = self.sequential {
+            let sequential = JsonObj::pretty()
+                .raw("run_seconds", &format!("{secs:.6}"))
+                .raw("speedup", &format!("{speedup:.2}"))
+                .b("bit_identical", identical)
+                .finish();
+            doc = doc.raw("sequential", &sequential);
         }
-        s.push_str("],\n");
-        s.push_str(&format!("  \"sim_runs\": {},\n", self.sim_runs));
-        s.push_str(&format!("  \"total_jobs\": {},\n", self.total_jobs));
-        s.push_str(&format!("  \"completed_jobs\": {},\n", self.completed_jobs));
-        s.push_str("  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            s.push_str(if i > 0 { ",\n    {" } else { "\n    {" });
-            s.push_str(&format!("\"job_index\": {}, ", f.job_index));
-            s.push_str(&format!("\"bench\": \"{}\", ", json_escape(&f.bench)));
-            s.push_str(&format!("\"config\": \"{}\", ", json_escape(&f.config)));
-            s.push_str(&format!("\"kind\": \"{}\", ", json_escape(&f.kind)));
-            s.push_str(&format!("\"error\": \"{}\", ", json_escape(&f.error)));
-            match &f.dump_path {
-                Some(p) => s.push_str(&format!(
-                    "\"dump_path\": \"{}\"",
-                    json_escape(&p.to_string_lossy())
-                )),
-                None => s.push_str("\"dump_path\": null"),
-            }
-            s.push('}');
-        }
-        s.push_str(if self.failures.is_empty() { "],\n" } else { "\n  ],\n" });
-        s.push_str("  \"phases\": {\n");
-        s.push_str(&format!(
-            "    \"build_programs_seconds\": {:.6},\n",
-            self.build_seconds
-        ));
-        s.push_str(&format!(
-            "    \"simulate_seconds\": {:.6}\n",
-            self.simulate_seconds
-        ));
-        s.push_str("  },\n");
-        s.push_str(&format!(
-            "  \"total_sim_cycles\": {},\n",
-            self.total_sim_cycles
-        ));
-        s.push_str(&format!(
-            "  \"sim_cycles_per_sec\": {:.1}",
-            self.sim_cycles_per_sec
-        ));
-        match self.sequential {
-            Some((secs, speedup, identical)) => {
-                s.push_str(",\n  \"sequential\": {\n");
-                s.push_str(&format!("    \"run_seconds\": {secs:.6},\n"));
-                s.push_str(&format!("    \"speedup\": {speedup:.2},\n"));
-                s.push_str(&format!("    \"bit_identical\": {identical}\n"));
-                s.push_str("  }\n");
-            }
-            None => s.push('\n'),
-        }
-        s.push_str("}\n");
-        s
+        doc.finish() + "\n"
     }
 
     /// A one-line human summary for the CLI.
@@ -292,27 +260,20 @@ pub fn measure_cycle_rate(
 impl CycleRate {
     /// Serialises to the `BENCH_cycles.json` schema (v1).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"vpir-bench-cycles-v1\",\n");
-        s.push_str(&format!("  \"scale\": {},\n", self.scale));
-        s.push_str(&format!("  \"max_cycles\": {},\n", self.max_cycles));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"sim_runs\": {},\n", self.sim_runs));
-        s.push_str(&format!(
-            "  \"total_sim_cycles\": {},\n",
-            self.total_sim_cycles
-        ));
-        s.push_str(&format!(
-            "  \"simulate_milliseconds\": {},\n",
-            (self.simulate_seconds * 1e3).round() as u64
-        ));
-        s.push_str(&format!(
-            "  \"sim_cycles_per_sec\": {}\n",
-            self.sim_cycles_per_sec
-        ));
-        s.push_str("}\n");
-        s
+        JsonObj::pretty()
+            .s("schema", "vpir-bench-cycles-v1")
+            .u("scale", self.scale.into())
+            .u("max_cycles", self.max_cycles)
+            .u("jobs", self.jobs as u64)
+            .u("sim_runs", self.sim_runs as u64)
+            .u("total_sim_cycles", self.total_sim_cycles)
+            .u(
+                "simulate_milliseconds",
+                (self.simulate_seconds * 1e3).round() as u64,
+            )
+            .u("sim_cycles_per_sec", self.sim_cycles_per_sec)
+            .finish()
+            + "\n"
     }
 
     /// A one-line human summary for the CLI.

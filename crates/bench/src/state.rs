@@ -15,14 +15,14 @@
 //! schema. Counter completeness and `u64` width are compile-time
 //! properties of that list.
 //!
-//! Everything here is std-only: the emitter and the exact-`u64`
-//! parser live in the shared `vpir-jsonlite` crate.
+//! Everything here is std-only: the writer and the exact-`u64` parser
+//! live in the shared `vpir-jsonlite` crate.
 
 use std::mem::take;
 use std::path::{Path, PathBuf};
 
 use vpir_core::SimStats;
-use vpir_jsonlite::{json_escape, parse_json, JsonObj as Obj, JsonValue};
+use vpir_jsonlite::{line_array, parse_json, JsonObj, JsonValue};
 use vpir_mem::CacheStats;
 use vpir_predict::VptStats;
 use vpir_redundancy::LimitStudy;
@@ -157,7 +157,7 @@ fn sub<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
 /// in it was nonzero.
 #[derive(Default)]
 struct Emit {
-    obj: Obj,
+    obj: JsonObj,
     nonzero: bool,
 }
 
@@ -169,8 +169,8 @@ impl CounterVisitor for Emit {
 
     fn array(&mut self, name: &str, values: &mut [u64]) {
         self.nonzero |= values.iter().any(|&x| x != 0);
-        let items: Vec<String> = values.iter().map(u64::to_string).collect();
-        self.obj = take(&mut self.obj).raw(name, &format!("[{}]", items.join(", ")));
+        let items = line_array(values.iter().map(u64::to_string));
+        self.obj = take(&mut self.obj).raw(name, &items);
     }
 
     fn group(&mut self, name: &str, group: &mut dyn Counters, optional: bool) {
@@ -316,19 +316,18 @@ impl JobRecord {
             JobPayload::Stats(_) => "stats",
             JobPayload::Limit(_) => "limit",
         };
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{JOB_SCHEMA}\",\n"));
-        out.push_str(&format!("  \"job_index\": {},\n", self.job_index));
-        out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&self.bench)));
-        out.push_str(&format!("  \"config\": \"{}\",\n", json_escape(&self.config)));
-        out.push_str(&format!("  \"scale\": {},\n", self.scale));
-        out.push_str(&format!("  \"max_cycles\": {},\n", self.max_cycles));
-        out.push_str(&format!("  \"limit_insts\": {},\n", self.limit_insts));
-        out.push_str(&format!("  \"kind\": \"{kind}\",\n"));
-        out.push_str(&format!("  \"{kind}\": {}\n", self.payload.to_json()));
-        out.push_str("}\n");
-        out
+        JsonObj::pretty()
+            .s("schema", JOB_SCHEMA)
+            .u("job_index", self.job_index as u64)
+            .s("bench", &self.bench)
+            .s("config", &self.config)
+            .u("scale", self.scale.into())
+            .u("max_cycles", self.max_cycles)
+            .u("limit_insts", self.limit_insts)
+            .s("kind", kind)
+            .raw(kind, &self.payload.to_json())
+            .finish()
+            + "\n"
     }
 
     /// Parses a `vpir-bench-job-v2` document.
@@ -369,20 +368,16 @@ pub fn failure_to_json(
     error: &str,
     sim_error: Option<&str>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{}\",\n", FAILURE_SCHEMA));
-    out.push_str(&format!("  \"job_index\": {job_index},\n"));
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str(&format!("  \"config\": \"{}\",\n", json_escape(config)));
-    out.push_str(&format!("  \"kind\": \"{}\",\n", json_escape(kind)));
-    out.push_str(&format!("  \"error\": \"{}\",\n", json_escape(error)));
-    match sim_error {
-        Some(j) => out.push_str(&format!("  \"sim_error\": {}\n", j.replace('\n', "\n  "))),
-        None => out.push_str("  \"sim_error\": null\n"),
-    }
-    out.push_str("}\n");
-    out
+    JsonObj::pretty()
+        .s("schema", FAILURE_SCHEMA)
+        .u("job_index", job_index as u64)
+        .s("bench", bench)
+        .s("config", config)
+        .s("kind", kind)
+        .s("error", error)
+        .raw("sim_error", sim_error.unwrap_or("null"))
+        .finish()
+        + "\n"
 }
 
 /// Path of the result file for job `job_index` inside `dir`.

@@ -11,14 +11,15 @@
 //! instructions, ROB occupancy, the checkpoint stack, and the
 //! per-stage counters.
 //!
-//! Snapshots serialise with the same std-only hand-rolled JSON style as
-//! `crates/bench/src/perf.rs`; the emitted text passes
+//! Snapshots serialise through `vpir_jsonlite::JsonObj`'s pretty layout,
+//! as the bench harness's failure dumps do; the emitted text passes
 //! `vpir_jsonlite::validate_json` (pinned by
 //! `crates/bench/tests/failure.rs`).
 
 use std::fmt;
 
 use vpir_isa::Op;
+use vpir_jsonlite::{line_array, pretty_array, JsonObj};
 
 /// How many retired instructions the diagnostic ring buffer keeps.
 pub const RETIRED_RING: usize = 16;
@@ -71,75 +72,34 @@ pub struct DiagSnapshot {
 }
 
 impl DiagSnapshot {
-    /// Serialises the snapshot as a JSON object (std-only, same style
-    /// as the bench perf emitter).
+    /// Serialises the snapshot as a pretty JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        push_kv(&mut s, "cycle", &self.cycle.to_string());
-        push_kv(&mut s, "committed", &self.committed.to_string());
-        push_kv(&mut s, "dispatched", &self.dispatched.to_string());
-        push_kv(&mut s, "executions", &self.executions.to_string());
-        push_kv(&mut s, "squashes", &self.squashes.to_string());
-        push_kv(&mut s, "rob_len", &self.rob_len.to_string());
-        push_kv(&mut s, "rob_capacity", &self.rob_capacity.to_string());
-        push_kv(&mut s, "rob_head_seq", &json_opt(self.rob_head_seq));
-        push_kv(&mut s, "rob_head_pc", &json_opt(self.rob_head_pc));
-        s.push_str("  \"checkpoint_seqs\": [");
-        for (i, seq) in self.checkpoint_seqs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&seq.to_string());
-        }
-        s.push_str("],\n");
-        push_kv(&mut s, "fetch_pc", &self.fetch_pc.to_string());
-        push_kv(&mut s, "fetch_halted", &self.fetch_halted.to_string());
-        push_kv(&mut s, "fetch_queue_len", &self.fetch_queue_len.to_string());
-        s.push_str("  \"last_retired\": [");
-        for (i, r) in self.last_retired.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"seq\": {}, \"pc\": {}, \"op\": {}, \"cycle\": {}}}",
-                r.seq,
-                r.pc,
-                json_str(&format!("{:?}", r.op)),
-                r.cycle
-            ));
-        }
-        if !self.last_retired.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}");
-        s
+        let retired = self.last_retired.iter().map(|r| {
+            JsonObj::new()
+                .u("seq", r.seq)
+                .u("pc", r.pc)
+                .s("op", &format!("{:?}", r.op))
+                .u("cycle", r.cycle)
+                .finish()
+        });
+        let seqs = line_array(self.checkpoint_seqs.iter().map(u64::to_string));
+        JsonObj::pretty()
+            .u("cycle", self.cycle)
+            .u("committed", self.committed)
+            .u("dispatched", self.dispatched)
+            .u("executions", self.executions)
+            .u("squashes", self.squashes)
+            .u("rob_len", self.rob_len as u64)
+            .u("rob_capacity", self.rob_capacity as u64)
+            .opt_u("rob_head_seq", self.rob_head_seq)
+            .opt_u("rob_head_pc", self.rob_head_pc)
+            .raw("checkpoint_seqs", &seqs)
+            .u("fetch_pc", self.fetch_pc)
+            .b("fetch_halted", self.fetch_halted)
+            .u("fetch_queue_len", self.fetch_queue_len as u64)
+            .raw("last_retired", &pretty_array(retired))
+            .finish()
     }
-}
-
-fn push_kv(s: &mut String, key: &str, value: &str) {
-    s.push_str("  \"");
-    s.push_str(key);
-    s.push_str("\": ");
-    s.push_str(value);
-    s.push_str(",\n");
-}
-
-fn json_opt(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-/// Escapes and quotes a string for JSON (escaping itself is the shared
-/// `vpir-jsonlite` implementation).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    out.push_str(&vpir_jsonlite::json_escape(s));
-    out.push('"');
-    out
 }
 
 /// Structured simulator failures (the taxonomy the bench harness keys
@@ -240,25 +200,17 @@ impl SimError {
     }
 
     /// Serialises the error (kind, message, and snapshot if any) as a
-    /// JSON object suitable for a failure dump file.
+    /// pretty JSON object suitable for a failure dump file.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        push_kv(&mut s, "kind", &json_str(self.kind()));
-        push_kv(&mut s, "cycle", &self.cycle().to_string());
-        push_kv(&mut s, "message", &json_str(&self.to_string()));
-        match self.snapshot() {
-            Some(snap) => {
-                s.push_str("  \"snapshot\": ");
-                // Indent the nested object to keep the dump readable.
-                let nested = snap.to_json().replace('\n', "\n  ");
-                s.push_str(&nested);
-                s.push('\n');
-            }
-            None => s.push_str("  \"snapshot\": null\n"),
-        }
-        s.push('}');
-        s
+        let snapshot = self
+            .snapshot()
+            .map_or("null".to_string(), DiagSnapshot::to_json);
+        JsonObj::pretty()
+            .s("kind", self.kind())
+            .u("cycle", self.cycle())
+            .s("message", &self.to_string())
+            .raw("snapshot", &snapshot)
+            .finish()
     }
 }
 
@@ -361,11 +313,5 @@ mod tests {
         let dump = err.to_json();
         assert!(dump.contains("\"kind\": \"invariant_violation\""));
         assert!(dump.contains("rob \\\"order\\\""), "escaping: {dump}");
-    }
-
-    #[test]
-    fn json_strings_escape_control_characters() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -68,7 +68,7 @@ pub struct BadTarget {
 }
 
 /// The control-flow graph of a program's text segment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     /// Basic blocks in address order (block id = index here).
     pub blocks: Vec<Block>,
@@ -292,24 +292,4 @@ pub fn build(prog: &Program) -> Cfg {
         bad_targets,
         entry_valid: entry_idx.is_some(),
     }
-}
-
-/// A deterministic JSON rendering of the CFG structure (used by the
-/// ordering-pin test: two builds must serialize byte-identically).
-pub fn to_json(cfg: &Cfg) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"entry\":");
-    let _ = write!(out, "{},\"blocks\":[", cfg.entry);
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        if b > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"start\":{},\"end\":{},\"succs\":{:?},\"preds\":{:?},\"reachable\":{}}}",
-            blk.start, blk.end, blk.succs, blk.preds, cfg.reachable[b]
-        );
-    }
-    out.push_str("]}");
-    out
 }

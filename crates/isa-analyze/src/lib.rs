@@ -50,7 +50,7 @@ use std::fmt::Write as _;
 
 use vpir_analyze::Finding;
 use vpir_isa::Program;
-use vpir_jsonlite::json_escape;
+use vpir_jsonlite::{compact_array, JsonObj};
 
 pub use cfg::{Cfg, EdgeRole};
 pub use classify::StaticClass;
@@ -161,40 +161,24 @@ impl Analysis {
     /// Machine-readable report (single JSON object).
     pub fn to_json(&self) -> String {
         let (inv, stride, dep, producers) = self.class_counts();
-        let mut out = String::from("{");
-        let _ = write!(out, "\"file\":\"{}\",", json_escape(&self.file));
-        let _ = write!(out, "\"insts\":{},", self.insts.len());
-        let _ = write!(out, "\"blocks\":{},", self.cfg.blocks.len());
-        let _ = write!(
-            out,
-            "\"unreachable_blocks\":{},",
-            self.cfg.unreachable_blocks().len()
-        );
-        let _ = write!(out, "\"loops\":{},", self.loops.loops.len());
-        let _ = write!(out, "\"producers\":{producers},");
-        let _ = write!(
-            out,
-            "\"classes\":{{\"invariant\":{inv},\"stride_derivable\":{stride},\"input_dependent\":{dep}}},"
-        );
-        let _ = write!(out, "\"live\":{},", self.findings.len());
-        out.push_str("\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":\"{}\",\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-                f.rule.id(),
-                f.rule.name(),
-                json_escape(&f.file),
-                f.line,
-                f.col,
-                json_escape(&f.message)
-            );
-        }
-        out.push_str("]}");
-        out
+        let classes = JsonObj::compact()
+            .u("invariant", inv)
+            .u("stride_derivable", stride)
+            .u("input_dependent", dep)
+            .finish();
+        let unreachable = self.cfg.unreachable_blocks().len() as u64;
+        let findings = compact_array(self.findings.iter().map(Finding::to_json));
+        JsonObj::compact()
+            .s("file", &self.file)
+            .u("insts", self.insts.len() as u64)
+            .u("blocks", self.cfg.blocks.len() as u64)
+            .u("unreachable_blocks", unreachable)
+            .u("loops", self.loops.loops.len() as u64)
+            .u("producers", producers)
+            .raw("classes", &classes)
+            .u("live", self.findings.len() as u64)
+            .raw("findings", &findings)
+            .finish()
     }
 }
 

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use vpir_jsonlite::{compact_array, JsonObj};
 use vpir_redundancy::PcClassCounts;
 
 use crate::classify::StaticClass;
@@ -61,28 +62,23 @@ impl Xval {
 
     /// Single JSON object with the join counts, rates, and matrix.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        let _ = write!(out, "\"universe\":{},", self.universe);
-        let _ = write!(out, "\"static_invariant\":{},", self.static_invariant);
-        let _ = write!(out, "\"dynamic_repeated\":{},", self.dynamic_repeated);
-        let _ = write!(out, "\"true_positives\":{},", self.true_positives);
-        let _ = write!(
-            out,
-            "\"false_positives\":{},",
-            self.false_positive_pcs.len()
-        );
-        let _ = write!(out, "\"precision\":{:.6},", self.precision());
-        let _ = write!(out, "\"recall\":{:.6},", self.recall());
-        out.push_str("\"matrix\":[");
-        for (i, ((s, d), n)) in self.matrix.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"static\":\"{s}\",\"dynamic\":\"{d}\",\"count\":{n}}}");
-        }
-        out.push_str("]}");
-        out
+        let matrix = self.matrix.iter().map(|((s, d), n)| {
+            JsonObj::compact()
+                .s("static", s)
+                .s("dynamic", d)
+                .u("count", *n)
+                .finish()
+        });
+        JsonObj::compact()
+            .u("universe", self.universe)
+            .u("static_invariant", self.static_invariant)
+            .u("dynamic_repeated", self.dynamic_repeated)
+            .u("true_positives", self.true_positives)
+            .u("false_positives", self.false_positive_pcs.len() as u64)
+            .raw("precision", &format!("{:.6}", self.precision()))
+            .raw("recall", &format!("{:.6}", self.recall()))
+            .raw("matrix", &compact_array(matrix))
+            .finish()
     }
 }
 

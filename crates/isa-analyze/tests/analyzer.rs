@@ -3,7 +3,7 @@
 //! against the dynamic limit study on every built-in workload.
 
 use vpir_isa::{asm, Inst, Op, Program, Reg, TEXT_BASE};
-use vpir_isa_analyze::{analyze_program, cfg, cross_validate, EdgeRole, StaticClass};
+use vpir_isa_analyze::{analyze_program, cross_validate, EdgeRole, StaticClass};
 use vpir_redundancy::{analyze_per_pc, LimitConfig};
 use vpir_workloads::{Bench, Scale};
 
@@ -101,7 +101,7 @@ helper: addi r4, r0, 9
     let b = analyze_program(&assemble(src), "det.s");
     assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.to_text(), b.to_text());
-    assert_eq!(cfg::to_json(&a.cfg), cfg::to_json(&b.cfg));
+    assert_eq!(a.cfg, b.cfg);
 }
 
 // ---- Dataflow and classification ----

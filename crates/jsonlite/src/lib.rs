@@ -13,8 +13,12 @@
 //!   to any JSON number, plus a check for required top-level keys; used
 //!   by CLIs and CI to self-check emitted documents, which may carry
 //!   float timings.
-//! - [`json_escape`] / [`JsonObj`] — emission: string escaping and an
-//!   insertion-ordered object builder.
+//! - [`JsonObj`], [`json_str`] and an array helper per layout — the one
+//!   writer of every emitted document, in three layouts: compact
+//!   `{"a":1}` (analyzer reports), line `{"a": 1}` (counters, `vpir
+//!   serve` bodies), and pretty: one member per line, two-space indent,
+//!   a multi-line value re-indented one level (job files, dumps,
+//!   `BENCH_*.json`, the golden fixture).
 //!
 //! Every parse error names the byte offset at which the input went
 //! wrong. `vpir serve` parses untrusted request bodies here, so the
@@ -395,71 +399,127 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Builds a single-line JSON object; keys are emitted in call order.
-///
-/// The emitted form (`{"a": 1, "b": "x"}`) matches what the workspace's
-/// hand-rolled emitters have always produced, so existing golden files
-/// and schema checks keep passing.
-#[derive(Debug)]
-pub struct JsonObj {
-    out: String,
+/// Quotes and escapes a string as a JSON string value.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
 }
 
-impl Default for JsonObj {
-    fn default() -> JsonObj {
-        JsonObj::new()
+/// The three layouts of the crate docs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Layout {
+    Compact,
+    #[default]
+    Line,
+    Pretty,
+}
+
+impl Layout {
+    /// Appends the next item, a member when `key` is given, to `items`.
+    fn push_item(self, items: &mut String, key: Option<&str>, value: &str) {
+        if !items.is_empty() {
+            items.push_str(if self == Layout::Line { ", " } else { "," });
+        }
+        if self == Layout::Pretty {
+            items.push_str("\n  ");
+        }
+        if let Some(k) = key {
+            let colon = if self == Layout::Compact { ":" } else { ": " };
+            let _ = write!(items, "\"{}\"{colon}", json_escape(k));
+        }
+        match self {
+            Layout::Pretty => items.push_str(&value.replace('\n', "\n  ")),
+            _ => items.push_str(value),
+        }
     }
+
+    fn close_with(self, items: &str, open: char, close: char) -> String {
+        match self {
+            Layout::Pretty if !items.is_empty() => format!("{open}{items}\n{close}"),
+            _ => format!("{open}{items}{close}"),
+        }
+    }
+
+    fn join_items(self, items: impl IntoIterator<Item = String>) -> String {
+        let mut out = String::new();
+        for item in items {
+            self.push_item(&mut out, None, &item);
+        }
+        self.close_with(&out, '[', ']')
+    }
+}
+
+/// Joins rendered values as a compact array.
+pub fn compact_array(items: impl IntoIterator<Item = String>) -> String {
+    Layout::Compact.join_items(items)
+}
+
+/// Joins rendered values as a line array.
+pub fn line_array(items: impl IntoIterator<Item = String>) -> String {
+    Layout::Line.join_items(items)
+}
+
+/// Joins rendered values as a pretty array.
+pub fn pretty_array(items: impl IntoIterator<Item = String>) -> String {
+    Layout::Pretty.join_items(items)
+}
+
+/// Builds a JSON object in one of three layouts, members in call order.
+#[derive(Debug, Default)]
+pub struct JsonObj {
+    members: String,
+    layout: Layout,
 }
 
 impl JsonObj {
-    /// Starts an empty object.
-    pub fn new() -> JsonObj {
-        JsonObj { out: String::from("{") }
+    fn laid_out(layout: Layout) -> JsonObj {
+        let members = String::new();
+        JsonObj { members, layout }
     }
 
-    fn key(&mut self, k: &str) {
-        if self.out.len() > 1 {
-            self.out.push_str(", ");
-        }
-        self.out.push('"');
-        self.out.push_str(&json_escape(k));
-        self.out.push_str("\": ");
+    /// Starts an empty object in the line layout.
+    pub fn new() -> JsonObj {
+        JsonObj::default()
+    }
+
+    /// Starts an empty object in the compact layout.
+    pub fn compact() -> JsonObj {
+        JsonObj::laid_out(Layout::Compact)
+    }
+
+    /// Starts an empty object in the pretty layout.
+    pub fn pretty() -> JsonObj {
+        JsonObj::laid_out(Layout::Pretty)
     }
 
     /// Appends an unsigned-integer field.
-    pub fn u(mut self, k: &str, v: u64) -> JsonObj {
-        self.key(k);
-        self.out.push_str(&v.to_string());
-        self
+    pub fn u(self, k: &str, v: u64) -> JsonObj {
+        self.raw(k, &v.to_string())
+    }
+
+    /// Appends an unsigned-integer field, or `null` for `None`.
+    pub fn opt_u(self, k: &str, v: Option<u64>) -> JsonObj {
+        self.raw(k, &v.map_or("null".to_string(), |v| v.to_string()))
     }
 
     /// Appends a boolean field.
-    pub fn b(mut self, k: &str, v: bool) -> JsonObj {
-        self.key(k);
-        self.out.push_str(if v { "true" } else { "false" });
-        self
+    pub fn b(self, k: &str, v: bool) -> JsonObj {
+        self.raw(k, if v { "true" } else { "false" })
     }
 
     /// Appends an escaped string field.
-    pub fn s(mut self, k: &str, v: &str) -> JsonObj {
-        self.key(k);
-        self.out.push('"');
-        self.out.push_str(&json_escape(v));
-        self.out.push('"');
-        self
+    pub fn s(self, k: &str, v: &str) -> JsonObj {
+        self.raw(k, &json_str(v))
     }
 
-    /// Embeds pre-rendered JSON verbatim.
+    /// Embeds pre-rendered JSON.
     pub fn raw(mut self, k: &str, v: &str) -> JsonObj {
-        self.key(k);
-        self.out.push_str(v);
+        self.layout.push_item(&mut self.members, Some(k), v);
         self
     }
 
     /// Closes the object and returns its text.
-    pub fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
+    pub fn finish(self) -> String {
+        self.layout.close_with(&self.members, '{', '}')
     }
 }
 
@@ -510,6 +570,40 @@ mod tests {
         let v = parse_json(&text).expect("round trip");
         assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(7));
         assert_eq!(v.get("msg").and_then(JsonValue::as_str), Some("a\"b\n"));
+    }
+
+    #[test]
+    fn each_layout_spaces_and_indents_its_own_way() {
+        let inner = JsonObj::pretty()
+            .u("x", 1)
+            .raw("ys", &pretty_array(["2".to_string()]))
+            .finish();
+        assert_eq!(inner, "{\n  \"x\": 1,\n  \"ys\": [\n    2\n  ]\n}");
+        let outer = JsonObj::pretty()
+            .opt_u("none", None)
+            .raw("inner", &inner)
+            .finish();
+        assert_eq!(
+            outer,
+            "{\n  \"none\": null,\n  \"inner\": {\n    \"x\": 1,\n    \"ys\": [\n      2\n    ]\n  }\n}"
+        );
+        let compact = JsonObj::compact()
+            .u("a", 1)
+            .raw("b", &compact_array(["1".to_string(), json_str("x")]))
+            .finish();
+        assert_eq!(compact, "{\"a\":1,\"b\":[1,\"x\"]}");
+        let line = JsonObj::new()
+            .opt_u("a", Some(3))
+            .raw("b", &line_array(["1".to_string(), "2".to_string()]))
+            .finish();
+        assert_eq!(line, "{\"a\": 3, \"b\": [1, 2]}");
+        for empty in [JsonObj::compact(), JsonObj::new(), JsonObj::pretty()] {
+            assert_eq!(empty.finish(), "{}");
+        }
+        for empty in [compact_array([]), line_array([]), pretty_array([])] {
+            assert_eq!(empty, "[]");
+        }
+        assert_eq!(json_str("a\"b\\c\n\u{1}"), "\"a\\\"b\\\\c\\n\\u0001\"");
     }
 
     #[test]

@@ -69,7 +69,7 @@ use vpir_bench::state::stats_to_json;
 use vpir_core::{RunLimits, SimError, Simulator, TraceOutcome};
 use vpir_isa::{asm::assemble, image, Program};
 use vpir_isa_analyze::analyze_program;
-use vpir_jsonlite::{parse_json, JsonObj, JsonValue};
+use vpir_jsonlite::{line_array, parse_json, JsonObj, JsonValue};
 use vpir_workloads::{Bench, Scale};
 
 pub use cache::{fnv1a64, HitTier, ResultCache};
@@ -679,34 +679,21 @@ fn render_run_body(
     sim: &Simulator,
     err: Option<&SimError>,
 ) -> String {
-    let stats_json = match err {
-        None => stats_to_json(sim.stats()),
-        Some(_) => "null".to_string(),
+    let (stats_json, error_json) = match err {
+        None => (stats_to_json(sim.stats()), "null".to_string()),
+        Some(e) => ("null".to_string(), error_row(e.kind(), &e.to_string())),
     };
-    let error_json = match err {
-        None => "null".to_string(),
-        Some(e) => JsonObj::new().s("kind", e.kind()).s("message", &e.to_string()).finish(),
-    };
-    let trace_json = match sim.trace() {
-        None => "[]".to_string(),
-        Some(log) => {
-            let parts: Vec<String> = log
-                .records()
-                .iter()
-                .map(|r| {
-                    JsonObj::new()
-                        .u("seq", r.seq)
-                        .u("pc", r.pc)
-                        .s("outcome", outcome_name(r.outcome))
-                        .u("dispatch", r.dispatch)
-                        .raw("commit", &opt_u64(r.commit))
-                        .raw("squash", &opt_u64(r.squash))
-                        .finish()
-                })
-                .collect();
-            format!("[{}]", parts.join(", "))
-        }
-    };
+    let records = sim.trace().into_iter().flat_map(|log| log.records());
+    let trace_json = line_array(records.map(|r| {
+        JsonObj::new()
+            .u("seq", r.seq)
+            .u("pc", r.pc)
+            .s("outcome", outcome_name(r.outcome))
+            .u("dispatch", r.dispatch)
+            .opt_u("commit", r.commit)
+            .opt_u("squash", r.squash)
+            .finish()
+    }));
     JsonObj::new()
         .s("schema", "vpir-serve-run-v1")
         .s("program", program_name)
@@ -721,13 +708,20 @@ fn render_run_body(
 }
 
 fn run_panic_body(message: &str) -> String {
-    let error_json = JsonObj::new().s("kind", "panic").s("message", message).finish();
     JsonObj::new()
         .s("schema", "vpir-serve-run-v1")
         .b("halted", false)
         .raw("stats", "null")
-        .raw("error", &error_json)
+        .raw("error", &error_row("panic", message))
         .raw("trace", "[]")
+        .finish()
+}
+
+/// The `kind`/`message` row that every error body carries.
+fn error_row(kind: &str, message: &str) -> String {
+    JsonObj::new()
+        .s("kind", kind)
+        .s("message", message)
         .finish()
 }
 
@@ -739,13 +733,6 @@ fn outcome_name(outcome: TraceOutcome) -> &'static str {
         TraceOutcome::TraceReused => "trace_reused",
         TraceOutcome::AddrReused => "addr_reused",
         TraceOutcome::Squashed => "squashed",
-    }
-}
-
-fn opt_u64(value: Option<u64>) -> String {
-    match value {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
     }
 }
 
@@ -808,13 +795,10 @@ fn handle_matrix(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError>
             Ok(body) => body,
             Err(panic) => {
                 metrics.runs_panicked.fetch_add(1, Ordering::Relaxed);
-                let error_json = JsonObj::new()
-                    .s("kind", "panic")
-                    .s("message", &panic_message(panic.as_ref()))
-                    .finish();
+                let error = error_row("panic", &panic_message(panic.as_ref()));
                 JsonObj::new()
                     .s("schema", "vpir-serve-matrix-v1")
-                    .raw("error", &error_json)
+                    .raw("error", &error)
                     .finish()
             }
         }
@@ -836,19 +820,7 @@ fn render_matrix_body(
     metrics.runs_completed.fetch_add(outcome.completed_jobs as u64, Ordering::Relaxed);
     let total_cycles = outcome.matrix.as_ref().map(|m| m.total_sim_cycles()).unwrap_or(0);
     metrics.sim_cycles_total.fetch_add(total_cycles, Ordering::Relaxed);
-    let failures: Vec<String> = outcome
-        .failures
-        .iter()
-        .map(|f| {
-            JsonObj::new()
-                .u("job_index", f.job_index as u64)
-                .s("bench", &f.bench)
-                .s("config", &f.config)
-                .s("kind", &f.kind)
-                .s("error", &f.error)
-                .finish()
-        })
-        .collect();
+    let failures = outcome.failures.iter().map(|f| f.json_row().finish());
     JsonObj::new()
         .s("schema", "vpir-serve-matrix-v1")
         .s("bench", bench_name)
@@ -857,7 +829,7 @@ fn render_matrix_body(
         .u("limit_insts", limit_insts)
         .u("total_jobs", outcome.total_jobs as u64)
         .u("completed_jobs", outcome.completed_jobs as u64)
-        .raw("failures", &format!("[{}]", failures.join(", ")))
+        .raw("failures", &line_array(failures))
         .u("total_sim_cycles", total_cycles)
         .finish()
 }
@@ -894,14 +866,11 @@ fn handle_analyze(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError
             Ok(body) => body,
             Err(panic) => {
                 metrics.runs_panicked.fetch_add(1, Ordering::Relaxed);
-                let error_json = JsonObj::new()
-                    .s("kind", "panic")
-                    .s("message", &panic_message(panic.as_ref()))
-                    .finish();
+                let error = error_row("panic", &panic_message(panic.as_ref()));
                 JsonObj::new()
                     .s("schema", "vpir-serve-analyze-v1")
                     .raw("analysis", "null")
-                    .raw("error", &error_json)
+                    .raw("error", &error)
                     .finish()
             }
         }
@@ -919,20 +888,14 @@ fn handle_analyze(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError
 /// job itself keeps running and will populate the cache.
 fn deadline_response(deadline: Duration) -> Response {
     let millis = u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX);
-    let error_json = JsonObj::new()
-        .s("kind", "deadline")
-        .s(
-            "message",
-            &format!(
-                "simulation exceeded the {millis}ms request deadline; \
-                 the job continues and its result will populate the cache"
-            ),
-        )
-        .finish();
+    let message = format!(
+        "simulation exceeded the {millis}ms request deadline; \
+         the job continues and its result will populate the cache"
+    );
     let body = JsonObj::new()
         .s("schema", "vpir-serve-error-v1")
         .u("status", 504)
-        .raw("error", &error_json)
+        .raw("error", &error_row("deadline", &message))
         .finish();
     Response::json(504, body)
 }

@@ -74,7 +74,7 @@ use vpir::bench::perf::{
 };
 use vpir::isa::{asm, image, Program};
 use vpir::isa_analyze::{analyze_program, cross_validate, REQUIRED_KEYS as ANALYZE_KEYS};
-use vpir::jsonlite::validate_json;
+use vpir::jsonlite::{compact_array, validate_json, JsonObj};
 use vpir::redundancy::{analyze, analyze_per_pc, LimitConfig};
 use vpir::serve::loadgen::{self, LoadgenConfig, Mix};
 use vpir::serve::{ServeConfig, Server, StoreFault};
@@ -657,12 +657,9 @@ fn cmd_analyze_isa(args: &[String]) -> Result<(), String> {
         total_live += analysis.findings.len();
         total_fps += xv.false_positive_pcs.len();
         if json_out {
-            parts.push(format!(
-                "{{\"name\":\"{}\",\"analysis\":{},\"xval\":{}}}",
-                bench.name(),
-                analysis.to_json(),
-                xv.to_json()
-            ));
+            let part = JsonObj::compact().s("name", bench.name());
+            let part = part.raw("analysis", &analysis.to_json());
+            parts.push(part.raw("xval", &xv.to_json()).finish());
         } else {
             let (inv, stride, dep, producers) = analysis.class_counts();
             println!(
@@ -695,11 +692,13 @@ fn cmd_analyze_isa(args: &[String]) -> Result<(), String> {
         }
     }
     if json_out {
-        let json = format!(
-            "{{\"schema\":\"vpir-analyze-isa-v1\",\"insts_per_workload\":{insts},\
-             \"workloads\":[{}],\"live\":{total_live},\"false_positives\":{total_fps}}}",
-            parts.join(",")
-        );
+        let json = JsonObj::compact()
+            .s("schema", "vpir-analyze-isa-v1")
+            .u("insts_per_workload", insts)
+            .raw("workloads", &compact_array(parts))
+            .u("live", total_live as u64)
+            .u("false_positives", total_fps as u64)
+            .finish();
         validate_json(&json, &["schema", "workloads", "live", "false_positives"])
             .map_err(|e| format!("emitted JSON failed self-validation: {e}"))?;
         println!("{json}");

@@ -1,12 +1,11 @@
 //! Conditional-branch direction predictors.
 //!
-//! Each predictor's `predict` returns the prediction and an opaque
-//! *token* (for [`Gshare`], the pre-shift global history) that the
-//! pipeline carries with the branch and hands back at `update`, so the
-//! same counter trains that made the prediction, and at
-//! [`Gshare::recover`] on a misprediction, so the speculative history can
-//! be repaired. Predictors without history return and ignore a zero
-//! token.
+//! [`Gshare::predict`] returns the prediction and an opaque *token* (the
+//! pre-shift global history) that the pipeline carries with the branch
+//! and hands back at `update`, so the same counter trains that made the
+//! prediction, and at [`Gshare::recover`] on a misprediction, so the
+//! speculative history can be repaired. [`Bimodal`] keeps no history
+//! and needs no token.
 
 fn bump(counter: &mut u8, taken: bool) {
     if taken {
@@ -130,30 +129,16 @@ impl Bimodal {
         ((pc >> 2) & ((1 << self.index_bits) - 1)) as usize
     }
 
-    /// Predicts the branch at `pc`. Returns `(taken, 0)`.
-    pub fn predict(&mut self, pc: u64) -> (bool, u64) {
-        (self.table[self.index(pc)] >= 2, 0)
+    /// Predicts whether the branch at `pc` is taken.
+    pub fn predict(&self, pc: u64) -> bool {
+        self.table[self.index(pc)] >= 2
     }
 
     /// Trains with the resolved outcome of the branch at `pc`.
-    pub fn update(&mut self, pc: u64, taken: bool, _token: u64) {
+    pub fn update(&mut self, pc: u64, taken: bool) {
         let idx = self.index(pc);
         bump(&mut self.table[idx], taken);
     }
-}
-
-/// Always predicts taken (a baseline for tests and ablations).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticTaken;
-
-impl StaticTaken {
-    /// Predicts taken. Returns `(true, 0)`.
-    pub fn predict(&mut self, _pc: u64) -> (bool, u64) {
-        (true, 0)
-    }
-
-    /// Learns nothing.
-    pub fn update(&mut self, _pc: u64, _taken: bool, _token: u64) {}
 }
 
 #[cfg(test)]
@@ -200,11 +185,11 @@ mod tests {
         let mut correct = 0;
         for i in 0..400 {
             outcome = !outcome;
-            let (p, token) = bp.predict(0x80);
+            let p = bp.predict(0x80);
             if p == outcome && i >= 100 {
                 correct += 1;
             }
-            bp.update(0x80, outcome, token);
+            bp.update(0x80, outcome);
         }
         assert!(correct < 200, "bimodal should stay near chance, got {correct}");
     }
@@ -241,19 +226,13 @@ mod tests {
     fn distinct_pcs_use_distinct_counters() {
         let mut bp = Bimodal::new(12);
         for _ in 0..2 {
-            let (_, t) = bp.predict(0x100);
-            bp.update(0x100, true, t);
+            bp.update(0x100, true);
         }
-        assert!(bp.predict(0x100).0);
-        assert!(!bp.predict(0x104).0, "untrained branch still weakly not-taken");
-    }
-
-    #[test]
-    fn static_taken() {
-        let mut bp = StaticTaken;
-        assert!(bp.predict(0).0);
-        bp.update(0, false, 0);
-        assert!(bp.predict(0).0);
+        assert!(bp.predict(0x100));
+        assert!(
+            !bp.predict(0x104),
+            "untrained branch still weakly not-taken"
+        );
     }
 
     #[test]

@@ -33,6 +33,6 @@ mod direction;
 mod ras;
 mod target;
 
-pub use direction::{Bimodal, Gshare, StaticTaken};
+pub use direction::{Bimodal, Gshare};
 pub use ras::ReturnStack;
 pub use target::TargetTable;

@@ -91,7 +91,11 @@ fn biased_stream_converges() {
             let mut b = Bimodal::new(12);
             for i in 0..200 {
                 let taken = true;
-                let (p, token) = if mode == 0 { g.predict(pc) } else { b.predict(pc) };
+                let (p, token) = if mode == 0 {
+                    g.predict(pc)
+                } else {
+                    (b.predict(pc), 0)
+                };
                 if i >= 50 {
                     total += 1;
                     if p == taken {
@@ -104,7 +108,7 @@ fn biased_stream_converges() {
                         g.recover(token, taken);
                     }
                 } else {
-                    b.update(pc, taken, token);
+                    b.update(pc, taken);
                 }
             }
             assert!(

@@ -16,7 +16,7 @@
 // hash seeding. The crate's `clippy.toml` bans the hash collections.
 use std::collections::{BTreeMap, VecDeque};
 
-use vpir_branch::{Bimodal, Gshare, ReturnStack, StaticTaken, TargetTable};
+use vpir_branch::{Bimodal, Gshare, ReturnStack, TargetTable};
 use vpir_isa::{
     execute, Inst, LoadSource, Op, OpClass, Program, Reg, RegFile, INST_BYTES, STACK_TOP,
 };
@@ -76,12 +76,14 @@ impl RunLimits {
     }
 }
 
-/// The configured front-end direction predictor.
+/// The configured front-end direction predictor. Only gshare keeps a
+/// history, so only its predictions carry a nonzero token.
 #[derive(Debug, Clone)]
 enum FrontEndBp {
     Gshare(Gshare),
     Bimodal(Bimodal),
-    StaticTaken(StaticTaken),
+    /// Predicts taken and learns nothing.
+    StaticTaken,
 }
 
 impl FrontEndBp {
@@ -89,23 +91,23 @@ impl FrontEndBp {
         match kind {
             FrontEnd::Gshare => FrontEndBp::Gshare(Gshare::table1()),
             FrontEnd::Bimodal => FrontEndBp::Bimodal(Bimodal::new(14)),
-            FrontEnd::StaticTaken => FrontEndBp::StaticTaken(StaticTaken),
+            FrontEnd::StaticTaken => FrontEndBp::StaticTaken,
         }
     }
 
     fn predict(&mut self, pc: u64) -> (bool, u64) {
         match self {
             FrontEndBp::Gshare(p) => p.predict(pc),
-            FrontEndBp::Bimodal(p) => p.predict(pc),
-            FrontEndBp::StaticTaken(p) => p.predict(pc),
+            FrontEndBp::Bimodal(p) => (p.predict(pc), 0),
+            FrontEndBp::StaticTaken => (true, 0),
         }
     }
 
     fn update(&mut self, pc: u64, taken: bool, token: u64) {
         match self {
             FrontEndBp::Gshare(p) => p.update(pc, taken, token),
-            FrontEndBp::Bimodal(p) => p.update(pc, taken, token),
-            FrontEndBp::StaticTaken(p) => p.update(pc, taken, token),
+            FrontEndBp::Bimodal(p) => p.update(pc, taken),
+            FrontEndBp::StaticTaken => {}
         }
     }
 

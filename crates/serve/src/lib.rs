@@ -95,6 +95,12 @@ const MAX_TRACE: u64 = 4096;
 const MAX_BODY_BYTES: usize = 1 << 20;
 /// In-memory cache tier bound, in body bytes.
 const CACHE_MEM_BYTES: u64 = 64 << 20;
+/// In-memory cache tier bound, in entries.
+const CACHE_CAPACITY: usize = 1024;
+/// Disk cache tier bound, in file bytes (headers included).
+const CACHE_DISK_BYTES: u64 = 256 << 20;
+/// Requests served per connection before it is closed.
+const MAX_REQUESTS_PER_CONN: usize = 100;
 /// Per-connection write timeout (a client that stops reading its
 /// response is dropped, not waited on).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -118,12 +124,8 @@ pub struct ServeConfig {
     /// Bounded job queue capacity; a full queue answers 503 and the
     /// shed watermarks are fractions of this value.
     pub queue_capacity: usize,
-    /// In-memory cache tier bound, in entries.
-    pub cache_capacity: usize,
     /// Directory for the durable disk cache tier; `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// Disk cache tier bound, in file bytes (headers included).
-    pub cache_disk_bytes: u64,
     /// Cycle cap applied when a request omits `max_cycles`.
     pub default_max_cycles: u64,
     /// How long a handler waits for its simulation before degrading to
@@ -134,8 +136,6 @@ pub struct ServeConfig {
     /// Per-read deadline once a request has started arriving; a client
     /// that stalls longer mid-request gets 408.
     pub read_deadline: Duration,
-    /// Requests served per connection before it is closed.
-    pub max_requests_per_conn: usize,
     /// Deterministic disk-store fault injection for tests and the CI
     /// chaos step.
     pub inject_fault: Option<StoreFault>,
@@ -147,14 +147,11 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             queue_capacity: 32,
-            cache_capacity: 1024,
             cache_dir: None,
-            cache_disk_bytes: 256 << 20,
             default_max_cycles: 2_000_000,
             request_deadline: Duration::from_secs(120),
             idle_timeout: Duration::from_secs(5),
             read_deadline: Duration::from_secs(2),
-            max_requests_per_conn: 100,
             inject_fault: None,
         }
     }
@@ -185,9 +182,9 @@ impl State {
     fn new(cfg: ServeConfig, addr: SocketAddr) -> io::Result<State> {
         let store = match &cfg.cache_dir {
             None => None,
-            Some(dir) => Some(DiskStore::open(dir, cfg.cache_disk_bytes, cfg.inject_fault)?),
+            Some(dir) => Some(DiskStore::open(dir, CACHE_DISK_BYTES, cfg.inject_fault)?),
         };
-        let cache = Arc::new(ResultCache::new(cfg.cache_capacity, CACHE_MEM_BYTES, store));
+        let cache = Arc::new(ResultCache::new(CACHE_CAPACITY, CACHE_MEM_BYTES, store));
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         Ok(State {
             cfg,
@@ -459,7 +456,7 @@ fn handle_connection(stream: &TcpStream, state: &Arc<State>) {
             Err(err) => Response::from_error(&err),
         };
         let close = !request.keep_alive
-            || served >= state.cfg.max_requests_per_conn
+            || served >= MAX_REQUESTS_PER_CONN
             || response.status >= 400
             || response.shutdown;
         state.metrics.observe_status(response.status);

@@ -12,9 +12,8 @@
 //!            [--bench NAME] [--dump-dir DIR] [--resume]
 //!            [--inject-fault <bench>/<config>[:panic|:wedge]]
 //! vpir bench --cycle-rate [--baseline PATH] [--gate-pct N] [--out PATH]
-//! vpir serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!            [--cache-dir DIR] [--disk-bytes N] [--request-deadline-ms N]
-//!            [--idle-timeout-ms N] [--read-deadline-ms N] [--max-requests N]
+//! vpir serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR]
+//!            [--request-deadline-ms N] [--idle-timeout-ms N] [--read-deadline-ms N]
 //!            [--inject-fault corrupt-store|truncate-store]
 //! vpir loadgen --addr HOST:PORT [--conns N] [--duration-ms N]
 //!              [--mix hit-heavy|miss-heavy|matrix|malformed|slowloris]
@@ -91,9 +90,8 @@ fn usage() -> ExitCode {
          vpir bench [--full] [--scale N] [--jobs N] [--out PATH] [--compare-sequential]\n  \
          \x20          [--bench NAME] [--dump-dir DIR] [--resume] [--inject-fault SPEC]\n  \
          vpir bench --cycle-rate [--baseline PATH] [--gate-pct N] [--out PATH]\n  \
-         vpir serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n  \
-         \x20          [--cache-dir DIR] [--disk-bytes N] [--request-deadline-ms N]\n  \
-         \x20          [--idle-timeout-ms N] [--read-deadline-ms N] [--max-requests N]\n  \
+         vpir serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR]\n  \
+         \x20          [--request-deadline-ms N] [--idle-timeout-ms N] [--read-deadline-ms N]\n  \
          \x20          [--inject-fault corrupt-store|truncate-store]\n  \
          vpir loadgen --addr HOST:PORT [--conns N] [--duration-ms N] [--mix MIX] [--out PATH]\n\
          \x20          [--baseline PATH] [--gate-pct N]\n\n\
@@ -427,24 +425,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("--queue needs a number")?;
             }
-            "--cache" => {
-                i += 1;
-                cfg.cache_capacity = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--cache needs a number")?;
-            }
             "--cache-dir" => {
                 i += 1;
                 let dir = args.get(i).cloned().ok_or("--cache-dir needs a path")?;
                 cfg.cache_dir = Some(dir.into());
-            }
-            "--disk-bytes" => {
-                i += 1;
-                cfg.cache_disk_bytes = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--disk-bytes needs a number")?;
             }
             "--request-deadline-ms" => {
                 i += 1;
@@ -470,13 +454,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .ok_or("--read-deadline-ms needs a number")?;
                 cfg.read_deadline = std::time::Duration::from_millis(ms.max(1));
             }
-            "--max-requests" => {
-                i += 1;
-                cfg.max_requests_per_conn = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-requests needs a number")?;
-            }
             "--inject-fault" => {
                 i += 1;
                 let spec = args.get(i).ok_or("--inject-fault needs a fault name")?;
@@ -491,9 +468,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if cfg.queue_capacity == 0 {
         return Err("serve: --queue must be at least 1".into());
-    }
-    if cfg.max_requests_per_conn == 0 {
-        return Err("serve: --max-requests must be at least 1".into());
     }
     if cfg.inject_fault.is_some() && cfg.cache_dir.is_none() {
         return Err("serve: --inject-fault requires --cache-dir".into());

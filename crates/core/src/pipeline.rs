@@ -670,9 +670,7 @@ impl Simulator {
             }
             // Stores need a data-cache write port at commit.
             if self.rob.stores.test(head) {
-                self.stats.port_requests += 1;
                 if !self.dports.request(self.now) {
-                    self.stats.port_denials += 1;
                     break;
                 }
                 let Some(addr) = self.rob.out[head].addr else {
@@ -1467,9 +1465,7 @@ impl Simulator {
             let finish = if forward {
                 self.now + 1
             } else {
-                self.stats.port_requests += 1;
                 if !self.dports.request(self.now) {
-                    self.stats.port_denials += 1;
                     continue;
                 }
                 self.dcache.access(self.now, addr).ready_cycle

@@ -78,7 +78,7 @@ pub struct SimStats {
     pub fu_requests: u64,
     /// ... that were denied (unit busy or issue slot exhausted).
     pub fu_denials: u64,
-    /// Data-cache port requests.
+    /// Data-cache port requests, granted or denied.
     pub port_requests: u64,
     /// ... that were denied.
     pub port_denials: u64,

@@ -5,6 +5,7 @@ use vpir_core::{
     BranchResolution, CoreConfig, IrConfig, RunLimits, Simulator, Validation, VpConfig,
 };
 use vpir_isa::asm;
+use vpir_workloads::{Bench, Scale};
 
 fn run(src: &str, config: CoreConfig) -> (Simulator, vpir_core::SimStats) {
     let prog = asm::assemble(src).expect("test program assembles");
@@ -97,6 +98,20 @@ fn divider_serialisation_limits_throughput() {
     let (_, s) = run(src, CoreConfig::table1());
     assert!(s.cycles >= 40 * 19, "cycles: {}", s.cycles);
     assert!(s.fu_denials > 0, "divider contention must be visible");
+}
+
+#[test]
+fn port_requests_count_granted_and_denied_requests() {
+    // ijpeg's base run is port-bound: many D$ port requests are denied.
+    // Every granted request makes exactly one data-cache access.
+    let prog = Bench::Ijpeg.program(Scale::test());
+    let mut sim = Simulator::new(&prog, CoreConfig::table1());
+    let s = sim
+        .run_to_halt(RunLimits::cycles(10_000_000))
+        .unwrap_or_else(|e| panic!("ijpeg must halt: {e}"));
+    let accesses = s.dcache.hits + s.dcache.misses + s.dcache.mshr_merges;
+    assert!(s.port_denials > 0, "the run must be port-bound");
+    assert_eq!(s.port_requests, s.port_denials + accesses);
 }
 
 #[test]

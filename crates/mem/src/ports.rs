@@ -22,7 +22,7 @@ pub struct PortArbiter {
     ports: u32,
     cycle: u64,
     used: u32,
-    granted: u64,
+    requests: u64,
     denied: u64,
 }
 
@@ -38,7 +38,7 @@ impl PortArbiter {
             ports,
             cycle: 0,
             used: 0,
-            granted: 0,
+            requests: 0,
             denied: 0,
         }
     }
@@ -52,9 +52,9 @@ impl PortArbiter {
             self.cycle = cycle;
             self.used = 0;
         }
+        self.requests += 1;
         if self.used < self.ports {
             self.used += 1;
-            self.granted += 1;
             true
         } else {
             self.denied += 1;
@@ -62,9 +62,10 @@ impl PortArbiter {
         }
     }
 
-    /// Total `(granted, denied)` requests.
+    /// Total `(requests, denied)`: every request, granted or not, and
+    /// the denied ones among them.
     pub fn totals(&self) -> (u64, u64) {
-        (self.granted, self.denied)
+        (self.requests, self.denied)
     }
 }
 
@@ -78,7 +79,7 @@ mod tests {
         assert!(p.request(5));
         assert!(p.request(5));
         assert!(!p.request(5));
-        assert_eq!(p.totals(), (2, 1));
+        assert_eq!(p.totals(), (3, 1));
     }
 
     #[test]

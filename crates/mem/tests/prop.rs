@@ -119,7 +119,9 @@ fn arbiter_grants_exactly_ports() {
             let granted = (0..*demand).filter(|_| arb.request(cycle as u64)).count();
             assert_eq!(granted, (*demand).min(ports as usize));
         }
-        let (g, d) = arb.totals();
-        assert_eq!(g + d, demands.iter().map(|d| *d as u64).sum::<u64>());
+        let (requests, denied) = arb.totals();
+        assert_eq!(requests, demands.iter().map(|d| *d as u64).sum::<u64>());
+        let over = |d: &usize| d.saturating_sub(ports as usize) as u64;
+        assert_eq!(denied, demands.iter().map(over).sum::<u64>());
     });
 }

@@ -63,6 +63,8 @@
 use std::env;
 use std::fs;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use vpir::analyze;
 use vpir::core::{CoreConfig, RunLimits, Simulator};
@@ -136,6 +138,37 @@ fn parse_machine(spec: &str) -> Result<CoreConfig, String> {
         .ok_or_else(|| format!("unknown machine `{spec}`"))
 }
 
+/// Steps `i` from the flag at `args[*i]` to its value and parses it
+/// with `parse`. A missing or unparsable value is the error "<flag>
+/// needs <needs>".
+fn flag_with<'a, T>(
+    args: &'a [String],
+    i: &mut usize,
+    needs: &str,
+    parse: impl FnOnce(&'a str) -> Option<T>,
+) -> Result<T, String> {
+    let flag = args.get(*i).map_or("", String::as_str);
+    *i += 1;
+    args.get(*i)
+        .and_then(|value| parse(value))
+        .ok_or_else(|| format!("{flag} needs {needs}"))
+}
+
+/// The value of the flag at `args[*i]`, as text.
+fn flag_value<'a>(args: &'a [String], i: &mut usize, needs: &str) -> Result<&'a str, String> {
+    flag_with(args, i, needs, Some)
+}
+
+/// The value of the flag at `args[*i]`, parsed.
+fn flag_parse<T: FromStr>(args: &[String], i: &mut usize, needs: &str) -> Result<T, String> {
+    flag_with(args, i, needs, |value| value.parse().ok())
+}
+
+/// A `-ms` flag's value as a duration of at least one millisecond.
+fn flag_ms(args: &[String], i: &mut usize) -> Result<Duration, String> {
+    flag_parse(args, i, "a number").map(|ms: u64| Duration::from_millis(ms.max(1)))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -166,31 +199,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let Some(path) = args.first() else {
         return Err("run: missing program path".into());
     };
-    let mut machine = "base".to_string();
+    let mut machine = "base";
     let mut cycles: u64 = 200_000_000;
     let mut trace: usize = 0;
     let mut show_disasm = false;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--machine" => {
-                i += 1;
-                machine = args.get(i).cloned().ok_or("--machine needs a value")?;
-            }
-            "--cycles" => {
-                i += 1;
-                cycles = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--cycles needs a number")?;
-            }
-            "--trace" => {
-                i += 1;
-                trace = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--trace needs a count")?;
-            }
+            "--machine" => machine = flag_value(args, &mut i, "a value")?,
+            "--cycles" => cycles = flag_parse(args, &mut i, "a number")?,
+            "--trace" => trace = flag_parse(args, &mut i, "a count")?,
             "--disasm" => show_disasm = true,
             other => return Err(format!("run: unknown option `{other}`")),
         }
@@ -202,7 +220,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         print!("{}", program.disassemble());
         println!();
     }
-    let mut sim = Simulator::new(&program, parse_machine(&machine)?);
+    let mut sim = Simulator::new(&program, parse_machine(machine)?);
     if trace > 0 {
         sim.enable_trace(trace);
     }
@@ -266,67 +284,36 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut cfg = MatrixConfig::quick();
     let mut jobs = 0usize; // 0 = available parallelism
-    let mut out_path: Option<String> = None;
+    let mut out_path: Option<&str> = None;
     let mut compare_sequential = false;
     let mut benches: Vec<Bench> = Bench::ALL.to_vec();
     let mut opts = RunOptions::default();
     let mut cycle_rate = false;
-    let mut baseline_path: Option<String> = None;
+    let mut baseline_path: Option<&str> = None;
     let mut gate_pct: u64 = 10;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--full" => cfg = MatrixConfig::experiment(),
             "--cycle-rate" => cycle_rate = true,
-            "--baseline" => {
-                i += 1;
-                baseline_path = Some(args.get(i).cloned().ok_or("--baseline needs a path")?);
-            }
-            "--gate-pct" => {
-                i += 1;
-                gate_pct = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--gate-pct needs a number")?;
-            }
-            "--scale" => {
-                i += 1;
-                let n: u32 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--scale needs a number")?;
-                cfg.scale = Scale::of(n);
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--jobs needs a number")?;
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).cloned().ok_or("--out needs a path")?);
-            }
+            "--baseline" => baseline_path = Some(flag_value(args, &mut i, "a path")?),
+            "--gate-pct" => gate_pct = flag_parse(args, &mut i, "a number")?,
+            "--scale" => cfg.scale = Scale::of(flag_parse(args, &mut i, "a number")?),
+            "--jobs" => jobs = flag_parse(args, &mut i, "a number")?,
+            "--out" => out_path = Some(flag_value(args, &mut i, "a path")?),
             "--compare-sequential" => compare_sequential = true,
             "--bench" => {
-                i += 1;
-                let name = args.get(i).ok_or("--bench needs a name")?;
+                let name = flag_value(args, &mut i, "a name")?;
                 let bench = Bench::ALL
                     .into_iter()
                     .find(|b| b.name() == name)
                     .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
                 benches = vec![bench];
             }
-            "--dump-dir" => {
-                i += 1;
-                let dir = args.get(i).cloned().ok_or("--dump-dir needs a path")?;
-                opts.dump_dir = Some(dir.into());
-            }
+            "--dump-dir" => opts.dump_dir = Some(flag_value(args, &mut i, "a path")?.into()),
             "--resume" => opts.resume = true,
             "--inject-fault" => {
-                i += 1;
-                let spec = args.get(i).ok_or("--inject-fault needs <bench>/<config>")?;
+                let spec = flag_value(args, &mut i, "<bench>/<config>")?;
                 let fault = InjectFault::parse(spec).map_err(|e| format!("--inject-fault: {e}"))?;
                 opts.inject_fault = Some(fault);
             }
@@ -342,28 +329,28 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
 
     if cycle_rate {
-        let out_path = out_path.unwrap_or_else(|| "BENCH_cycles.json".to_string());
+        let out_path = out_path.unwrap_or("BENCH_cycles.json");
         let rate = measure_cycle_rate(&benches, cfg, jobs)?;
         let json = rate.to_json();
         validate_json(&json, CYCLES_REQUIRED_KEYS)
             .map_err(|e| format!("emitted JSON failed self-validation: {e}"))?;
-        fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
+        fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
         println!("{}", rate.summary());
         println!("wrote {out_path}");
         if let Some(baseline) = baseline_path {
-            let text = fs::read_to_string(&baseline).map_err(|e| format!("{baseline}: {e}"))?;
+            let text = fs::read_to_string(baseline).map_err(|e| format!("{baseline}: {e}"))?;
             let verdict = rate.gate(&text, gate_pct)?;
             println!("{verdict}");
         }
         return Ok(());
     }
 
-    let out_path = out_path.unwrap_or_else(|| "BENCH_matrix.json".to_string());
+    let out_path = out_path.unwrap_or("BENCH_matrix.json");
     let (outcome, perf) = run_matrix_timed_opts(&benches, cfg, jobs, compare_sequential, &opts);
     let json = perf.to_json();
     validate_json(&json, REQUIRED_KEYS)
         .map_err(|e| format!("emitted JSON failed self-validation: {e}"))?;
-    fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
+    fs::write(out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
     println!("{}", perf.summary());
     if outcome.resumed_jobs > 0 {
         println!(
@@ -407,56 +394,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                cfg.addr = args.get(i).cloned().ok_or("--addr needs host:port")?;
-            }
-            "--workers" => {
-                i += 1;
-                cfg.workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--workers needs a number")?;
-            }
-            "--queue" => {
-                i += 1;
-                cfg.queue_capacity = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--queue needs a number")?;
-            }
-            "--cache-dir" => {
-                i += 1;
-                let dir = args.get(i).cloned().ok_or("--cache-dir needs a path")?;
-                cfg.cache_dir = Some(dir.into());
-            }
-            "--request-deadline-ms" => {
-                i += 1;
-                let ms: u64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--request-deadline-ms needs a number")?;
-                cfg.request_deadline = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--idle-timeout-ms" => {
-                i += 1;
-                let ms: u64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--idle-timeout-ms needs a number")?;
-                cfg.idle_timeout = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--read-deadline-ms" => {
-                i += 1;
-                let ms: u64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--read-deadline-ms needs a number")?;
-                cfg.read_deadline = std::time::Duration::from_millis(ms.max(1));
-            }
+            "--addr" => cfg.addr = flag_value(args, &mut i, "host:port")?.to_string(),
+            "--workers" => cfg.workers = flag_parse(args, &mut i, "a number")?,
+            "--queue" => cfg.queue_capacity = flag_parse(args, &mut i, "a number")?,
+            "--cache-dir" => cfg.cache_dir = Some(flag_value(args, &mut i, "a path")?.into()),
+            "--request-deadline-ms" => cfg.request_deadline = flag_ms(args, &mut i)?,
+            "--idle-timeout-ms" => cfg.idle_timeout = flag_ms(args, &mut i)?,
+            "--read-deadline-ms" => cfg.read_deadline = flag_ms(args, &mut i)?,
             "--inject-fault" => {
-                i += 1;
-                let spec = args.get(i).ok_or("--inject-fault needs a fault name")?;
+                let spec = flag_value(args, &mut i, "a fault name")?;
                 cfg.inject_fault = Some(StoreFault::parse(spec).map_err(|e| format!("serve: {e}"))?);
             }
             other => return Err(format!("serve: unknown option `{other}`")),
@@ -487,55 +433,26 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let mut cfg = LoadgenConfig {
         addr: String::new(),
         conns: 8,
-        duration: std::time::Duration::from_millis(2000),
+        duration: Duration::from_millis(2000),
         mix: Mix::HitHeavy,
     };
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut baseline_path: Option<String> = None;
+    let mut out_path = "BENCH_serve.json";
+    let mut baseline_path: Option<&str> = None;
     let mut gate_pct: u64 = 10;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                cfg.addr = args.get(i).cloned().ok_or("--addr needs host:port")?;
-            }
-            "--conns" => {
-                i += 1;
-                cfg.conns = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--conns needs a number")?;
-            }
-            "--duration-ms" => {
-                i += 1;
-                let ms: u64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--duration-ms needs a number")?;
-                cfg.duration = std::time::Duration::from_millis(ms.max(1));
-            }
+            "--addr" => cfg.addr = flag_value(args, &mut i, "host:port")?.to_string(),
+            "--conns" => cfg.conns = flag_parse(args, &mut i, "a number")?,
+            "--duration-ms" => cfg.duration = flag_ms(args, &mut i)?,
             "--mix" => {
-                i += 1;
-                let name = args.get(i).ok_or("--mix needs a name")?;
+                let name = flag_value(args, &mut i, "a name")?;
                 cfg.mix = Mix::parse(name)
                     .ok_or_else(|| format!("unknown mix `{name}` (valid: {})", Mix::ALL_NAMES))?;
             }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).cloned().ok_or("--out needs a path")?;
-            }
-            "--baseline" => {
-                i += 1;
-                baseline_path = Some(args.get(i).cloned().ok_or("--baseline needs a path")?);
-            }
-            "--gate-pct" => {
-                i += 1;
-                gate_pct = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--gate-pct needs a number")?;
-            }
+            "--out" => out_path = flag_value(args, &mut i, "a path")?,
+            "--baseline" => baseline_path = Some(flag_value(args, &mut i, "a path")?),
+            "--gate-pct" => gate_pct = flag_parse(args, &mut i, "a number")?,
             other => return Err(format!("loadgen: unknown option `{other}`")),
         }
         i += 1;
@@ -547,11 +464,11 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         return Err("loadgen: --conns must be at least 1".into());
     }
     let report = loadgen::run(&cfg).map_err(|e| format!("loadgen: {e}"))?;
-    fs::write(&out_path, &report).map_err(|e| format!("{out_path}: {e}"))?;
+    fs::write(out_path, &report).map_err(|e| format!("{out_path}: {e}"))?;
     println!("{report}");
     println!("wrote {out_path}");
     if let Some(path) = baseline_path {
-        let baseline = fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+        let baseline = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let verdict = loadgen::gate(&report, &baseline, gate_pct)?;
         println!("{verdict}");
     }
@@ -576,20 +493,13 @@ fn cmd_analyze_isa(args: &[String]) -> Result<(), String> {
         match args[i].as_str() {
             "--all-workloads" => all_workloads = true,
             "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => json_out = false,
-                    Some("json") => json_out = true,
-                    _ => return Err("--format needs text|json".into()),
-                }
+                json_out = flag_with(args, &mut i, "text|json", |f| match f {
+                    "text" => Some(false),
+                    "json" => Some(true),
+                    _ => None,
+                })?;
             }
-            "--insts" => {
-                i += 1;
-                insts = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--insts needs a number")?;
-            }
+            "--insts" => insts = flag_parse(args, &mut i, "a number")?,
             other if !other.starts_with('-') && path.is_none() => path = Some(other),
             other => return Err(format!("analyze-isa: unknown option `{other}`")),
         }
@@ -693,37 +603,25 @@ fn cmd_analyze_isa(args: &[String]) -> Result<(), String> {
 /// Returns `Err` (nonzero exit) on any finding: the workspace keeps
 /// itself clean under its own analyzer.
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut root = String::from(".");
-    let mut format = "text".to_string();
-    let mut call_graph: Option<String> = None;
+    let mut root = ".";
+    let mut format = "text";
+    let mut call_graph: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--root" => {
-                i += 1;
-                root = args.get(i).cloned().ok_or("--root needs a directory")?;
-            }
+            "--root" => root = flag_value(args, &mut i, "a directory")?,
             "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some(f @ ("text" | "json" | "sarif")) => format = f.to_string(),
-                    _ => return Err("--format needs text|json|sarif".into()),
-                }
+                format = flag_with(args, &mut i, "text|json|sarif", |f| {
+                    ["text", "json", "sarif"].contains(&f).then_some(f)
+                })?;
             }
-            "--call-graph" => {
-                i += 1;
-                call_graph = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or("--call-graph needs a function name")?,
-                );
-            }
+            "--call-graph" => call_graph = Some(flag_value(args, &mut i, "a function name")?),
             other => return Err(format!("analyze: unknown option `{other}`")),
         }
         i += 1;
     }
     if let Some(spec) = call_graph {
-        let tree = analyze::dump_call_graph(root.as_ref(), &spec)
+        let tree = analyze::dump_call_graph(root.as_ref(), spec)
             .map_err(|e| format!("analyze: cannot read {root}: {e}"))?
             .map_err(|msg| format!("analyze: {msg}"))?;
         print!("{tree}");
@@ -734,7 +632,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if report.files_scanned == 0 {
         return Err(format!("analyze: no Rust sources under {root}"));
     }
-    match format.as_str() {
+    match format {
         "json" => println!("{}", report.to_json()),
         "sarif" => {
             let sarif = analyze::sarif::to_sarif(&report);
@@ -756,13 +654,9 @@ fn cmd_limit(args: &[String]) -> Result<(), String> {
         return Err("limit: missing program path".into());
     };
     let mut insts: u64 = 5_000_000;
-    if let Some(flag) = args.get(1) {
-        if flag == "--insts" {
-            insts = args
-                .get(2)
-                .and_then(|s| s.parse().ok())
-                .ok_or("--insts needs a number")?;
-        }
+    let mut i = 1;
+    if args.get(i).is_some_and(|flag| flag == "--insts") {
+        insts = flag_parse(args, &mut i, "a number")?;
     }
     let program = load_program(path)?;
     let study = analyze(&program, insts, LimitConfig::default());

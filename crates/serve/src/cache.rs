@@ -54,14 +54,19 @@ pub enum HitTier {
     Disk,
 }
 
-struct MemEntry {
-    body: Arc<String>,
+/// One indexed entry.
+struct Slot<V> {
     seq: u64,
+    bytes: u64,
+    value: V,
 }
 
-struct MemInner {
-    /// key → body + recency sequence.
-    map: BTreeMap<u64, MemEntry>,
+/// The LRU index both tiers keep: key → (recency sequence, bytes,
+/// value), recency sequence → key, the byte total and the eviction
+/// count. The memory tier's value is the body; the disk tier's is
+/// `()`, its bodies being files.
+pub(crate) struct LruIndex<V> {
+    entries: BTreeMap<u64, Slot<V>>,
     /// recency sequence → key (ascending = least recently used first).
     recency: BTreeMap<u64, u64>,
     next_seq: u64,
@@ -69,46 +74,107 @@ struct MemInner {
     evicted: u64,
 }
 
-impl MemInner {
-    fn touch(&mut self, key: u64) {
-        let Some(entry) = self.map.get_mut(&key) else { return };
-        self.recency.remove(&entry.seq);
-        entry.seq = self.next_seq;
-        self.recency.insert(self.next_seq, key);
-        self.next_seq += 1;
+impl<V> LruIndex<V> {
+    pub(crate) fn new() -> LruIndex<V> {
+        LruIndex {
+            entries: BTreeMap::new(),
+            recency: BTreeMap::new(),
+            next_seq: 0,
+            bytes: 0,
+            evicted: 0,
+        }
     }
 
-    fn insert(&mut self, key: u64, body: Arc<String>, max_entries: usize, max_bytes: u64) {
-        let body_bytes = body.len() as u64;
-        if body_bytes > max_bytes || max_entries == 0 {
-            return; // never cacheable in memory; the disk tier may still hold it
-        }
-        if let Some(old) = self.map.remove(&key) {
-            self.recency.remove(&old.seq);
-            self.bytes = self.bytes.saturating_sub(old.body.len() as u64);
-        }
+    /// Entries indexed.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Total bytes indexed.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Entries evicted since the index was built.
+    pub(crate) fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        self.entries.contains_key(&key)
+    }
+
+    /// Takes the next recency sequence.
+    pub(crate) fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.map.insert(key, MemEntry { body, seq });
+        seq
+    }
+
+    /// Refreshes `key`'s recency to now and returns its value.
+    pub(crate) fn touch(&mut self, key: u64) -> Option<&V> {
+        let slot = self.entries.get_mut(&key)?;
+        self.recency.remove(&slot.seq);
+        slot.seq = self.next_seq;
+        self.next_seq += 1;
+        self.recency.insert(slot.seq, key);
+        Some(&slot.value)
+    }
+
+    /// Indexes `key` as the most recently used entry, replacing any
+    /// entry it had.
+    pub(crate) fn insert(&mut self, key: u64, bytes: u64, value: V) {
+        let seq = self.next_seq();
+        self.insert_at(key, seq, bytes, value);
+    }
+
+    /// Indexes `key` at recency `seq`, moved past any sequence already
+    /// taken, replacing any entry it had. The disk tier rebuilds its
+    /// order this way from the sequences in its file headers.
+    pub(crate) fn insert_at(&mut self, key: u64, mut seq: u64, bytes: u64, value: V) {
+        self.remove(key);
+        while self.recency.contains_key(&seq) {
+            seq += 1;
+        }
         self.recency.insert(seq, key);
-        self.bytes += body_bytes;
-        while self.map.len() > max_entries || self.bytes > max_bytes {
-            let Some((&victim_seq, &victim_key)) = self.recency.iter().next() else { break };
-            if victim_key == key {
-                break; // never evict the entry just inserted
+        self.entries.insert(key, Slot { seq, bytes, value });
+        self.bytes += bytes;
+        self.next_seq = self.next_seq.max(seq + 1);
+    }
+
+    /// Drops `key` from the index.
+    pub(crate) fn remove(&mut self, key: u64) {
+        if let Some(slot) = self.entries.remove(&key) {
+            self.recency.remove(&slot.seq);
+            self.bytes = self.bytes.saturating_sub(slot.bytes);
+        }
+    }
+
+    /// Evicts least-recently-used entries until at most `max_entries`
+    /// entries of at most `max_bytes` remain, passing each victim's key
+    /// to `on_evict`. `keep`, the entry just inserted, is never evicted.
+    pub(crate) fn evict_to_fit(
+        &mut self,
+        max_entries: usize,
+        max_bytes: u64,
+        keep: Option<u64>,
+        mut on_evict: impl FnMut(u64),
+    ) {
+        while self.entries.len() > max_entries || self.bytes > max_bytes {
+            let Some((_, &victim)) = self.recency.iter().next() else { break };
+            if Some(victim) == keep {
+                break;
             }
-            self.recency.remove(&victim_seq);
-            if let Some(old) = self.map.remove(&victim_key) {
-                self.bytes = self.bytes.saturating_sub(old.body.len() as u64);
-            }
+            self.remove(victim);
             self.evicted += 1;
+            on_evict(victim);
         }
     }
 }
 
 /// The two-tier bounded result cache.
 pub struct ResultCache {
-    mem: Mutex<MemInner>,
+    mem: Mutex<LruIndex<Arc<String>>>,
     max_entries: usize,
     max_bytes: u64,
     store: Option<DiskStore>,
@@ -130,13 +196,7 @@ impl ResultCache {
     /// most `max_bytes` in memory, with `store` as the durable tier.
     pub fn new(max_entries: usize, max_bytes: u64, store: Option<DiskStore>) -> ResultCache {
         ResultCache {
-            mem: Mutex::new(MemInner {
-                map: BTreeMap::new(),
-                recency: BTreeMap::new(),
-                next_seq: 0,
-                bytes: 0,
-                evicted: 0,
-            }),
+            mem: Mutex::new(LruIndex::new()),
             max_entries,
             max_bytes,
             store,
@@ -146,13 +206,9 @@ impl ResultCache {
     /// Looks up `key`: memory first, then the disk tier (promoting a
     /// verified disk body back into memory).
     pub fn get(&self, key: u64) -> Option<(Arc<String>, HitTier)> {
-        {
-            let mut mem = self.lock();
-            if let Some(entry) = mem.map.get(&key) {
-                let body = Arc::clone(&entry.body);
-                mem.touch(key);
-                return Some((body, HitTier::Memory));
-            }
+        let hit = self.lock().touch(key).map(Arc::clone);
+        if let Some(body) = hit {
+            return Some((body, HitTier::Memory));
         }
         let store = self.store.as_ref()?;
         let bytes = store.load(key)?;
@@ -160,7 +216,7 @@ impl ResultCache {
         // written from a `String`, so this conversion cannot fail in
         // practice — but a failure must still read as a miss.
         let body = Arc::new(String::from_utf8(bytes).ok()?);
-        self.lock().insert(key, Arc::clone(&body), self.max_entries, self.max_bytes);
+        self.insert_mem(key, Arc::clone(&body));
         Some((body, HitTier::Disk))
     }
 
@@ -169,12 +225,22 @@ impl ResultCache {
         if let Some(store) = &self.store {
             store.insert(key, body.as_bytes());
         }
-        self.lock().insert(key, body, self.max_entries, self.max_bytes);
+        self.insert_mem(key, body);
+    }
+
+    fn insert_mem(&self, key: u64, body: Arc<String>) {
+        let bytes = body.len() as u64;
+        if bytes > self.max_bytes || self.max_entries == 0 {
+            return; // never cacheable in memory; the disk tier may still hold it
+        }
+        let mut mem = self.lock();
+        mem.insert(key, bytes, body);
+        mem.evict_to_fit(self.max_entries, self.max_bytes, Some(key), |_| {});
     }
 
     /// Number of entries currently held in memory.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().len()
     }
 
     /// Whether the memory tier holds no entries.
@@ -184,12 +250,12 @@ impl ResultCache {
 
     /// Total body bytes currently held in memory.
     pub fn mem_bytes(&self) -> u64 {
-        self.lock().bytes
+        self.lock().bytes()
     }
 
     /// Entries evicted from the memory tier since startup.
     pub fn mem_evicted(&self) -> u64 {
-        self.lock().evicted
+        self.lock().evicted()
     }
 
     /// Disk-tier statistics, when a disk tier is configured.
@@ -197,7 +263,7 @@ impl ResultCache {
         self.store.as_ref().map(DiskStore::stats)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, LruIndex<Arc<String>>> {
         // A panicking job cannot hold this lock (jobs touch the cache
         // only after simulation finishes), but stay poison-safe anyway.
         self.mem.lock().unwrap_or_else(|e| e.into_inner())
@@ -228,6 +294,41 @@ mod tests {
         assert_eq!(fnv1a64(&[b"ab", b"c"]), fnv1a64(&[b"ab", b"c"]));
         // Reference vector: FNV-1a 64 of "a" is 0xaf63dc4c8601ec8c.
         assert_eq!(fnv1a64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn the_lru_index_bounds_orders_and_replaces() {
+        let mut evicted = Vec::new();
+        let mut index = LruIndex::new();
+        for key in 1..=3 {
+            index.insert(key, 10, key * 100);
+        }
+        // Touch order: 1 becomes the newest, so 2 is the oldest.
+        assert_eq!(index.touch(1), Some(&100));
+        assert_eq!(index.touch(9), None);
+        // Entry bound.
+        index.evict_to_fit(2, u64::MAX, None, |k| evicted.push(k));
+        assert_eq!(evicted, [2]);
+        // Replace on reinsert: a new size and value, and newest again.
+        index.insert(3, 25, 301);
+        assert_eq!((index.len(), index.bytes()), (2, 35));
+        assert_eq!(index.touch(3), Some(&301));
+        // Byte bound: the oldest entry goes first.
+        index.evict_to_fit(usize::MAX, 30, None, |k| evicted.push(k));
+        assert_eq!(evicted, [2, 1]);
+        // Keep newest: a protected entry stays even over the bound...
+        index.insert(4, 50, 400);
+        index.evict_to_fit(usize::MAX, 30, Some(4), |k| evicted.push(k));
+        assert_eq!(evicted, [2, 1, 3]);
+        assert!(index.contains(4));
+        // ...and goes when nothing protects it.
+        index.evict_to_fit(usize::MAX, 30, None, |k| evicted.push(k));
+        assert_eq!((index.len(), index.bytes(), index.evicted()), (0, 0, 4));
+        // A sequence already taken moves past it: 6 stays newer than 5.
+        index.insert_at(5, 7, 1, 500);
+        index.insert_at(6, 7, 1, 600);
+        index.evict_to_fit(1, u64::MAX, None, |k| evicted.push(k));
+        assert_eq!(evicted, [2, 1, 3, 4, 5]);
     }
 
     #[test]

@@ -28,13 +28,12 @@
 //! entries (by the persisted write sequence, refreshed on every hit)
 //! until the configured byte budget is met.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::cache::fnv1a64;
+use crate::cache::{fnv1a64, LruIndex};
 
 const MAGIC: &[u8; 4] = b"VPSC";
 const VERSION: u32 = 1;
@@ -78,19 +77,9 @@ pub struct StoreStats {
     pub quarantined: u64,
 }
 
-struct DiskMeta {
-    seq: u64,
-    file_bytes: u64,
-}
-
 struct StoreInner {
-    /// key → metadata for every well-framed entry on disk.
-    entries: BTreeMap<u64, DiskMeta>,
-    /// recency sequence → key (ascending = least recently used first).
-    recency: BTreeMap<u64, u64>,
-    next_seq: u64,
-    total_bytes: u64,
-    evictions: u64,
+    /// Every well-framed entry on disk, by file bytes.
+    index: LruIndex<()>,
     quarantined: u64,
     fault: Option<StoreFault>,
 }
@@ -128,15 +117,7 @@ impl DiskStore {
         fault: Option<StoreFault>,
     ) -> std::io::Result<DiskStore> {
         fs::create_dir_all(dir)?;
-        let mut inner = StoreInner {
-            entries: BTreeMap::new(),
-            recency: BTreeMap::new(),
-            next_seq: 0,
-            total_bytes: 0,
-            evictions: 0,
-            quarantined: 0,
-            fault,
-        };
+        let mut inner = StoreInner { index: LruIndex::new(), quarantined: 0, fault };
         for item in fs::read_dir(dir)? {
             let Ok(item) = item else { continue };
             let path = item.path();
@@ -155,14 +136,7 @@ impl DiskStore {
             match read_header(&path) {
                 Some(header) if header_consistent(&header, name, &path) => {
                     let file_bytes = HEADER_BYTES + header.body_len;
-                    let mut seq = header.seq;
-                    while inner.recency.contains_key(&seq) {
-                        seq += 1;
-                    }
-                    inner.recency.insert(seq, header.key);
-                    inner.entries.insert(header.key, DiskMeta { seq, file_bytes });
-                    inner.total_bytes += file_bytes;
-                    inner.next_seq = inner.next_seq.max(seq + 1);
+                    inner.index.insert_at(header.key, header.seq, file_bytes, ());
                 }
                 _ => {
                     quarantine_file(&path);
@@ -180,20 +154,20 @@ impl DiskStore {
     /// (magic, version, key, length, checksum). Any failure quarantines
     /// the entry and reads as a miss.
     pub fn load(&self, key: u64) -> Option<Vec<u8>> {
-        let path = self.entry_path(key);
-        self.with_inner(|inner, _| {
-            if !inner.entries.contains_key(&key) {
+        self.with_inner(|inner, dir| {
+            if !inner.index.contains(key) {
                 return None;
             }
+            let path = entry_path(dir, key);
             match read_verified_body(&path, key) {
                 Some(body) => {
-                    touch(inner, key);
+                    inner.index.touch(key);
                     Some(body)
                 }
                 None => {
                     quarantine_file(&path);
                     inner.quarantined += 1;
-                    remove_from_index(inner, key);
+                    inner.index.remove(key);
                     None
                 }
             }
@@ -209,11 +183,10 @@ impl DiskStore {
         if file_bytes > self.max_bytes {
             return;
         }
-        let final_path = self.entry_path(key);
+        let final_path = entry_path(&self.dir, key);
         let tmp_path = self.dir.join(format!("{key:016x}.vpc.tmp"));
         self.with_inner(|inner, dir| {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
+            let seq = inner.index.next_seq();
             let record = frame(key, seq, body);
             if write_atomic(&tmp_path, &final_path, dir, &record).is_err() {
                 let _ = fs::remove_file(&tmp_path);
@@ -222,23 +195,17 @@ impl DiskStore {
             if let Some(fault) = inner.fault.take() {
                 apply_fault(&final_path, fault, body.len());
             }
-            if let Some(old) = inner.entries.remove(&key) {
-                inner.recency.remove(&old.seq);
-                inner.total_bytes = inner.total_bytes.saturating_sub(old.file_bytes);
-            }
-            inner.entries.insert(key, DiskMeta { seq, file_bytes });
-            inner.recency.insert(seq, key);
-            inner.total_bytes += file_bytes;
-            evict_to_fit(inner, dir, self.max_bytes, Some(seq));
+            inner.index.insert_at(key, seq, file_bytes, ());
+            evict_to_fit(inner, dir, self.max_bytes, Some(key));
         });
     }
 
     /// Current statistics (entries, bytes, evictions, quarantined).
     pub fn stats(&self) -> StoreStats {
         self.with_inner(|inner, _| StoreStats {
-            entries: inner.entries.len() as u64,
-            bytes: inner.total_bytes,
-            evictions: inner.evictions,
+            entries: inner.index.len() as u64,
+            bytes: inner.index.bytes(),
+            evictions: inner.index.evicted(),
             quarantined: inner.quarantined,
         })
     }
@@ -246,10 +213,6 @@ impl DiskStore {
     /// The directory this store persists into.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    fn entry_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.vpc"))
     }
 
     fn with_inner<T>(&self, f: impl FnOnce(&mut StoreInner, &Path) -> T) -> T {
@@ -260,39 +223,16 @@ impl DiskStore {
     }
 }
 
-/// Refreshes `key`'s recency to now.
-fn touch(inner: &mut StoreInner, key: u64) {
-    let Some(meta) = inner.entries.get_mut(&key) else { return };
-    let old_seq = meta.seq;
-    let seq = inner.next_seq;
-    inner.next_seq += 1;
-    meta.seq = seq;
-    inner.recency.remove(&old_seq);
-    inner.recency.insert(seq, key);
+fn entry_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("{key:016x}.vpc"))
 }
 
-fn remove_from_index(inner: &mut StoreInner, key: u64) {
-    if let Some(meta) = inner.entries.remove(&key) {
-        inner.recency.remove(&meta.seq);
-        inner.total_bytes = inner.total_bytes.saturating_sub(meta.file_bytes);
-    }
-}
-
-/// Deletes least-recently-used entries until the budget is met.
-/// `keep_seq` protects the entry just inserted from evicting itself.
-fn evict_to_fit(inner: &mut StoreInner, dir: &Path, max_bytes: u64, keep_seq: Option<u64>) {
-    while inner.total_bytes > max_bytes {
-        let Some((&seq, &key)) = inner.recency.iter().next() else { break };
-        if Some(seq) == keep_seq {
-            break;
-        }
-        inner.recency.remove(&seq);
-        if let Some(meta) = inner.entries.remove(&key) {
-            inner.total_bytes = inner.total_bytes.saturating_sub(meta.file_bytes);
-        }
-        let _ = fs::remove_file(dir.join(format!("{key:016x}.vpc")));
-        inner.evictions += 1;
-    }
+/// Deletes least-recently-used entry files until the budget is met.
+/// `keep` protects the entry just inserted from evicting itself.
+fn evict_to_fit(inner: &mut StoreInner, dir: &Path, max_bytes: u64, keep: Option<u64>) {
+    inner.index.evict_to_fit(usize::MAX, max_bytes, keep, |victim| {
+        let _ = fs::remove_file(entry_path(dir, victim));
+    });
 }
 
 struct Header {

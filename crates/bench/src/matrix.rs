@@ -444,19 +444,21 @@ fn execute_job(
             error: e.to_string(),
             sim_json: Some(e.to_json()),
         },
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            SlotOut::Failed {
-                kind: "panic".to_string(),
-                error: msg,
-                sim_json: None,
-            }
-        }
+        Err(payload) => SlotOut::Failed {
+            kind: "panic".to_string(),
+            error: panic_message(payload.as_ref()),
+            sim_json: None,
+        },
     }
+}
+
+/// The message a caught panic carries: its `&str` or `String` payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with non-string payload".to_string())
 }
 
 /// True when a reloaded job record was produced by this exact cell

@@ -62,8 +62,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vpir_bench::matrix::{
-    build_programs, config_for_label, config_labels, run_matrix_outcome, InjectFault,
-    MatrixConfig, MatrixOutcome, RunOptions,
+    build_programs, config_for_label, config_labels, panic_message, run_matrix_outcome,
+    InjectFault, MatrixConfig, MatrixOutcome, RunOptions,
 };
 use vpir_bench::state::stats_to_json;
 use vpir_core::{RunLimits, SimError, Simulator, TraceOutcome};
@@ -643,29 +643,20 @@ fn handle_run(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError> {
     ]);
 
     let metrics = Arc::clone(&state.metrics);
-    let job = Box::new(move || -> String {
-        let rendered = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = Simulator::new(&prepared.program, base_config.clone());
-            if trace > 0 {
-                sim.enable_trace(trace as usize);
-            }
-            let err = sim.run_checked(RunLimits::cycles(max_cycles)).map(|_| ()).err();
-            metrics.sim_cycles_total.fetch_add(sim.stats().cycles, Ordering::Relaxed);
-            match &err {
-                None => metrics.runs_completed.fetch_add(1, Ordering::Relaxed),
-                Some(_) => metrics.runs_sim_error.fetch_add(1, Ordering::Relaxed),
-            };
-            render_run_body(&program_name, &label, scale, max_cycles, &sim, err.as_ref())
-        }));
-        match rendered {
-            Ok(body) => body,
-            Err(panic) => {
-                metrics.runs_panicked.fetch_add(1, Ordering::Relaxed);
-                run_panic_body(&panic_message(panic.as_ref()))
-            }
+    let render = move || {
+        let mut sim = Simulator::new(&prepared.program, base_config);
+        if trace > 0 {
+            sim.enable_trace(trace as usize);
         }
-    });
-    respond_cached_or_enqueue(state, key, false, job)
+        let err = sim.run_checked(RunLimits::cycles(max_cycles)).map(|_| ()).err();
+        metrics.sim_cycles_total.fetch_add(sim.stats().cycles, Ordering::Relaxed);
+        match &err {
+            None => metrics.runs_completed.fetch_add(1, Ordering::Relaxed),
+            Some(_) => metrics.runs_sim_error.fetch_add(1, Ordering::Relaxed),
+        };
+        render_run_body(&program_name, &label, scale, max_cycles, &sim, err.as_ref())
+    };
+    respond_cached_or_enqueue(state, key, false, render, run_panic_body)
 }
 
 fn render_run_body(
@@ -771,38 +762,27 @@ fn handle_matrix(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError>
     ]);
 
     let metrics = Arc::clone(&state.metrics);
-    let bench_name = bench.name().to_string();
-    let job = Box::new(move || -> String {
-        let rendered = catch_unwind(AssertUnwindSafe(|| {
-            let matrix_cfg = MatrixConfig {
-                scale: Scale::of(scale as u32),
-                max_cycles,
-                limit_insts,
-            };
-            let opts = RunOptions {
-                dump_dir: None,
-                resume: false,
-                inject_fault: inject_fault.clone(),
-            };
-            let programs = build_programs(&[bench], matrix_cfg.scale);
-            let outcome = run_matrix_outcome(&[bench], &programs, matrix_cfg, 1, &opts);
-            render_matrix_body(&bench_name, scale, max_cycles, limit_insts, &outcome, &metrics)
-        }));
-        match rendered {
-            Ok(body) => body,
-            Err(panic) => {
-                metrics.runs_panicked.fetch_add(1, Ordering::Relaxed);
-                let error = error_row("panic", &panic_message(panic.as_ref()));
-                JsonObj::new()
-                    .s("schema", "vpir-serve-matrix-v1")
-                    .raw("error", &error)
-                    .finish()
-            }
-        }
-    });
+    let render = move || {
+        let matrix_cfg = MatrixConfig {
+            scale: Scale::of(scale as u32),
+            max_cycles,
+            limit_insts,
+        };
+        let opts = RunOptions { dump_dir: None, resume: false, inject_fault };
+        let programs = build_programs(&[bench], matrix_cfg.scale);
+        let outcome = run_matrix_outcome(&[bench], &programs, matrix_cfg, 1, &opts);
+        render_matrix_body(bench.name(), scale, max_cycles, limit_insts, &outcome, &metrics)
+    };
     // The matrix is the expensive endpoint: it is the first work
     // refused when the queue crosses the shed watermark.
-    respond_cached_or_enqueue(state, key, true, job)
+    respond_cached_or_enqueue(state, key, true, render, matrix_panic_body)
+}
+
+fn matrix_panic_body(message: &str) -> String {
+    JsonObj::new()
+        .s("schema", "vpir-serve-matrix-v1")
+        .raw("error", &error_row("panic", message))
+        .finish()
 }
 
 fn render_matrix_body(
@@ -849,30 +829,24 @@ fn handle_analyze(state: &Arc<State>, body: &[u8]) -> Result<Response, HttpError
 
     let key = fnv1a64(&[b"analyze-v1", source.as_bytes()]);
     let metrics = Arc::clone(&state.metrics);
-    let job = Box::new(move || -> String {
-        let rendered = catch_unwind(AssertUnwindSafe(|| {
-            let analysis = analyze_program(&program, "inline");
-            metrics.runs_completed.fetch_add(1, Ordering::Relaxed);
-            JsonObj::new()
-                .s("schema", "vpir-serve-analyze-v1")
-                .u("live", analysis.findings.len() as u64)
-                .raw("analysis", &analysis.to_json())
-                .finish()
-        }));
-        match rendered {
-            Ok(body) => body,
-            Err(panic) => {
-                metrics.runs_panicked.fetch_add(1, Ordering::Relaxed);
-                let error = error_row("panic", &panic_message(panic.as_ref()));
-                JsonObj::new()
-                    .s("schema", "vpir-serve-analyze-v1")
-                    .raw("analysis", "null")
-                    .raw("error", &error)
-                    .finish()
-            }
-        }
-    });
-    respond_cached_or_enqueue(state, key, false, job)
+    let render = move || {
+        let analysis = analyze_program(&program, "inline");
+        metrics.runs_completed.fetch_add(1, Ordering::Relaxed);
+        JsonObj::new()
+            .s("schema", "vpir-serve-analyze-v1")
+            .u("live", analysis.findings.len() as u64)
+            .raw("analysis", &analysis.to_json())
+            .finish()
+    };
+    respond_cached_or_enqueue(state, key, false, render, analyze_panic_body)
+}
+
+fn analyze_panic_body(message: &str) -> String {
+    JsonObj::new()
+        .s("schema", "vpir-serve-analyze-v1")
+        .raw("analysis", "null")
+        .raw("error", &error_row("panic", message))
+        .finish()
 }
 
 // ----------------------------------------------------------------
@@ -897,16 +871,19 @@ fn deadline_response(deadline: Duration) -> Response {
     Response::json(504, body)
 }
 
-/// Answers from the cache when possible; otherwise enqueues `job_fn`
+/// Answers from the cache when possible; otherwise enqueues `render`
 /// on the worker pool (propagating backpressure and load shedding as
-/// 503) and waits for its rendered body. The cached body is the
-/// complete response, so a hit is byte-identical to the miss that
-/// populated it — whichever tier answers.
+/// 503) and waits for its body. A panicking render is counted in
+/// `runs_panicked` and answers `panic_body` of its message instead.
+/// Either body is cached as the complete response, so a hit is
+/// byte-identical to the miss that populated it — whichever tier
+/// answers.
 fn respond_cached_or_enqueue(
     state: &Arc<State>,
     key: u64,
     expensive: bool,
-    job_fn: Box<dyn FnOnce() -> String + Send + 'static>,
+    render: impl FnOnce() -> String + Send + 'static,
+    panic_body: fn(&str) -> String,
 ) -> Result<Response, HttpError> {
     if let Some((body, tier)) = state.cache.get(key) {
         let tag = match tier {
@@ -952,8 +929,13 @@ fn respond_cached_or_enqueue(
 
     let (tx, rx) = mpsc::channel::<Arc<String>>();
     let cache = Arc::clone(&state.cache);
+    let metrics = Arc::clone(&state.metrics);
     let job = Box::new(move || {
-        let body = Arc::new(job_fn());
+        let body = catch_unwind(AssertUnwindSafe(render)).unwrap_or_else(|panic| {
+            metrics.runs_panicked.fetch_add(1, Ordering::Relaxed);
+            panic_body(&panic_message(panic.as_ref()))
+        });
+        let body = Arc::new(body);
         cache.insert(key, Arc::clone(&body));
         let _ = tx.send(body);
     });
@@ -981,16 +963,6 @@ fn respond_cached_or_enqueue(
         Err(mpsc::RecvTimeoutError::Disconnected) => {
             Err(HttpError::new(500, "job was abandoned (shutdown)"))
         }
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 
@@ -1203,6 +1175,24 @@ mod tests {
         // /healthz reports the state by name.
         let health = route(&state, &request("GET", "/healthz", b"")).expect("healthz");
         assert!(health.body.contains("\"state\": \"saturated\""), "{}", health.body);
+    }
+
+    #[test]
+    fn a_panicking_render_answers_and_caches_its_endpoints_panic_body() {
+        let (state, handles) = test_state(1);
+        let bodies: [fn(&str) -> String; 3] =
+            [run_panic_body, matrix_panic_body, analyze_panic_body];
+        for (key, panic_body) in (1..).zip(bodies) {
+            let render = || -> String { panic!("render failed") };
+            let resp = respond_cached_or_enqueue(&state, key, false, render, panic_body)
+                .expect("a panic still answers");
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.body.as_str(), panic_body("render failed"));
+            let cached = state.cache.get(key).map(|(body, _)| body.to_string());
+            assert_eq!(cached.as_deref(), Some(resp.body.as_str()));
+            assert_eq!(state.metrics.runs_panicked.load(Ordering::Relaxed), key);
+        }
+        finish(&state, handles);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use vpir_jsonlite::{json_str, line_array, pretty_array, JsonObj};
+use vpir_jsonlite::{json_str, line_array, parse_json, pretty_array, JsonObj, JsonValue};
 use vpir_workloads::Bench;
 
 use crate::matrix::{
@@ -288,49 +288,82 @@ impl CycleRate {
         )
     }
 
-    /// Gates this measurement against a committed baseline document.
-    ///
-    /// Returns a human-readable comparison on success and an error when
-    /// the current rate has regressed more than `max_regression_pct`
-    /// percent below the baseline's `sim_cycles_per_sec` (improvements
+    /// Gates this measurement against a committed `BENCH_cycles.json`
+    /// through [`Gated::gate`].
+    pub fn gate(&self, baseline_json: &str, max_regression_pct: u64) -> Result<String, String> {
+        CYCLE_RATE_GATE.gate(self.sim_cycles_per_sec, baseline_json, max_regression_pct)
+    }
+}
+
+/// The metric `vpir bench --cycle-rate --baseline` gates on.
+pub const CYCLE_RATE_GATE: Gated = Gated {
+    name: "cycle-rate",
+    schema: "vpir-bench-cycles-v1",
+    key: "sim_cycles_per_sec",
+    unit: "cycles/s",
+};
+
+/// An integer metric of a committed benchmark document that a fresh
+/// run is gated on.
+#[derive(Debug, Clone, Copy)]
+pub struct Gated {
+    /// The verdict's name for the metric.
+    pub name: &'static str,
+    /// The document's `schema` value.
+    pub schema: &'static str,
+    /// The gated key.
+    pub key: &'static str,
+    /// The metric's unit, as the verdict prints it.
+    pub unit: &'static str,
+}
+
+impl Gated {
+    /// Parses `json`, checks its schema and returns the document with
+    /// its integer metric. `what` names the document in errors.
+    pub fn read(&self, json: &str, what: &str) -> Result<(JsonValue, u64), String> {
+        let doc = parse_json(json).map_err(|e| format!("{what} is not valid JSON: {e}"))?;
+        match doc.get("schema").and_then(JsonValue::as_str) {
+            Some(schema) if schema == self.schema => {}
+            other => return Err(format!("{what} schema is {other:?}, expected {:?}", self.schema)),
+        }
+        let value = doc
+            .get(self.key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("{what} has no integer {}", self.key))?;
+        Ok((doc, value))
+    }
+
+    /// The regression gate: compares `current` with the metric of the
+    /// committed `baseline_json`. Returns a human-readable comparison
+    /// on success and an error when `current` has regressed more than
+    /// `max_regression_pct` percent below the baseline (improvements
     /// and small regressions pass). The threshold assumes the baseline
     /// was recorded on comparable hardware; CI pins the canonical
     /// container for exactly that reason.
-    pub fn gate(&self, baseline_json: &str, max_regression_pct: u64) -> Result<String, String> {
-        let doc = vpir_jsonlite::parse_json(baseline_json)
-            .map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-        match doc.get("schema").and_then(|v| v.as_str()) {
-            Some("vpir-bench-cycles-v1") => {}
-            other => {
-                return Err(format!(
-                    "baseline schema is {other:?}, expected \"vpir-bench-cycles-v1\""
-                ))
-            }
-        }
-        let baseline = doc
-            .get("sim_cycles_per_sec")
-            .and_then(|v| v.as_u64())
-            .ok_or("baseline has no integer sim_cycles_per_sec")?;
+    pub fn gate(
+        &self,
+        current: u64,
+        baseline_json: &str,
+        max_regression_pct: u64,
+    ) -> Result<String, String> {
+        let (name, unit) = (self.name, self.unit);
+        let (_, baseline) = self.read(baseline_json, "baseline")?;
         if baseline == 0 {
-            return Err("baseline sim_cycles_per_sec is zero".into());
+            return Err(format!("baseline {} is zero", self.key));
         }
         let floor = baseline.saturating_mul(100 - max_regression_pct.min(100)) / 100;
-        let ratio = self.sim_cycles_per_sec as f64 / baseline as f64;
-        if self.sim_cycles_per_sec < floor {
+        let ratio = current as f64 / baseline as f64;
+        if current < floor {
             return Err(format!(
-                "cycle-rate regression: {} cycles/s is {:.1}% of the {} baseline \
-                 (gate allows {max_regression_pct}% regression, floor {floor})",
-                self.sim_cycles_per_sec,
-                ratio * 100.0,
-                baseline
+                "{name} regression: {current} {unit} is {:.1}% of the {baseline} {unit} \
+                 baseline (gate allows {max_regression_pct}% regression, floor {floor})",
+                ratio * 100.0
             ));
         }
         Ok(format!(
-            "cycle-rate gate: {} cycles/s vs baseline {} ({:+.1}%), within {}%",
-            self.sim_cycles_per_sec,
-            baseline,
-            (ratio - 1.0) * 100.0,
-            max_regression_pct
+            "{name} gate: {current} {unit} vs baseline {baseline} ({:+.1}%), within \
+             {max_regression_pct}%",
+            (ratio - 1.0) * 100.0
         ))
     }
 }

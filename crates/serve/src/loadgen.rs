@@ -31,7 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vpir_jsonlite::{validate_json, JsonObj};
+use vpir_bench::perf::Gated;
+use vpir_jsonlite::{validate_json, JsonObj, JsonValue};
 
 use crate::histo::Histogram;
 
@@ -371,66 +372,34 @@ pub fn run(cfg: &LoadgenConfig) -> Result<String, String> {
     Ok(report)
 }
 
-/// Gates a fresh loadgen report against a committed baseline document.
-///
-/// Mirrors the cycle-rate gate in the bench crate: returns a
-/// human-readable comparison on success and an error when the current
-/// `throughput_rps` has regressed more than `max_regression_pct`
-/// percent below the baseline's (improvements and small regressions
-/// pass). Both documents must be `vpir-bench-serve-v1` reports over the
-/// same traffic mix — comparing a hit-heavy run against a slowloris
-/// baseline would gate on noise.
+/// The metric `vpir loadgen --baseline` gates on.
+const THROUGHPUT_GATE: Gated = Gated {
+    name: "throughput",
+    schema: "vpir-bench-serve-v1",
+    key: "throughput_rps",
+    unit: "rps",
+};
+
+/// Gates a fresh loadgen report's `throughput_rps` against a committed
+/// baseline document through [`Gated::gate`]. Both documents must be
+/// reports over the same traffic mix — comparing a hit-heavy run
+/// against a slowloris baseline would gate on noise.
 pub fn gate(
     report_json: &str,
     baseline_json: &str,
     max_regression_pct: u64,
 ) -> Result<String, String> {
-    let field = |doc: &str, what: &str| -> Result<(String, u64), String> {
-        let v = vpir_jsonlite::parse_json(doc)
-            .map_err(|e| format!("{what} is not valid JSON: {e}"))?;
-        match v.get("schema").and_then(|s| s.as_str()) {
-            Some("vpir-bench-serve-v1") => {}
-            other => {
-                return Err(format!(
-                    "{what} schema is {other:?}, expected \"vpir-bench-serve-v1\""
-                ))
-            }
-        }
-        let mix = v
-            .get("mix")
-            .and_then(|s| s.as_str())
-            .ok_or_else(|| format!("{what} has no mix"))?
-            .to_string();
-        let rps = v
-            .get("throughput_rps")
-            .and_then(|s| s.as_u64())
-            .ok_or_else(|| format!("{what} has no integer throughput_rps"))?;
-        Ok((mix, rps))
+    let read = |json: &str, what: &str| -> Result<(String, u64), String> {
+        let (doc, rps) = THROUGHPUT_GATE.read(json, what)?;
+        let mix = doc.get("mix").and_then(JsonValue::as_str);
+        Ok((mix.ok_or_else(|| format!("{what} has no mix"))?.to_string(), rps))
     };
-    let (mix, current) = field(report_json, "report")?;
-    let (base_mix, baseline) = field(baseline_json, "baseline")?;
+    let (mix, current) = read(report_json, "report")?;
+    let (base_mix, _) = read(baseline_json, "baseline")?;
     if mix != base_mix {
-        return Err(format!(
-            "mix mismatch: report is `{mix}`, baseline is `{base_mix}`"
-        ));
+        return Err(format!("mix mismatch: report is `{mix}`, baseline is `{base_mix}`"));
     }
-    if baseline == 0 {
-        return Err("baseline throughput_rps is zero".into());
-    }
-    let floor = baseline.saturating_mul(100 - max_regression_pct.min(100)) / 100;
-    let ratio = current as f64 / baseline as f64;
-    if current < floor {
-        return Err(format!(
-            "throughput regression ({mix}): {current} rps is {:.1}% of the {baseline} rps \
-             baseline (gate allows {max_regression_pct}% regression, floor {floor})",
-            ratio * 100.0
-        ));
-    }
-    Ok(format!(
-        "throughput gate ({mix}): {current} rps vs baseline {baseline} ({:+.1}%), within {}%",
-        (ratio - 1.0) * 100.0,
-        max_regression_pct
-    ))
+    THROUGHPUT_GATE.gate(current, baseline_json, max_regression_pct)
 }
 
 #[cfg(test)]

@@ -22,15 +22,14 @@ use vpir_isa::{
 };
 use vpir_mechanism::{
     CommitEvent, CommitMem, DispatchAction, DispatchQuery, Mechanisms, MemberPlan, ReplayQuery,
-    ReuseGrant,
 };
 use vpir_mem::{Cache, CacheConfig, PortArbiter};
-use vpir_reuse::{OperandView, RbInsert, RbMem};
+use vpir_reuse::{OperandView, RbInsert, RbMem, Reused};
 
 use crate::config::{
-    BranchResolution, CoreConfig, Enhancement, FaultInjection, FrontEnd, Reexecution, COMMIT_WIDTH,
-    DCACHE_PORTS, DECODE_WIDTH, FETCH_LINE_BYTES, FETCH_WIDTH, ISSUE_WIDTH, LSQ_SIZE, MAX_BRANCHES,
-    RAS_DEPTH,
+    BranchResolution, CoreConfig, Enhancement, FaultInjection, FrontEnd, Reexecution, Validation,
+    COMMIT_WIDTH, DCACHE_PORTS, DECODE_WIDTH, FETCH_LINE_BYTES, FETCH_WIDTH, ISSUE_WIDTH, LSQ_SIZE,
+    MAX_BRANCHES, RAS_DEPTH,
 };
 use crate::error::{DiagSnapshot, RetiredInst, SimError, RETIRED_RING};
 use crate::fu::FuPool;
@@ -1567,6 +1566,13 @@ impl Simulator {
         }
     }
 
+    fn validation(&self) -> Validation {
+        match &self.config.enhancement {
+            Enhancement::Ir(ir) | Enhancement::Hybrid(_, ir) => ir.validation,
+            _ => Validation::Early, // irrelevant without a reuse buffer
+        }
+    }
+
     /// Puts a candidate whose `needs_exec` is currently false to sleep
     /// when every transition back to true is producer-event-driven.
     ///
@@ -2041,15 +2047,14 @@ impl Simulator {
 
     /// Runs the mechanisms' dispatch hooks against `slot` in the
     /// paper's order: IR's reuse test first, then VP, which covers only
-    /// the RB misses; RTB always runs alone. Each action is applied to
+    /// the RB misses; RTB always runs alone. Each outcome is applied to
     /// the ROB before the next mechanism's query is built, so in the
-    /// hybrid VP observes IR's grant.
+    /// hybrid VP observes IR's reuse.
     fn drive_dispatch_mechs(&mut self, slot: usize) -> Result<(), SimError> {
         if self.mechs.ir.is_some() {
             let q = self.reuse_query(slot)?;
-            if let Some(ir) = self.mechs.ir.as_mut() {
-                let act = ir.on_dispatch(&q);
-                self.apply_dispatch_action(slot, &act);
+            if let Some(hit) = self.mechs.ir.as_mut().and_then(|ir| ir.on_dispatch(&q)) {
+                self.apply_reuse(slot, &hit);
             }
         }
         if let Some(vp) = self.mechs.vp.as_mut() {
@@ -2148,10 +2153,62 @@ impl Simulator {
         Ok(q)
     }
 
-    /// Applies a mechanism's dispatch action to the ROB slot. The grant
-    /// arms mirror the paper's validation models: early validation
-    /// settles the slot at decode; late validation converts the reuse
-    /// into an always-correct value prediction.
+    /// Applies IR's reuse hit to the ROB slot under the machine's
+    /// validation model (the paper's Figure 3): early validation settles
+    /// the slot at decode; late validation converts the reuse into an
+    /// always-correct value prediction. A hit with neither the full
+    /// result nor the address only remembers its source entry.
+    fn apply_reuse(&mut self, slot: usize, hit: &Reused) {
+        self.rob.reuse_source[slot] = Some(hit.entry);
+        let out = self.rob.out[slot];
+        match (self.validation(), hit.full, hit.addr) {
+            (Validation::Early, true, _) => {
+                self.rob.reused.set(slot);
+                self.rob.set_nonspec(slot, self.now + 1);
+                if let Some(v) = out.result {
+                    self.rob.set_visible(slot, v, self.now + 1);
+                }
+                // A reused branch resolves immediately at decode
+                // (early validation); `dispatch_one` acts on it.
+                if self.rob.has_flag(slot, flag::HAS_CTRL) {
+                    if let Some(c) = out.control {
+                        self.rob.computed_ctrl[slot] = (c.taken, c.target);
+                        self.rob.ctrl_out.set(slot);
+                    }
+                    self.rob.assign_flag(slot, flag::LAST_CORRECT, true);
+                    self.rob.assign_flag(slot, flag::LAST_FINAL, true);
+                }
+            }
+            (Validation::Early, false, Some(addr)) => {
+                self.rob.addr_reused.set(slot);
+                if self.rob.has_flag(slot, flag::HAS_MEM) {
+                    let mem = &mut self.rob.mem[slot];
+                    mem.computed_addr = Some(addr);
+                    mem.addr_known = Some(self.now + 1);
+                }
+                if self.rob.stores.test(slot) {
+                    // Stores: the address half is done.
+                    self.rob.set_nonspec(slot, self.now + 1);
+                }
+                self.rob.assign_flag(slot, flag::LAST_CORRECT, true);
+                self.rob.assign_flag(slot, flag::LAST_FINAL, true);
+            }
+            (Validation::Late, true, _) => {
+                if let Some(v) = out.result {
+                    self.rob.predicted[slot] = Some(v);
+                    self.rob.set_visible(slot, v, self.now + 1);
+                }
+                self.rob.assign_flag(slot, flag::LATE_REUSED, true);
+            }
+            (Validation::Late, false, Some(addr)) => {
+                self.rob.addr_predicted[slot] = Some(addr);
+                self.rob.assign_flag(slot, flag::LATE_REUSED, true);
+            }
+            (_, false, None) => {}
+        }
+    }
+
+    /// Applies VP's or RTB's dispatch action to the ROB slot.
     fn apply_dispatch_action(&mut self, slot: usize, act: &DispatchAction) {
         if let Some(p) = act.predicted {
             self.rob.predicted[slot] = p;
@@ -2163,54 +2220,6 @@ impl Simulator {
             self.rob.addr_predicted[slot] = p;
         }
         let out = self.rob.out[slot];
-        if let Some(r) = act.reuse {
-            self.rob.reuse_source[slot] = Some(r.entry);
-            match r.grant {
-                ReuseGrant::Tag => {}
-                ReuseGrant::EarlyFull => {
-                    self.rob.reused.set(slot);
-                    self.rob.set_nonspec(slot, self.now + 1);
-                    if let Some(v) = out.result {
-                        self.rob.set_visible(slot, v, self.now + 1);
-                    }
-                    // A reused branch resolves immediately at decode
-                    // (early validation); `dispatch_one` acts on it.
-                    if self.rob.has_flag(slot, flag::HAS_CTRL) {
-                        if let Some(c) = out.control {
-                            self.rob.computed_ctrl[slot] = (c.taken, c.target);
-                            self.rob.ctrl_out.set(slot);
-                        }
-                        self.rob.assign_flag(slot, flag::LAST_CORRECT, true);
-                        self.rob.assign_flag(slot, flag::LAST_FINAL, true);
-                    }
-                }
-                ReuseGrant::EarlyAddr(addr) => {
-                    self.rob.addr_reused.set(slot);
-                    if self.rob.has_flag(slot, flag::HAS_MEM) {
-                        let mem = &mut self.rob.mem[slot];
-                        mem.computed_addr = Some(addr);
-                        mem.addr_known = Some(self.now + 1);
-                    }
-                    if self.rob.stores.test(slot) {
-                        // Stores: the address half is done.
-                        self.rob.set_nonspec(slot, self.now + 1);
-                    }
-                    self.rob.assign_flag(slot, flag::LAST_CORRECT, true);
-                    self.rob.assign_flag(slot, flag::LAST_FINAL, true);
-                }
-                ReuseGrant::LateFull => {
-                    if let Some(v) = out.result {
-                        self.rob.predicted[slot] = Some(v);
-                        self.rob.set_visible(slot, v, self.now + 1);
-                    }
-                    self.rob.assign_flag(slot, flag::LATE_REUSED, true);
-                }
-                ReuseGrant::LateAddr(addr) => {
-                    self.rob.addr_predicted[slot] = Some(addr);
-                    self.rob.assign_flag(slot, flag::LATE_REUSED, true);
-                }
-            }
-        }
         if act.trace_member {
             // Replay-validated trace member: settled at decode like an
             // early-validated reuse, but attributed to the RTB.

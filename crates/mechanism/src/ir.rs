@@ -1,42 +1,40 @@
 //! The instruction-reuse mechanism.
 //!
-//! The reuse buffer and its validation policy: the reuse test at
-//! dispatch (over operand views and the dependence-chain `S_{n+d}`
-//! input, downgraded to address reuse on a store conflict, behind a
-//! non-speculative soundness guard), capture at writeback, and RB
-//! maintenance at commit and on squashes. The golden-digest suite pins
-//! this behaviour.
+//! The reuse buffer: the reuse test at dispatch (over operand views
+//! and the dependence-chain `S_{n+d}` input, downgraded to address
+//! reuse on a store conflict, behind a non-speculative soundness
+//! guard), capture at writeback, and RB maintenance at commit and on
+//! squashes. The pipeline applies early or late validation to the
+//! hit. The golden-digest suite pins this behaviour.
 
 use vpir_isa::{MemWidth, OpClass, Reg};
-use vpir_reuse::{EntryRef, OperandView, RbInsert, ReuseBuffer, ReuseStats};
+use vpir_reuse::{EntryRef, OperandView, RbInsert, ReuseBuffer, ReuseStats, Reused};
 
-use crate::config::{IrConfig, Validation};
-use crate::{CommitEvent, DispatchAction, DispatchQuery, ReuseAction, ReuseGrant};
+use crate::config::IrConfig;
+use crate::{CommitEvent, DispatchQuery};
 
-/// Instruction reuse: the reuse buffer and the validation policy.
+/// Instruction reuse: the reuse buffer. The pipeline applies the
+/// validation policy to what the reuse test finds.
 #[derive(Debug, Clone)]
 pub struct IrMech {
     rb: ReuseBuffer,
-    validation: Validation,
 }
 
 impl IrMech {
     /// Builds the reuse buffer described by `ir`.
     pub fn new(ir: &IrConfig) -> IrMech {
-        IrMech {
-            rb: ReuseBuffer::new(ir.rb),
-            validation: ir.validation,
-        }
+        IrMech { rb: ReuseBuffer::new(ir.rb) }
     }
 
     /// The reuse test for one dispatching instruction. `q` must carry
     /// the operand views, dependence chain and store-conflict scan.
-    pub fn on_dispatch(&mut self, q: &DispatchQuery) -> DispatchAction {
-        let mut act = DispatchAction::default();
+    /// Returns the buffer's hit: the backing entry, and whether the
+    /// full result (`full`) or only the address (`addr`) is reusable;
+    /// neither is a tag-only hit.
+    pub fn on_dispatch(&mut self, q: &DispatchQuery) -> Option<Reused> {
         let op = q.inst.op;
-        match op.class() {
-            OpClass::Misc | OpClass::Jump => return act,
-            _ => {}
+        if matches!(op.class(), OpClass::Misc | OpClass::Jump) {
+            return None;
         }
         let views = q.views;
         let lookup_view = move |r: Reg| {
@@ -61,9 +59,7 @@ impl IrMech {
             (None, None) => &[],
         };
 
-        let Some(mut hit) = self.rb.lookup(q.pc, op, &lookup_view, reused_now) else {
-            return act;
-        };
+        let mut hit = self.rb.lookup(q.pc, op, &lookup_view, reused_now)?;
 
         // A reused load must still snoop older in-flight stores: if one
         // overlaps its address, the buffered value may be stale relative
@@ -86,35 +82,7 @@ impl IrMech {
             _ => !hit.full || hit.result == q.out.result,
         };
         debug_assert!(sound, "reuse test returned a wrong result for {:?}", q.inst);
-        if !sound {
-            return act;
-        }
-
-        let grant = match self.validation {
-            Validation::Early => {
-                if hit.full {
-                    ReuseGrant::EarlyFull
-                } else if let Some(addr) = hit.addr {
-                    ReuseGrant::EarlyAddr(addr)
-                } else {
-                    ReuseGrant::Tag
-                }
-            }
-            Validation::Late => {
-                if hit.full {
-                    ReuseGrant::LateFull
-                } else if let Some(addr) = hit.addr {
-                    ReuseGrant::LateAddr(addr)
-                } else {
-                    ReuseGrant::Tag
-                }
-            }
-        };
-        act.reuse = Some(ReuseAction {
-            entry: hit.entry,
-            grant,
-        });
-        act
+        sound.then_some(hit)
     }
 
     /// Captures one instruction that finished executing with correct

@@ -118,39 +118,10 @@ pub struct DispatchQuery {
     pub store_conflict: bool,
 }
 
-/// What a reuse grant means for the pipeline, under early or late
-/// validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReuseGrant {
-    /// Tag-only hit: remember the source entry, reuse nothing.
-    Tag,
-    /// Early validation, full result: skip execute, resolve control at
-    /// decode.
-    EarlyFull,
-    /// Early validation, address-only: the load's effective address is
-    /// known at decode.
-    EarlyAddr(u64),
-    /// Late validation, full result: behaves as an always-correct value
-    /// prediction.
-    LateFull,
-    /// Late validation, address-only prediction.
-    LateAddr(u64),
-}
-
-/// A reuse claim: which RB entry produced it and what it grants.
-#[derive(Debug, Clone, Copy)]
-pub struct ReuseAction {
-    /// The reuse-buffer entry backing the claim (flagged on squash for
-    /// the squash-recovery statistic).
-    pub entry: EntryRef,
-    /// What the pipeline should do with the claim.
-    pub grant: ReuseGrant,
-}
-
-/// The dispatch-time outcome of one mechanism for one instruction.
+/// The dispatch-time outcome of VP or RTB for one instruction.
 /// Everything defaults to "pass"; each mechanism sets only its own
-/// fields (VP the predictions, IR the reuse claim, RTB the member
-/// flag).
+/// fields (VP the predictions, RTB the member flag). IR's outcome is
+/// the reuse buffer's [`Reused`](vpir_reuse::Reused) hit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchAction {
     /// `Some(p)` overwrites the slot's result prediction with `p`
@@ -159,8 +130,6 @@ pub struct DispatchAction {
     pub predicted: Option<Option<u64>>,
     /// `Some(p)` overwrites the slot's address prediction.
     pub addr_predicted: Option<Option<u64>>,
-    /// A reuse claim for this instruction.
-    pub reuse: Option<ReuseAction>,
     /// This instruction is a member of an in-progress trace replay: the
     /// pipeline marks it trace-reused (skips execute, publishes the
     /// functional result, resolves a terminal branch at decode).

@@ -77,7 +77,7 @@ pub(crate) const RAS_DEPTH: usize = 16;
 /// line, D$ ports and RAS depth are the constants above, and
 /// `Simulator::new` builds the caches
 /// ([`vpir_mem::CacheConfig::table1_inst`] and `table1_data`) and the
-/// functional units ([`FuPool::table1`](crate::FuPool::table1)) from
+/// functional units (`FuPool::table1`) from
 /// their Table 1 constructors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {

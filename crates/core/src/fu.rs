@@ -8,20 +8,6 @@ use vpir_isa::{FuClass, Op};
 /// interval* has elapsed (divides are effectively non-pipelined:
 /// `int div` holds its unit for 19 cycles, `fp div` for 12, `fp sqrt`
 /// for 24).
-///
-/// # Examples
-///
-/// ```
-/// use vpir_core::FuPool;
-/// use vpir_isa::Op;
-///
-/// let mut pool = FuPool::table1();
-/// // One int divider: a second divide in the same cycle is denied.
-/// assert!(pool.try_issue(10, Op::Div));
-/// assert!(!pool.try_issue(10, Op::Div));
-/// assert!(!pool.try_issue(20, Op::Div)); // still busy (interval 19)
-/// assert!(pool.try_issue(29, Op::Div));
-/// ```
 #[derive(Debug, Clone)]
 pub struct FuPool {
     /// `busy_until[pool][unit]`: first cycle the unit is free again.
@@ -96,6 +82,8 @@ mod tests {
     fn divider_blocks_for_issue_interval() {
         let mut p = FuPool::table1();
         assert!(p.try_issue(0, Op::Div));
+        // One int divider: a second divide in the same cycle is denied.
+        assert!(!p.try_issue(0, Op::Div));
         assert!(!p.try_issue(18, Op::Div));
         assert!(p.try_issue(19, Op::Div));
     }

@@ -47,9 +47,6 @@ pub use config::{
     Reexecution, RtbConfig, Validation, VpConfig, VpKind,
 };
 pub use error::{DiagSnapshot, RetiredInst, SimError, RETIRED_RING};
-pub use fu::FuPool;
 pub use pipeline::{RunLimits, Simulator};
-pub use rob::{CtrlState, MemState, Rob, NO_CYCLE};
-pub use spec_state::SpecState;
 pub use stats::SimStats;
 pub use trace::{TraceLog, TraceOutcome, TraceRecord};

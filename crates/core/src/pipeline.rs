@@ -122,8 +122,8 @@ impl FrontEndBp {
 struct FetchedInst {
     pc: u64,
     inst: Inst,
-    /// Fetch-time control prediction: `(taken, target, bp token, used
-    /// RAS, RAS snapshot after this instruction's own push/pop)`.
+    /// Fetch-time control prediction: `(taken, target, bp token, RAS
+    /// snapshot after this instruction's own push/pop)`.
     pred: Option<FetchPred>,
 }
 
@@ -132,7 +132,6 @@ struct FetchPred {
     taken: bool,
     target: u64,
     token: u64,
-    used_ras: bool,
     ras_snapshot: Vec<u64>,
 }
 
@@ -1849,7 +1848,6 @@ impl Simulator {
                     taken: plan.taken,
                     target: plan.target,
                     token,
-                    used_ras: false,
                     ras_snapshot: self.take_ras_snapshot(),
                 })
             } else {
@@ -1972,7 +1970,6 @@ impl Simulator {
                 original_taken: pred.taken,
                 original_target: pred.target,
                 bp_token: pred.token,
-                used_ras: pred.used_ras,
                 resolved: false,
                 resolve_cycle: 0,
                 acted_count: 0,
@@ -1990,7 +1987,6 @@ impl Simulator {
                 original_taken: true,
                 original_target: target,
                 bp_token: 0,
-                used_ras: false,
                 resolved: true,
                 resolve_cycle: self.now,
                 acted_count: 0,
@@ -2294,7 +2290,6 @@ impl Simulator {
                         taken,
                         target,
                         token,
-                        used_ras: false,
                         ras_snapshot: self.take_ras_snapshot(),
                     });
                 }
@@ -2307,9 +2302,7 @@ impl Simulator {
                 }
                 OpClass::JumpReg => {
                     taken = true;
-                    let mut used_ras = false;
                     target = if inst.is_return() {
-                        used_ras = true;
                         self.ras.pop().unwrap_or(pc + INST_BYTES)
                     } else {
                         self.targets.predict(pc).unwrap_or(pc + INST_BYTES)
@@ -2321,7 +2314,6 @@ impl Simulator {
                         taken,
                         target,
                         token: 0,
-                        used_ras,
                         ras_snapshot: self.take_ras_snapshot(),
                     });
                 }

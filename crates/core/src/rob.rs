@@ -46,8 +46,6 @@ pub struct CtrlState {
     pub original_target: u64,
     /// Direction-predictor token (gshare history snapshot).
     pub bp_token: u64,
-    /// Whether the fetch-time prediction came from the RAS.
-    pub used_ras: bool,
     /// Whether the branch has been finally resolved.
     pub resolved: bool,
     /// Cycle of final resolution (valid when `resolved`).

@@ -29,20 +29,6 @@ struct MemUndo {
 }
 
 /// Speculative registers + memory with sequence-numbered undo logs.
-///
-/// # Examples
-///
-/// ```
-/// use vpir_core::SpecState;
-/// use vpir_isa::{MemWidth, Reg};
-///
-/// let mut s = SpecState::new();
-/// s.write_reg(1, Reg::int(5), 10);
-/// s.write_reg(2, Reg::int(5), 20);
-/// assert_eq!(s.regs().read(Reg::int(5)), 20);
-/// s.rollback_to(1); // undo everything with seq > 1
-/// assert_eq!(s.regs().read(Reg::int(5)), 10);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct SpecState {
     regs: RegFile,
@@ -56,11 +42,6 @@ pub struct SpecState {
 }
 
 impl SpecState {
-    /// Creates empty speculative state.
-    pub fn new() -> SpecState {
-        SpecState::default()
-    }
-
     /// Creates speculative state from initial registers and memory.
     pub fn from_parts(regs: RegFile, mem: MemImage) -> SpecState {
         SpecState {
@@ -130,11 +111,6 @@ impl SpecState {
             self.mem_log.pop_front();
         }
     }
-
-    /// Outstanding undo records (diagnostics).
-    pub fn log_len(&self) -> usize {
-        self.reg_log.len() + self.mem_log.len()
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +119,7 @@ mod tests {
 
     #[test]
     fn register_rollback_is_lifo() {
-        let mut s = SpecState::new();
+        let mut s = SpecState::default();
         s.write_reg(1, Reg::int(1), 11);
         s.write_reg(2, Reg::int(2), 22);
         s.write_reg(3, Reg::int(1), 33);
@@ -157,7 +133,7 @@ mod tests {
 
     #[test]
     fn memory_rollback_restores_bytes() {
-        let mut s = SpecState::new();
+        let mut s = SpecState::default();
         s.write_mem(1, 0x100, MemWidth::B4, 0xaaaa_aaaa);
         s.write_mem(2, 0x102, MemWidth::B4, 0xbbbb_bbbb); // overlapping
         s.rollback_to(1);
@@ -168,19 +144,19 @@ mod tests {
 
     #[test]
     fn zero_register_writes_are_ignored() {
-        let mut s = SpecState::new();
+        let mut s = SpecState::default();
         s.write_reg(1, Reg::ZERO, 9);
-        assert_eq!(s.log_len(), 0);
+        assert!(s.reg_log.is_empty());
         assert_eq!(s.regs().read(Reg::ZERO), 0);
     }
 
     #[test]
     fn retire_trims_log_but_keeps_state() {
-        let mut s = SpecState::new();
+        let mut s = SpecState::default();
         s.write_reg(1, Reg::int(1), 5);
         s.write_reg(2, Reg::int(2), 6);
         s.retire_upto(1);
-        assert_eq!(s.log_len(), 1);
+        assert_eq!(s.reg_log.len(), 1);
         assert_eq!(s.regs().read(Reg::int(1)), 5);
         // Rolling back past a retired record no longer undoes it.
         s.rollback_to(0);
@@ -190,7 +166,7 @@ mod tests {
 
     #[test]
     fn interleaved_rollbacks() {
-        let mut s = SpecState::new();
+        let mut s = SpecState::default();
         for seq in 1..=10u64 {
             s.write_reg(seq, Reg::int(3), seq * 100);
             s.write_mem(seq, 0x200, MemWidth::B8, seq);

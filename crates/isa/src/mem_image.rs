@@ -67,11 +67,6 @@ impl MemImage {
         MemImage::default()
     }
 
-    /// Number of resident pages (for tests and diagnostics).
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
@@ -155,13 +150,6 @@ impl MemImage {
             self.write_u8(addr.wrapping_add(i as u64), b);
         }
     }
-
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
-            .collect()
-    }
 }
 
 /// A read-only view of memory used by instruction semantics.
@@ -200,21 +188,20 @@ mod tests {
         let addr = 0x1000 - 4; // straddles the first page boundary
         m.write_u64(addr, 0xaabb_ccdd_0011_2233);
         assert_eq!(m.read_u64(addr), 0xaabb_ccdd_0011_2233);
-        assert!(m.resident_pages() >= 2);
+        assert!(m.pages.len() >= 2);
     }
 
     #[test]
     fn unmapped_reads_are_zero_and_allocate_nothing() {
         let m = MemImage::new();
         assert_eq!(m.read_u64(0xffff_0000), 0);
-        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.pages.len(), 0);
     }
 
     #[test]
     fn bulk_bytes() {
         let mut m = MemImage::new();
         m.write_bytes(0x200, b"hello");
-        assert_eq!(m.read_bytes(0x200, 5), b"hello");
         assert_eq!(m.read_u8(0x204), b'o');
     }
 

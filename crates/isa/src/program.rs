@@ -112,11 +112,6 @@ impl Program {
         }
     }
 
-    /// One-past-the-end byte address of the text segment.
-    pub fn text_end(&self) -> u64 {
-        self.text_base + (self.insts.len() as u64) * INST_BYTES
-    }
-
     /// Renders a disassembly listing of the text segment, with label
     /// names resolved back to addresses where known.
     ///
@@ -173,7 +168,6 @@ mod tests {
         assert_eq!(p.inst_at(TEXT_BASE + 8), Some(&Inst::HALT));
         assert_eq!(p.inst_at(TEXT_BASE + 9), None);
         assert_eq!(p.inst_at(TEXT_BASE - 4), None);
-        assert_eq!(p.inst_at(p.text_end()), None);
     }
 
     #[test]

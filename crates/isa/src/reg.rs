@@ -216,11 +216,6 @@ impl RegFile {
         f64::from_bits(self.read(r))
     }
 
-    /// Writes an `f64` into a floating-point register.
-    pub fn write_f64(&mut self, r: Reg, v: f64) {
-        self.write(r, v.to_bits());
-    }
-
     /// An iterator over `(register, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Reg, u64)> + '_ {
         (0..NUM_REGS).map(|i| (Reg::from_index(i), self.vals[i]))
@@ -284,7 +279,7 @@ mod tests {
     #[test]
     fn f64_roundtrip() {
         let mut rf = RegFile::new();
-        rf.write_f64(Reg::fp(0), -3.25);
+        rf.write(Reg::fp(0), (-3.25f64).to_bits());
         assert_eq!(rf.read_f64(Reg::fp(0)), -3.25);
     }
 }

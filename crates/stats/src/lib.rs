@@ -44,45 +44,6 @@ where
     }
 }
 
-/// The arithmetic mean; `None` for an empty sequence.
-pub fn arithmetic_mean<I>(values: I) -> Option<f64>
-where
-    I: IntoIterator<Item = f64>,
-{
-    let mut n = 0usize;
-    let mut sum = 0.0;
-    for v in values {
-        n += 1;
-        sum += v;
-    }
-    if n == 0 {
-        None
-    } else {
-        Some(sum / n as f64)
-    }
-}
-
-/// The geometric mean of positive values; `None` if empty or non-positive.
-pub fn geometric_mean<I>(values: I) -> Option<f64>
-where
-    I: IntoIterator<Item = f64>,
-{
-    let mut n = 0usize;
-    let mut log_sum = 0.0;
-    for v in values {
-        if v <= 0.0 || !v.is_finite() {
-            return None;
-        }
-        n += 1;
-        log_sum += v.ln();
-    }
-    if n == 0 {
-        None
-    } else {
-        Some((log_sum / n as f64).exp())
-    }
-}
-
 /// Per-static-instruction dynamic counters collected by the pipeline
 /// when `CoreConfig::pc_profile` is on: which static instructions the
 /// reuse buffer and the VPT actually serve. Summed over every PC they
@@ -189,15 +150,6 @@ mod tests {
         assert_eq!(harmonic_mean(std::iter::empty()), None);
         assert_eq!(harmonic_mean([1.0, 0.0]), None);
         assert_eq!(harmonic_mean([1.0, -2.0]), None);
-    }
-
-    #[test]
-    fn harmonic_is_below_arithmetic() {
-        let vals = [1.0, 2.0, 4.0];
-        let hm = harmonic_mean(vals).unwrap();
-        let am = arithmetic_mean(vals).unwrap();
-        let gm = geometric_mean(vals).unwrap();
-        assert!(hm < gm && gm < am);
     }
 
     #[test]

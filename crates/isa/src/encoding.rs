@@ -150,7 +150,7 @@ pub fn encode(inst: &Inst, pc: u64) -> Result<u32, EncodeError> {
                 op | rd(inst.src1) | rs(inst.src2)
             } else if inst.src2.is_some() {
                 op | rd(inst.dst) | rs(inst.src1) | rt(inst.src2)
-            } else if uses_imm(inst.op) {
+            } else if inst.op.uses_imm() {
                 op | rd(inst.dst) | rs(inst.src1) | imm16(inst.op, inst.imm)?
             } else {
                 op | rd(inst.dst) | rs(inst.src1)
@@ -184,14 +184,6 @@ pub fn encode(inst: &Inst, pc: u64) -> Result<u32, EncodeError> {
         OpClass::JumpReg => op | rd(inst.dst) | rs(inst.src1),
         OpClass::Misc => op,
     })
-}
-
-fn uses_imm(op: Op) -> bool {
-    matches!(
-        op,
-        Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Sltiu | Op::Sll | Op::Srl
-        | Op::Sra | Op::Lui
-    )
 }
 
 /// Decodes the 32-bit `word` fetched from `pc`.

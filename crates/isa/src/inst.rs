@@ -228,22 +228,12 @@ impl fmt::Display for Inst {
                 }
                 if let Some(s) = self.src2 {
                     write!(f, "{sep}{s}")?;
-                } else if self.uses_imm() {
+                } else if self.op.uses_imm() {
                     write!(f, "{sep}{}", self.imm)?;
                 }
                 Ok(())
             }
         }
-    }
-}
-
-impl Inst {
-    fn uses_imm(&self) -> bool {
-        matches!(
-            self.op,
-            Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Sltiu | Op::Sll | Op::Srl
-            | Op::Sra | Op::Lui
-        )
     }
 }
 

@@ -310,6 +310,17 @@ impl Op {
         matches!(self, Op::Lb | Op::Lh | Op::Lw)
     }
 
+    /// Whether an ALU op without a second source register takes an
+    /// immediate operand (written in its listing and encoded in its
+    /// 16-bit field).
+    pub fn uses_imm(self) -> bool {
+        matches!(
+            self,
+            Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Sltiu | Op::Sll | Op::Srl
+            | Op::Sra | Op::Lui
+        )
+    }
+
     /// Whether this operation is any control transfer (branch or jump).
     pub fn is_control(self) -> bool {
         matches!(
@@ -318,21 +329,6 @@ impl Op {
         )
     }
 
-    /// Whether this is a conditional branch.
-    pub fn is_cond_branch(self) -> bool {
-        self.class() == OpClass::Branch
-    }
-
-    /// Whether this operation writes a result register.
-    ///
-    /// (Determined by the instruction's `dst` field in practice; this is
-    /// the class-level default used by tests and generators.)
-    pub fn produces_result(self) -> bool {
-        !matches!(
-            self.class(),
-            OpClass::Store | OpClass::Branch | OpClass::Misc
-        ) && !matches!(self, Op::J | Op::Jr)
-    }
 }
 
 impl Default for Op {
@@ -404,22 +400,9 @@ mod tests {
 
     #[test]
     fn control_classification() {
-        assert!(Op::Beq.is_cond_branch());
         assert!(Op::J.is_control());
         assert!(Op::Jr.is_control());
         assert!(!Op::Add.is_control());
-        assert!(!Op::J.is_cond_branch());
-    }
-
-    #[test]
-    fn result_production() {
-        assert!(Op::Add.produces_result());
-        assert!(Op::Lw.produces_result());
-        assert!(Op::Jal.produces_result());
-        assert!(!Op::Sw.produces_result());
-        assert!(!Op::Beq.produces_result());
-        assert!(!Op::J.produces_result());
-        assert!(!Op::Halt.produces_result());
     }
 
     #[test]

@@ -137,15 +137,19 @@ impl RtbMech {
     /// Builds an RTB for `program`, joining the static loop forest for
     /// per-depth attribution.
     pub fn new(config: RtbConfig, program: &Program) -> RtbMech {
-        let analysis = vpir_isa_analyze::analyze_program(program, "rtb");
+        // The loop forest needs only the CFG and its dominators, not the
+        // rest of the guest analysis.
+        let cfg = vpir_isa_analyze::cfg::build(program);
+        let loops = vpir_isa_analyze::dom::analyze(&cfg);
         let mut depths = Vec::new();
-        for summary in &analysis.insts {
-            let idx = (summary.addr.wrapping_sub(TEXT_BASE) / INST_BYTES) as usize;
+        for i in 0..program.len() {
+            let idx = (program.addr_of(i).wrapping_sub(TEXT_BASE) / INST_BYTES) as usize;
             if idx >= depths.len() {
                 depths.resize(idx + 1, 0);
             }
+            let block = cfg.block_of.get(i).copied().unwrap_or(0);
             if let Some(d) = depths.get_mut(idx) {
-                *d = summary.loop_depth;
+                *d = loops.depth.get(block).copied().unwrap_or(0);
             }
         }
         RtbMech {

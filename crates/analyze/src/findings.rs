@@ -4,71 +4,66 @@ use std::fmt::Write as _;
 
 use vpir_jsonlite::{compact_array, json_str, JsonObj};
 
-/// The simulator invariants (R2, R4, R7–R10; host Rust sources) and
-/// guest-program structural lints (L1–L4, vpir assembly) the analyzers
-/// check.
-///
-/// The host rules are emitted by `vpir-analyze` over the workspace; the
-/// guest lints are emitted by `vpir-isa-analyze` over assembled
-/// programs. Both share this type so reports render identically.
-/// Retired ids are not reused: R1 and R6 are clippy's
-/// `disallowed-types`, R3 and R5 the counter schema's compile checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
-    /// R2 — pipeline hot paths must not index with an integer literal.
-    Panic,
-    /// R4 — every config field must be read outside its definition.
-    Config,
-    /// R7 — cycle-level hot state must be columnar, not `Vec<Option<…>>`.
-    Columnar,
-    /// R8 — entry-point call trees must be transitively panic-free.
-    PanicReach,
-    /// R9 — a `Relaxed` atomic load must not feed control flow.
-    Concurrency,
-    /// R10 — the lock-acquisition graph must be acyclic.
-    LockOrder,
-    /// L1 — guest basic block unreachable from the entry point.
-    Unreachable,
-    /// L2 — guest register read before any write reaches it.
-    UninitRead,
-    /// L3 — guest branch/jump to an undefined or misaligned target.
-    BadTarget,
-    /// L4 — guest memory stored to but never loaded.
-    DeadStore,
+/// Declares [`Rule`] from one row per rule: the variant, its id, its
+/// name and a one-sentence description, which is also the variant's
+/// doc.
+macro_rules! rules {
+    ($($variant:ident $id:literal $name:literal $desc:literal;)*) => {
+        /// The simulator invariants (R2, R4, R7–R10; host Rust sources)
+        /// and guest-program structural lints (L1–L4, vpir assembly) the
+        /// analyzers check.
+        ///
+        /// The host rules are emitted by `vpir-analyze` over the
+        /// workspace; the guest lints are emitted by `vpir-isa-analyze`
+        /// over assembled programs. Both share this type so reports
+        /// render identically. Retired ids are not reused: R1 and R6 are
+        /// clippy's `disallowed-types`, R3 and R5 the counter schema's
+        /// compile checks.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Rule {
+            $(#[doc = concat!($id, " — ", $desc)] $variant,)*
+        }
+
+        impl Rule {
+            /// Every rule in declaration order: the host rules, then
+            /// the guest lints.
+            pub const ALL: &'static [Rule] = &[$(Rule::$variant),*];
+
+            /// The short identifier (`R2` … `R10`, `L1` … `L4`).
+            pub fn id(self) -> &'static str {
+                match self {
+                    $(Rule::$variant => $id,)*
+                }
+            }
+
+            /// The short name printed next to the id.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Rule::$variant => $name,)*
+                }
+            }
+
+            /// The one-sentence description.
+            pub fn description(self) -> &'static str {
+                match self {
+                    $(Rule::$variant => $desc,)*
+                }
+            }
+        }
+    };
 }
 
-impl Rule {
-    /// The short identifier (`R2` … `R10`, `L1` … `L4`).
-    pub fn id(self) -> &'static str {
-        match self {
-            Rule::Panic => "R2",
-            Rule::Config => "R4",
-            Rule::Columnar => "R7",
-            Rule::PanicReach => "R8",
-            Rule::Concurrency => "R9",
-            Rule::LockOrder => "R10",
-            Rule::Unreachable => "L1",
-            Rule::UninitRead => "L2",
-            Rule::BadTarget => "L3",
-            Rule::DeadStore => "L4",
-        }
-    }
-
-    /// The short name printed next to the id.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rule::Panic => "panic",
-            Rule::Config => "config",
-            Rule::Columnar => "columnar",
-            Rule::PanicReach => "panic-reach",
-            Rule::Concurrency => "concurrency",
-            Rule::LockOrder => "lock-order",
-            Rule::Unreachable => "unreachable",
-            Rule::UninitRead => "uninit-read",
-            Rule::BadTarget => "bad-target",
-            Rule::DeadStore => "dead-store",
-        }
-    }
+rules! {
+    Panic "R2" "panic" "Pipeline hot paths must not index with an integer literal.";
+    Config "R4" "config" "Every config field must be read outside its definition.";
+    Columnar "R7" "columnar" "Cycle-level hot state must be columnar, not `Vec<Option<...>>`.";
+    PanicReach "R8" "panic-reach" "Entry-point call trees must be transitively panic-free.";
+    Concurrency "R9" "concurrency" "A `Relaxed` atomic load must not feed control flow.";
+    LockOrder "R10" "lock-order" "The lock-acquisition graph must be acyclic.";
+    Unreachable "L1" "unreachable" "A guest basic block is unreachable from the entry point.";
+    UninitRead "L2" "uninit-read" "A guest register is read before any write reaches it.";
+    BadTarget "L3" "bad-target" "A guest branch or jump goes to an undefined or misaligned target.";
+    DeadStore "L4" "dead-store" "Guest memory is stored to but never loaded.";
 }
 
 /// One rule violation at a source location.

@@ -12,15 +12,10 @@ use vpir_jsonlite::{compact_array, json_str, parse_json, JsonObj, JsonValue};
 
 use crate::findings::{ProofNote, Report, Rule};
 
-/// Every host rule, in `ruleIndex` order.
-const HOST_RULES: [(Rule, &str); 6] = [
-    (Rule::Panic, "Pipeline hot paths must not index with an integer literal."),
-    (Rule::Config, "Every config field must be read outside its definition."),
-    (Rule::Columnar, "Cycle-level hot state must be columnar, not Vec<Option<...>>."),
-    (Rule::PanicReach, "Entry-point call trees must be transitively panic-free."),
-    (Rule::Concurrency, "A Relaxed atomic load must not feed control flow."),
-    (Rule::LockOrder, "The lock-acquisition graph must be acyclic."),
-];
+/// Every host rule (`R…`), in `ruleIndex` order.
+fn host_rules() -> impl Iterator<Item = Rule> {
+    Rule::ALL.iter().copied().filter(|rule| rule.id().starts_with('R'))
+}
 
 /// A compact object with one member.
 fn wrap(key: &str, value: &str) -> String {
@@ -29,11 +24,13 @@ fn wrap(key: &str, value: &str) -> String {
 
 /// Renders a report as a SARIF 2.1.0 document.
 pub fn to_sarif(report: &Report) -> String {
-    let rules = HOST_RULES.iter().map(|(rule, desc)| {
+    let rules = host_rules().map(|rule| {
+        // SARIF's text is plain: the description without its code marks.
+        let desc = rule.description().replace('`', "");
         JsonObj::compact()
             .s("id", rule.id())
             .s("name", rule.name())
-            .raw("shortDescription", &wrap("text", &json_str(desc)))
+            .raw("shortDescription", &wrap("text", &json_str(&desc)))
             .finish()
     });
     let results = report.findings.iter().map(|f| {
@@ -47,7 +44,7 @@ pub fn to_sarif(report: &Report) -> String {
             .finish();
         let locations = compact_array([wrap("physicalLocation", &physical)]);
         let mut result = JsonObj::compact().s("ruleId", f.rule.id());
-        if let Some(x) = HOST_RULES.iter().position(|(r, _)| *r == f.rule) {
+        if let Some(x) = host_rules().position(|r| r == f.rule) {
             result = result.u("ruleIndex", x as u64);
         }
         result

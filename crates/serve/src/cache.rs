@@ -206,9 +206,11 @@ impl ResultCache {
     /// Looks up `key`: memory first, then the disk tier (promoting a
     /// verified disk body back into memory).
     pub fn get(&self, key: u64) -> Option<(Arc<String>, HitTier)> {
-        let hit = self.lock().touch(key).map(Arc::clone);
-        if let Some(body) = hit {
-            return Some((body, HitTier::Memory));
+        {
+            let mut mem = self.lock();
+            if let Some(body) = mem.touch(key) {
+                return Some((Arc::clone(body), HitTier::Memory));
+            }
         }
         let store = self.store.as_ref()?;
         let bytes = store.load(key)?;

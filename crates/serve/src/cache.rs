@@ -100,6 +100,7 @@ impl<V> LruIndex<V> {
         self.evicted
     }
 
+    /// Whether `key` is indexed.
     pub(crate) fn contains(&self, key: u64) -> bool {
         self.entries.contains_key(&key)
     }

@@ -296,7 +296,7 @@ impl CycleRate {
 }
 
 /// The metric `vpir bench --cycle-rate --baseline` gates on.
-pub const CYCLE_RATE_GATE: Gated = Gated {
+const CYCLE_RATE_GATE: Gated = Gated {
     name: "cycle-rate",
     schema: "vpir-bench-cycles-v1",
     key: "sim_cycles_per_sec",

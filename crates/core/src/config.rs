@@ -70,6 +70,10 @@ pub(crate) const FETCH_LINE_BYTES: u64 = 32;
 pub(crate) const DCACHE_PORTS: u32 = 2;
 /// Return-address-stack depth (Table 1).
 pub(crate) const RAS_DEPTH: usize = 16;
+/// Reorder-buffer sizes the simulator accepts: each per-stage slot mask
+/// is one `u64` word, which holds Table 1's 32 entries and the 16/64
+/// ablation sizes.
+pub(crate) const ROB_SIZES: std::ops::RangeInclusive<usize> = 2..=64;
 
 /// The settable part of the machine configuration.
 ///
@@ -81,8 +85,8 @@ pub(crate) const RAS_DEPTH: usize = 16;
 /// their Table 1 constructors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
-    /// Reorder-buffer entries (32 in Table 1; `experiments ablations`
-    /// sweeps 16 and 64).
+    /// Reorder-buffer entries, 2 to 64 (32 in Table 1; `experiments
+    /// ablations` sweeps 16 and 64).
     pub rob_size: usize,
     /// Front-end direction predictor.
     pub front_end: FrontEnd,
@@ -154,10 +158,13 @@ impl CoreConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the ROB has fewer than two entries or the watchdog
-    /// window is zero.
+    /// Panics if the ROB has fewer than 2 or more than 64 entries, or
+    /// the watchdog window is zero.
     pub fn validate(&self) {
-        assert!(self.rob_size > 1, "ROB too small");
+        assert!(
+            ROB_SIZES.contains(&self.rob_size),
+            "ROB size must be in {ROB_SIZES:?}"
+        );
         assert!(self.watchdog_cycles > 0, "watchdog window must be positive");
     }
 }
@@ -216,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ROB too small")]
+    #[should_panic(expected = "ROB size must be in 2..=64")]
     fn degenerate_rob_rejected() {
         let mut c = CoreConfig::table1();
         c.rob_size = 1;

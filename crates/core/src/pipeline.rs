@@ -281,7 +281,6 @@ pub struct Simulator {
     // Scratch buffers and pools, reused across cycles so the
     // steady-state cycle loop performs no heap allocation (see
     // DESIGN.md §8 for the ownership rules).
-    slot_scratch: Vec<usize>,
     reg_scratch: Vec<Reg>,
     cp_pool: Vec<Checkpoint>,
     ras_pool: Vec<Vec<u64>>,
@@ -340,7 +339,6 @@ impl Simulator {
             rob: Rob::new(config.rob_size),
             map: RenameMap::new(),
             checkpoints: CheckpointStack::default(),
-            slot_scratch: Vec::new(),
             reg_scratch: Vec::new(),
             cp_pool: Vec::new(),
             ras_pool: Vec::new(),
@@ -931,15 +929,12 @@ impl Simulator {
     // ----------------------------------------------------------------
 
     fn writeback(&mut self) {
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        self.rob.collect_writeback(&mut slots);
-        for &slot in &slots {
+        for slot in self.rob.writeback_candidates() {
             if !self.rob.exec.test(slot) || self.rob.exec_finish[slot] > self.now {
                 continue;
             }
             self.complete_exec(slot);
         }
-        self.slot_scratch = slots;
     }
 
     fn complete_exec(&mut self, slot: usize) {
@@ -1181,9 +1176,7 @@ impl Simulator {
     }
 
     fn promote(&mut self) {
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        self.rob.collect_promote(&mut slots);
-        for &slot in &slots {
+        for slot in self.rob.promote_candidates() {
             if self.rob.has_flag(slot, flag::HAS_MEM) {
                 let m = &self.rob.mem[slot];
                 if m.is_load
@@ -1197,7 +1190,6 @@ impl Simulator {
                 self.rob.set_nonspec(slot, self.now);
             }
         }
-        self.slot_scratch = slots;
     }
 
     // ----------------------------------------------------------------
@@ -1205,11 +1197,8 @@ impl Simulator {
     // ----------------------------------------------------------------
 
     fn resolve_branches(&mut self) -> Result<(), SimError> {
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        self.rob.collect_resolve(&mut slots);
         let resolution = self.branch_resolution();
-        let mut result = Ok(());
-        for &slot in &slots {
+        for slot in self.rob.resolve_candidates() {
             let (taken, target) = self.rob.computed_ctrl[slot];
             let inputs_final = self.rob.has_flag(slot, flag::LAST_FINAL)
                 || (self.rob.has_flag(slot, flag::LAST_CORRECT)
@@ -1222,18 +1211,12 @@ impl Simulator {
             if !act_now {
                 continue;
             }
-            match self.act_on_branch(slot, taken, target, inputs_final) {
-                // The ROB changed under us; re-run next cycle.
-                Ok(true) => break,
-                Ok(false) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
+            // A squash changed the ROB under us; re-run next cycle.
+            if self.act_on_branch(slot, taken, target, inputs_final)? {
+                break;
             }
         }
-        self.slot_scratch = slots;
-        result
+        Ok(())
     }
 
     fn branch_resolution(&self) -> BranchResolution {
@@ -1404,11 +1387,9 @@ impl Simulator {
     // ----------------------------------------------------------------
 
     fn memory_access(&mut self) {
-        let mut slots = std::mem::take(&mut self.slot_scratch);
         // Candidates: loads, not reused, no access in flight (from the
         // loads/reused/accessed masks).
-        self.rob.collect_mem_access(&mut slots);
-        for &slot in &slots {
+        for slot in self.rob.mem_access_candidates() {
             let mem = self.rob.mem[slot];
             // Which address can we access with?
             let desired = match (mem.computed_addr, self.rob.addr_predicted[slot]) {
@@ -1425,37 +1406,32 @@ impl Simulator {
             // in-flight stores, oldest first.
             let mut blocked = false;
             let mut forward = false;
-            let rob = &self.rob;
-            rob.for_each_masked(
-                |r, w| r.stores.words[w],
-                |s2| {
-                    if rob.seq[s2] >= seq {
-                        return false; // reached the load itself
-                    }
-                    let om = &rob.mem[s2];
-                    let Some(oaddr) = om.computed_addr else {
+            for s2 in self.rob.age_order(self.rob.stores.0) {
+                if self.rob.seq[s2] >= seq {
+                    break; // reached the load itself
+                }
+                let om = &self.rob.mem[s2];
+                let Some(oaddr) = om.computed_addr else {
+                    blocked = true;
+                    break;
+                };
+                if om.addr_known.is_none() {
+                    blocked = true;
+                    break;
+                }
+                let o_end = oaddr + om.width.bytes();
+                let l_end = addr + width.bytes();
+                let overlap = oaddr < l_end && addr < o_end;
+                if overlap {
+                    let covers = oaddr <= addr && o_end >= l_end;
+                    if covers {
+                        forward = true; // youngest-older wins; keep scanning
+                    } else {
                         blocked = true;
-                        return false;
-                    };
-                    if om.addr_known.is_none() {
-                        blocked = true;
-                        return false;
+                        break;
                     }
-                    let o_end = oaddr + om.width.bytes();
-                    let l_end = addr + width.bytes();
-                    let overlap = oaddr < l_end && addr < o_end;
-                    if overlap {
-                        let covers = oaddr <= addr && o_end >= l_end;
-                        if covers {
-                            forward = true; // youngest-older wins; keep scanning
-                        } else {
-                            blocked = true;
-                            return false;
-                        }
-                    }
-                    true
-                },
-            );
+                }
+            }
             if blocked {
                 continue;
             }
@@ -1513,7 +1489,6 @@ impl Simulator {
                 self.record_exec(slot);
             }
         }
-        self.slot_scratch = slots;
     }
 
     // ----------------------------------------------------------------
@@ -1535,7 +1510,7 @@ impl Simulator {
 
     /// The dynamic half of the needs-exec test. The static half (not
     /// in-exec, not reused, not addr-reused, executable class) is the
-    /// `collect_issue` mask expression.
+    /// `issue_candidates` mask expression.
     fn needs_exec(&self, slot: usize) -> bool {
         if self.rob.exec_count[slot] == 0 {
             return true;
@@ -1628,9 +1603,7 @@ impl Simulator {
 
     fn issue(&mut self) {
         let mut issued = 0;
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        self.rob.collect_issue(&mut slots);
-        for &slot in &slots {
+        for slot in self.rob.issue_candidates() {
             if issued >= ISSUE_WIDTH {
                 break;
             }
@@ -1728,7 +1701,6 @@ impl Simulator {
             }
             issued += 1;
         }
-        self.slot_scratch = slots;
     }
 
     // ----------------------------------------------------------------
@@ -2128,22 +2100,12 @@ impl Simulator {
         if inst.op.class() == OpClass::Load {
             if let Some(laddr) = out.addr {
                 let lend = laddr + self.rob.mem[slot].width.bytes();
-                let mut conflict = false;
                 let rob = &self.rob;
-                rob.for_each_masked(
-                    |r, w| r.stores.words[w],
-                    |s2| {
-                        let m = &rob.mem[s2];
-                        if let Some(a) = rob.out[s2].addr {
-                            if a < lend && laddr < a + m.width.bytes() {
-                                conflict = true;
-                                return false;
-                            }
-                        }
-                        true
-                    },
-                );
-                q.store_conflict = conflict;
+                q.store_conflict = rob.age_order(rob.stores.0).any(|s2| {
+                    rob.out[s2]
+                        .addr
+                        .is_some_and(|a| a < lend && laddr < a + rob.mem[s2].width.bytes())
+                });
             }
         }
         Ok(q)

@@ -14,17 +14,19 @@
 //! (the `radix`-style typed-column organization), not in an
 //! array-of-structs `Vec<Option<RobEntry>>`. Each pipeline stage touches
 //! only the columns it reads, and *which* slots a stage visits is driven
-//! by per-stage bitmaps ([`SlotMask`]) combined with bitwise ops — a
-//! stage visits `popcount` slots, not `rob.len()` slots. Dense masked
-//! iteration walks the circular live window in age order (oldest first),
-//! so iteration order — which is part of the simulated machine's
-//! deterministic behaviour — is identical to the old full-window scan.
+//! by per-stage bitmaps ([`SlotMask`], one `u64` word each) combined with
+//! bitwise ops — a stage visits `popcount` slots, not `rob.len()` slots.
+//! Masked iteration ([`AgeOrder`]) walks the circular live window in age
+//! order (oldest first), so iteration order — which is part of the
+//! simulated machine's deterministic behaviour — is identical to a
+//! full-window scan.
 //!
 //! Option-typed timing fields are collapsed into plain columns with the
 //! [`NO_CYCLE`] sentinel (cycle numbers never reach `u64::MAX / 4`) or a
 //! validity bitmap; occupancy itself is the `valid` bitmap, so there is
 //! no double-`Option` and no panicking `entry()` accessor.
 
+use crate::config::ROB_SIZES;
 use vpir_isa::{ExecOut, Inst, MemWidth, OpClass};
 use vpir_reuse::EntryRef;
 
@@ -107,32 +109,24 @@ pub mod flag {
     pub const HAS_MEM: u32 = 1 << 6;
 }
 
-/// A bitmap over ROB slots: one bit per slot, packed into `u64` words.
+/// A bitmap over ROB slots: bit `slot` of one `u64` word, which is why
+/// a ROB holds at most 64 entries ([`ROB_SIZES`]).
 ///
 /// Per-stage masks are the index vectors of the columnar layout: a
 /// stage's candidate set is a bitwise expression over a few masks, and
-/// iteration visits only set bits (in age order, via
-/// [`Rob::for_each_masked`]).
-#[derive(Debug, Clone, Default)]
-pub struct SlotMask {
-    pub(crate) words: Vec<u64>,
-}
+/// iteration visits only set bits, in age order ([`Rob::age_order`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SlotMask(pub(crate) u64);
 
 impl SlotMask {
-    fn new(capacity: usize) -> SlotMask {
-        SlotMask {
-            words: vec![0; capacity.div_ceil(64)],
-        }
-    }
-
     #[inline]
     pub(crate) fn set(&mut self, slot: usize) {
-        self.words[slot / 64] |= 1 << (slot % 64);
+        self.0 |= 1 << slot;
     }
 
     #[inline]
     pub(crate) fn clear(&mut self, slot: usize) {
-        self.words[slot / 64] &= !(1 << (slot % 64));
+        self.0 &= !(1 << slot);
     }
 
     #[inline]
@@ -146,7 +140,34 @@ impl SlotMask {
 
     #[inline]
     pub(crate) fn test(&self, slot: usize) -> bool {
-        self.words[slot / 64] & (1 << (slot % 64)) != 0
+        self.0 & (1 << slot) != 0
+    }
+}
+
+/// The slots of a mask snapshot in age order (oldest first): the slots
+/// from the head upward, then the slots the window wrapped into. It
+/// owns its words, so a stage may change the masks while it walks its
+/// candidates without changing which candidates it walks.
+#[derive(Debug, Clone)]
+pub(crate) struct AgeOrder {
+    from_head: u64,
+    wrapped: u64,
+}
+
+impl Iterator for AgeOrder {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.from_head == 0 {
+            if self.wrapped == 0 {
+                return None;
+            }
+            self.from_head = std::mem::take(&mut self.wrapped);
+        }
+        let slot = self.from_head.trailing_zeros() as usize;
+        self.from_head &= self.from_head - 1;
+        Some(slot)
     }
 }
 
@@ -251,10 +272,10 @@ pub struct Rob {
     /// observationally identical to the poll that would have found them
     /// still blocked (a blocked candidate touches no machine state).
     pub(crate) asleep: SlotMask,
-    /// `issue_waiters[p * words + w]`: bitmask (same layout as a
-    /// [`SlotMask`] word) of sleepers waiting on producer slot `p`.
-    /// Bits may go stale (a sleeper woken through one producer stays
-    /// recorded under another); a stale wake is a harmless extra poll.
+    /// `issue_waiters[p]`: the sleepers waiting on producer slot `p`, as
+    /// a [`SlotMask`] word. Bits may go stale (a sleeper woken through
+    /// one producer stays recorded under another); a stale wake is a
+    /// harmless extra poll.
     issue_waiters: Vec<u64>,
 }
 
@@ -263,9 +284,12 @@ impl Rob {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is outside [`ROB_SIZES`].
     pub fn new(capacity: usize) -> Rob {
-        assert!(capacity > 0, "ROB capacity must be positive");
+        assert!(
+            ROB_SIZES.contains(&capacity),
+            "ROB size must be in {ROB_SIZES:?}"
+        );
         Rob {
             cap: capacity,
             head: 0,
@@ -292,21 +316,21 @@ impl Rob {
             ctrl: vec![CtrlState::default(); capacity],
             mem: vec![MemState::default(); capacity],
             flags: vec![0; capacity],
-            valid: SlotMask::new(capacity),
-            exec: SlotMask::new(capacity),
-            nonspec: SlotMask::new(capacity),
-            settled: SlotMask::new(capacity),
-            ctrl_unres: SlotMask::new(capacity),
-            ctrl_out: SlotMask::new(capacity),
-            loads: SlotMask::new(capacity),
-            stores: SlotMask::new(capacity),
-            reused: SlotMask::new(capacity),
-            addr_reused: SlotMask::new(capacity),
-            trace_reused: SlotMask::new(capacity),
-            accessed: SlotMask::new(capacity),
-            execable: SlotMask::new(capacity),
-            asleep: SlotMask::new(capacity),
-            issue_waiters: vec![0; capacity * capacity.div_ceil(64)],
+            valid: SlotMask::default(),
+            exec: SlotMask::default(),
+            nonspec: SlotMask::default(),
+            settled: SlotMask::default(),
+            ctrl_unres: SlotMask::default(),
+            ctrl_out: SlotMask::default(),
+            loads: SlotMask::default(),
+            stores: SlotMask::default(),
+            reused: SlotMask::default(),
+            addr_reused: SlotMask::default(),
+            trace_reused: SlotMask::default(),
+            accessed: SlotMask::default(),
+            execable: SlotMask::default(),
+            asleep: SlotMask::default(),
+            issue_waiters: vec![0; capacity],
         }
     }
 
@@ -438,11 +462,10 @@ impl Rob {
         self.accessed.clear(slot);
         self.execable.clear(slot);
         self.asleep.clear(slot);
-        // Drop this slot's waiter row (its role as a producer); its own
-        // bits in other rows go stale and are cleaned up lazily (a stale
-        // wake is just an extra poll).
-        let stride = self.asleep.words.len();
-        self.issue_waiters[slot * stride..(slot + 1) * stride].fill(0);
+        // Drop this slot's waiters (its role as a producer); its own
+        // bits under other producers go stale and are cleaned up lazily
+        // (a stale wake is just an extra poll).
+        self.issue_waiters[slot] = 0;
         self.flags[slot] = 0;
     }
 
@@ -451,10 +474,8 @@ impl Rob {
     /// blockers whose unblocking is event-guaranteed — never a producer
     /// whose state changes at an already-known future cycle.
     pub(crate) fn sleep_issue(&mut self, slot: usize, blockers: [Option<usize>; 2]) {
-        let stride = self.asleep.words.len();
-        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
         for p in blockers.into_iter().flatten() {
-            self.issue_waiters[p * stride + w] |= bit;
+            self.issue_waiters[p] |= 1 << slot;
         }
         self.asleep.set(slot);
     }
@@ -464,15 +485,7 @@ impl Rob {
     /// complete set of transitions that can unblock a sleeper).
     #[inline]
     pub(crate) fn wake_dependents(&mut self, producer: usize) {
-        let stride = self.asleep.words.len();
-        let row = producer * stride;
-        for w in 0..stride {
-            let m = self.issue_waiters[row + w];
-            if m != 0 {
-                self.asleep.words[w] &= !m;
-                self.issue_waiters[row + w] = 0;
-            }
-        }
+        self.asleep.0 &= !std::mem::take(&mut self.issue_waiters[producer]);
     }
 
     /// The slot holding the `i`-th oldest live entry.
@@ -513,103 +526,40 @@ impl Rob {
         (0..self.len).map(move |i| (self.head + i) % self.cap)
     }
 
-    /// Visits every live slot whose bit is set in the mask expression
-    /// `word` (a bitwise combination of this ROB's masks, evaluated one
-    /// `u64` word at a time), in age order. Stops early when `f` returns
-    /// `false`.
-    ///
-    /// The circular live window is walked as up to two linear ranges, so
-    /// age order holds across wrap-around and cost is proportional to
-    /// mask words plus set bits, not to window length.
+    /// The live slots of the mask word `mask` in age order, from a
+    /// snapshot taken now. Live slots from the head upward are older
+    /// than the slots the window wrapped into below the head.
     #[inline]
-    pub(crate) fn for_each_masked(
-        &self,
-        word: impl Fn(&Rob, usize) -> u64,
-        mut f: impl FnMut(usize) -> bool,
-    ) {
-        let end = self.head + self.len;
-        let (r1, r2) = if end <= self.cap {
-            ((self.head, end), (0, 0))
-        } else {
-            ((self.head, self.cap), (0, end - self.cap))
-        };
-        for (lo, hi) in [r1, r2] {
-            if lo >= hi {
-                continue;
-            }
-            let w0 = lo / 64;
-            let w1 = hi.div_ceil(64);
-            for w in w0..w1 {
-                let mut bits = word(self, w) & self.valid.words[w];
-                if w == w0 {
-                    bits &= !0u64 << (lo % 64);
-                }
-                let word_end = (w + 1) * 64;
-                if word_end > hi {
-                    let keep = hi - w * 64;
-                    bits &= (1u64 << keep) - 1;
-                }
-                while bits != 0 {
-                    let slot = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if !f(slot) {
-                        return;
-                    }
-                }
-            }
+    pub(crate) fn age_order(&self, mask: u64) -> AgeOrder {
+        let live = mask & self.valid.0;
+        let from_head = !0u64 << self.head;
+        AgeOrder {
+            from_head: live & from_head,
+            wrapped: live & !from_head,
         }
     }
 
-    /// Collects the masked slots in age order into `out` (cleared
-    /// first), reusing its capacity.
-    #[inline]
-    pub(crate) fn collect_masked(
-        &self,
-        word: impl Fn(&Rob, usize) -> u64,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        self.for_each_masked(word, |slot| {
-            out.push(slot);
-            true
-        });
-    }
-
     /// Writeback candidates: executions in flight.
-    pub(crate) fn collect_writeback(&self, out: &mut Vec<usize>) {
-        self.collect_masked(|r, w| r.exec.words[w], out);
+    pub(crate) fn writeback_candidates(&self) -> AgeOrder {
+        self.age_order(self.exec.0)
     }
 
     /// Promotion candidates: executed with correct inputs, not yet
     /// final, no execution in flight.
-    pub(crate) fn collect_promote(&self, out: &mut Vec<usize>) {
-        self.collect_masked(
-            |r, w| r.settled.words[w] & !r.nonspec.words[w] & !r.exec.words[w],
-            out,
-        );
+    pub(crate) fn promote_candidates(&self) -> AgeOrder {
+        self.age_order(self.settled.0 & !self.nonspec.0 & !self.exec.0)
     }
 
     /// Branch-resolution candidates: unresolved control with a computed
     /// outcome and no execution in flight.
-    pub(crate) fn collect_resolve(&self, out: &mut Vec<usize>) {
-        self.collect_masked(
-            |r, w| r.ctrl_unres.words[w] & r.ctrl_out.words[w] & !r.exec.words[w],
-            out,
-        );
+    pub(crate) fn resolve_candidates(&self) -> AgeOrder {
+        self.age_order(self.ctrl_unres.0 & self.ctrl_out.0 & !self.exec.0)
     }
 
     /// Memory-access candidates: loads that have not been fully reused
     /// and have no access in flight or completed.
-    pub(crate) fn collect_mem_access(&self, out: &mut Vec<usize>) {
-        self.collect_masked(
-            |r, w| {
-                r.loads.words[w]
-                    & !r.reused.words[w]
-                    & !r.trace_reused.words[w]
-                    & !r.accessed.words[w]
-            },
-            out,
-        );
+    pub(crate) fn mem_access_candidates(&self) -> AgeOrder {
+        self.age_order(self.loads.0 & !self.reused.0 & !self.trace_reused.0 & !self.accessed.0)
     }
 
     /// Issue candidates: the statically-known part of the needs-exec
@@ -620,30 +570,21 @@ impl Rob {
     /// `settled` (executed, last inputs correct) is excluded up front:
     /// for a non-reused candidate it is exactly the needs-exec
     /// early-out, and settled instructions dominate a full window.
-    pub(crate) fn collect_issue(&self, out: &mut Vec<usize>) {
-        self.collect_masked(
-            |r, w| {
-                r.execable.words[w]
-                    & !r.exec.words[w]
-                    & !r.reused.words[w]
-                    & !r.trace_reused.words[w]
-                    & !r.addr_reused.words[w]
-                    & !r.settled.words[w]
-                    & !r.asleep.words[w]
-            },
-            out,
-        );
+    pub(crate) fn issue_candidates(&self) -> AgeOrder {
+        self.age_order(
+            self.execable.0
+                & !self.exec.0
+                & !self.reused.0
+                & !self.trace_reused.0
+                & !self.addr_reused.0
+                & !self.settled.0
+                & !self.asleep.0,
+        )
     }
 
     /// Memory operations currently occupying load/store-queue entries.
     pub(crate) fn mem_ops_in_flight(&self) -> usize {
-        self.loads
-            .words
-            .iter()
-            .zip(&self.stores.words)
-            .zip(&self.valid.words)
-            .map(|((l, s), v)| ((l | s) & v).count_ones() as usize)
-            .sum()
+        ((self.loads.0 | self.stores.0) & self.valid.0).count_ones() as usize
     }
 
     // ---- per-slot field helpers ----
@@ -787,6 +728,7 @@ impl Rob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreConfig;
     use vpir_isa::Inst;
 
     fn push(rob: &mut Rob, seq: u64) -> usize {
@@ -911,25 +853,149 @@ mod tests {
         rob.free_head();
         push(&mut rob, 5);
         push(&mut rob, 6); // window wraps: slots 2,3,0,1 hold 3,4,5,6
-        let mut seen = Vec::new();
-        rob.for_each_masked(
-            |r, w| r.valid.words[w],
-            |slot| {
-                seen.push(rob.seq[slot]);
-                true
-            },
-        );
+        let seen: Vec<u64> = rob
+            .age_order(rob.valid.0)
+            .map(|slot| rob.seq[slot])
+            .collect();
         assert_eq!(seen, vec![3, 4, 5, 6]);
-        // Early exit stops mid-iteration.
-        let mut first = None;
-        rob.for_each_masked(
-            |r, w| r.valid.words[w],
-            |slot| {
-                first = Some(rob.seq[slot]);
-                false
-            },
-        );
-        assert_eq!(first, Some(3));
+        // The walk is a snapshot: a mask cleared after it starts does
+        // not shorten it.
+        let mut walk = rob.age_order(rob.valid.0);
+        assert_eq!(walk.next().map(|slot| rob.seq[slot]), Some(3));
+        rob.truncate_tail(2);
+        let rest: Vec<u64> = walk.map(|slot| rob.seq[slot]).collect();
+        assert_eq!(rest, vec![4, 5, 6]);
+    }
+
+    /// Every candidate iterator yields `slots_in_order()` filtered by its
+    /// mask, at each of a 64-entry ROB's head positions, for full,
+    /// partly wrapped and single-entry windows, with mask bits set on
+    /// live and vacant slots alike.
+    #[test]
+    fn candidate_iterators_follow_age_order_at_every_head() {
+        let mut rob = Rob::new(64);
+        let mut seq = 0;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random_word = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for head in 0..64 {
+            for len in [64, 37, 1] {
+                while rob.len() < len {
+                    seq += 1;
+                    push(&mut rob, seq);
+                }
+                rob.truncate_tail(rob.len() - len);
+                assert_eq!(rob.head_slot(), Some(head));
+                for mask in [
+                    &mut rob.exec,
+                    &mut rob.nonspec,
+                    &mut rob.settled,
+                    &mut rob.ctrl_unres,
+                    &mut rob.ctrl_out,
+                    &mut rob.loads,
+                    &mut rob.stores,
+                    &mut rob.reused,
+                    &mut rob.addr_reused,
+                    &mut rob.trace_reused,
+                    &mut rob.accessed,
+                    &mut rob.execable,
+                    &mut rob.asleep,
+                ] {
+                    mask.0 = random_word();
+                }
+                let r = &rob;
+                let expected = |keep: &dyn Fn(usize) -> bool| -> Vec<usize> {
+                    r.slots_in_order().filter(|&s| keep(s)).collect()
+                };
+                let cases: [(&str, Vec<usize>, Vec<usize>); 6] = [
+                    (
+                        "writeback",
+                        r.writeback_candidates().collect(),
+                        expected(&|s| r.exec.test(s)),
+                    ),
+                    (
+                        "promote",
+                        r.promote_candidates().collect(),
+                        expected(&|s| r.settled.test(s) && !r.nonspec.test(s) && !r.exec.test(s)),
+                    ),
+                    (
+                        "resolve",
+                        r.resolve_candidates().collect(),
+                        expected(&|s| {
+                            r.ctrl_unres.test(s) && r.ctrl_out.test(s) && !r.exec.test(s)
+                        }),
+                    ),
+                    (
+                        "mem_access",
+                        r.mem_access_candidates().collect(),
+                        expected(&|s| {
+                            r.loads.test(s)
+                                && !r.reused.test(s)
+                                && !r.trace_reused.test(s)
+                                && !r.accessed.test(s)
+                        }),
+                    ),
+                    (
+                        "issue",
+                        r.issue_candidates().collect(),
+                        expected(&|s| {
+                            r.execable.test(s)
+                                && ![
+                                    &r.exec,
+                                    &r.reused,
+                                    &r.trace_reused,
+                                    &r.addr_reused,
+                                    &r.settled,
+                                    &r.asleep,
+                                ]
+                                .iter()
+                                .any(|m| m.test(s))
+                        }),
+                    ),
+                    (
+                        "stores",
+                        r.age_order(r.stores.0).collect(),
+                        expected(&|s| r.stores.test(s)),
+                    ),
+                ];
+                for (name, got, want) in cases {
+                    assert_eq!(got, want, "{name} candidates, head {head}, len {len}");
+                }
+                let mem_ops = expected(&|s| r.loads.test(s) || r.stores.test(s)).len();
+                assert_eq!(rob.mem_ops_in_flight(), mem_ops, "head {head}, len {len}");
+            }
+            rob.free_head();
+        }
+    }
+
+    #[test]
+    fn sixty_four_entries_fit_one_mask_word() {
+        let config = CoreConfig {
+            rob_size: 64,
+            ..CoreConfig::table1()
+        };
+        config.validate();
+        assert_eq!(Rob::new(config.rob_size).capacity(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "ROB size must be in 2..=64")]
+    fn a_65_entry_config_fails_validation() {
+        CoreConfig {
+            rob_size: 65,
+            ..CoreConfig::table1()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "ROB size must be in 2..=64")]
+    fn a_65_slot_rob_panics() {
+        let _ = Rob::new(65);
     }
 
     #[test]
@@ -946,8 +1012,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "ROB overflow")]
     fn overflow_panics() {
-        let mut rob = Rob::new(1);
-        push(&mut rob, 1);
-        push(&mut rob, 2);
+        let mut rob = Rob::new(2);
+        for seq in 1..=3 {
+            push(&mut rob, seq);
+        }
     }
 }

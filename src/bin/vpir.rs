@@ -655,8 +655,12 @@ fn cmd_limit(args: &[String]) -> Result<(), String> {
     };
     let mut insts: u64 = 5_000_000;
     let mut i = 1;
-    if args.get(i).is_some_and(|flag| flag == "--insts") {
-        insts = flag_parse(args, &mut i, "a number")?;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--insts" => insts = flag_parse(args, &mut i, "a number")?,
+            other => return Err(format!("limit: unknown option `{other}`")),
+        }
+        i += 1;
     }
     let program = load_program(path)?;
     let study = analyze(&program, insts, LimitConfig::default());

@@ -24,6 +24,8 @@ const FAILURES: &[(&[&str], &str)] = &[
     (&["limit"], "limit: missing program path"),
     (&["limit", "prog.s", "--insts"], "--insts needs a number"),
     (&["limit", "prog.s", "--insts", "many"], "--insts needs a number"),
+    (&["limit", "prog.s", "--bogus"], "limit: unknown option `--bogus`"),
+    (&["limit", "prog.s", "--insts", "5", "--bogus"], "limit: unknown option `--bogus`"),
     // analyze-isa
     (&["analyze-isa"], "analyze-isa: missing program path (or --all-workloads)"),
     (&["analyze-isa", "--format"], "--format needs text|json"),
